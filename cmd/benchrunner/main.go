@@ -62,10 +62,10 @@ func run() error {
 	// bit-identity to serial on every CI run.
 	rep.Merge(bench.Run(bench.DecompositionScenarios(), bench.DecompositionAlgorithms(), opt))
 	// Skewed cells pit the triangle kernels against heavy-tail degree
-	// distributions: the enumerate-merge and enumerate-rank columns of a
-	// scenario must carry identical checksums, so the baseline gate pins
-	// the rank kernel's bit-identity on every CI run, and count-2d must
-	// report the same triangle count.
+	// distributions: the enumerate-rank cells carry the full-set
+	// checksums the retired merge kernel recorded, so the baseline gate
+	// pins the rank kernel's exact output on every CI run, and count-2d
+	// must report the same triangle count.
 	rep.Merge(bench.Run(bench.SkewedScenarios(), bench.SkewedAlgorithms(), opt))
 	// Serving cells drive a live dexpanderd service over loopback HTTP:
 	// serve-cold measures the first-query path, serve-hot the cached

@@ -9,18 +9,19 @@
 // benchrunner and CI use), so experiment tables land in the perf
 // trajectory instead of only on stdout.
 //
-// With -kernel {merge,rank,2d,auto} the command instead runs one
+// With -kernel {rank,2d,auto} the command instead runs one
 // shared-memory triangle kernel on the graph selected by the standard
 // -graph/-size/... flags (default: a Barabási–Albert hub graph, the
 // shape the rank and 2d kernels are built for) and prints the count,
 // the output checksum, and the wall time — the quickest way to compare
-// kernels on a single instance.
+// kernels on a single instance. -kernel merge, the retired merge
+// kernel, runs rank.
 //
 // Examples:
 //
 //	trianglebench -sizes 24,48,96 -seed 1 -json bench-out
 //	trianglebench -kernel rank -graph barabasi-albert -size 65536 -d 8
-//	trianglebench -kernel merge -graph chung-lu -size 4096
+//	trianglebench -kernel 2d -graph chung-lu -size 4096
 package main
 
 import (
@@ -44,7 +45,7 @@ func run() error {
 		all     = flag.Bool("all", false, "run every experiment table (E1..E11), not just triangles")
 		szs     = flag.String("sizes", "", "comma-separated sizes for a custom scaling run")
 		jsonDir = flag.String("json", "", "also write the tables as a BENCH_*.json report into this directory")
-		kernel  = flag.String("kernel", "", "run one local kernel (merge, rank, 2d, or auto) on the -graph selection instead of the experiment tables")
+		kernel  = flag.String("kernel", "", "run one local kernel (rank, 2d, or auto; merge is an alias of rank) on the -graph selection instead of the experiment tables")
 		workers = flag.Int("workers", 0, "worker count for -kernel runs (0 = GOMAXPROCS)")
 	)
 	// The shared graph flag block (including -seed) drives -kernel runs;

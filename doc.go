@@ -14,28 +14,25 @@
 // workloads running at hundreds of simulated rounds per second; see the
 // internal/congest package comment for the substrate's contracts and
 // harness experiment E11 for measured throughput. The shared-memory
-// triangle kernels follow the same sharding discipline:
-// triangle.BruteForceParallel partitions a sorted compressed adjacency
-// by vertex range across GOMAXPROCS workers with a deterministic merge,
-// several times faster than the sequential oracle on thousands of
-// vertices.
-//
-// On power-law inputs the triangle hot path switches to the skew-proof
-// rank kernel (the default behind CountParallel/TrianglesParallel):
-// vertices are reordered by descending degree and each keeps only its
-// higher-rank neighbors, so forward lists are O(sqrt(m)) long and a
-// hub's O(deg^2) wedge term disappears; per-pair intersections pick
-// between a two-pointer merge, an epoch-stamped mark array probed with
-// no clearing, and galloping binary search by length ratio (tuned via
+// triangle kernel follows the same sharding discipline: the skew-proof
+// rank kernel (triangle.SetKernel) reorders vertices by descending
+// degree and keeps only each vertex's higher-rank neighbors, so forward
+// lists are O(sqrt(m)) long and a hub's O(deg^2) wedge term disappears
+// even on power-law inputs; rank ranges are balanced across GOMAXPROCS
+// workers, and per-pair intersections pick between a two-pointer merge,
+// an epoch-stamped mark array probed with no clearing, and galloping
+// binary search by length ratio (tuned via
 // BenchmarkIntersectionStrategies). A 2D edge-partitioned counting
 // path (triangle.CountParallel2D, after Tom & Karypis) tiles the rank
 // space into forward-volume-balanced blocks whose (i, j, k) triples
-// run as independent internal/par tasks — the seam for multi-node
-// counting. All kernels are bit-identical for every worker count, a
-// contract the bench baseline's merge-vs-rank checksum equality
-// re-proves on every CI run; kernels are selectable per request via
-// the service's "kernel" query parameter and trianglebench's -kernel
-// flag.
+// run as independent internal/par tasks — one task body, shared with
+// the multi-node count's replicas. Both are bit-identical to the
+// sequential BruteForce oracle for every worker count; the bench
+// baseline's enumerate-rank checksums, first recorded beside the
+// retired merge kernel's identical ones, re-prove that on every CI
+// run. Kernels are selectable per request via the service's "kernel"
+// query parameter and trianglebench's -kernel flag, where "merge"
+// remains accepted as an alias of rank.
 //
 // The decomposition stack runs on a sparse local walk engine
 // (internal/spectral's WalkState): the truncated lazy walk at the heart

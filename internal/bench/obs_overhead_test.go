@@ -11,12 +11,14 @@ import (
 	"dexpander/internal/triangle"
 )
 
-// TestTracingDisabledOverhead is the overhead guard the issue requires:
-// the span-instrumented 2D kernel entry point with tracing DISABLED
-// (nil span) must stay within noise of the uninstrumented one — the
-// instrumentation collapses to one pointer test per task. The 2x bound
-// is deliberately generous (CI machines are noisy); a real regression
-// (per-task allocation, say) lands far above it.
+// TestTracingDisabledOverhead is the tracing-off overhead guard: the 2D
+// kernel called the way the service calls it with tracing off — a
+// cancelable context (so the per-triple checkpoint probe is live) and no
+// span — must stay within noise of the bare CountParallel2D. The
+// instrumentation collapses to a channel poll and a few nil-span tests
+// per block triple. The 2x bound is deliberately generous (CI machines
+// are noisy); a real regression (per-task allocation, say) lands far
+// above it.
 func TestTracingDisabledOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison; run without -short")
@@ -24,6 +26,8 @@ func TestTracingDisabledOverhead(t *testing.T) {
 	g := gen.GNP(800, 0.05, 1)
 	view := graph.WholeGraph(g)
 	want := triangle.CountParallel2D(view, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	base := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -32,7 +36,7 @@ func TestTracingDisabledOverhead(t *testing.T) {
 	})
 	instr := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			n, err := triangle.CountParallel2DSpan(view, 0, nil, nil)
+			n, err := triangle.CountParallel2DContext(ctx, view, 0)
 			if err != nil || n != want {
 				b.Fatalf("instrumented kernel: count %d err %v, want %d", n, err, want)
 			}

@@ -18,7 +18,7 @@
 //     definitions.
 //   - BarabasiAlbert: preferential attachment — the canonical power-law
 //     skew workload for the rank-ordered triangle kernels (old vertices
-//     become hubs whose low ids are exactly the merge kernel's worst
+//     become hubs whose low ids are exactly an id-ordered kernel's worst
 //     case).
 //   - ExpanderOfCliques: clusters whose quotient graph is an expander,
 //     separating decomposition quality from diameter effects.

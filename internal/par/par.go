@@ -62,36 +62,9 @@ func Workers(requested int) int {
 // it degenerates to an inline loop on the caller's goroutine — the serial
 // execution the equivalence tests oracle against. Tasks are handed out in
 // index order through a shared counter; fn must write results only into
-// its own index's slot.
+// its own index's slot. It is ForEachCheck with no checkpoint.
 func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = ForEachCheck(workers, n, nil, fn)
 }
 
 // ForEachCheck is ForEach with a cooperative-cancellation probe: cp
@@ -101,12 +74,8 @@ func ForEach(workers, n int, fn func(i int)) {
 // "checkpoint interval") of the cancellation. The first checkpoint error
 // is returned; an uncanceled run returns nil having executed exactly the
 // calls ForEach would, in a schedule drawn from the same shared counter,
-// so outputs stay bit-identical. With a nil cp it is exactly ForEach.
+// so outputs stay bit-identical. A nil cp skips the probe entirely.
 func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
-	if cp == nil {
-		ForEach(workers, n, fn)
-		return nil
-	}
 	if n <= 0 {
 		return nil
 	}
@@ -115,8 +84,10 @@ func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := cp(); err != nil {
-				return err
+			if cp != nil {
+				if err := cp(); err != nil {
+					return err
+				}
 			}
 			fn(i)
 		}
@@ -129,13 +100,12 @@ func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if err := cp(); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				if firstErr.Load() != nil {
-					return
+			for firstErr.Load() == nil {
+				if cp != nil {
+					if err := cp(); err != nil {
+						firstErr.CompareAndSwap(nil, &err)
+						return
+					}
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {

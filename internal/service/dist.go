@@ -21,7 +21,7 @@ import (
 // Correctness contract: the coordinator reduces per-triple counts in
 // task order, and every triple is counted exactly once — by a replica
 // via triangle.CountFragments or locally via DistPlan.CountTriple, both
-// of which are the 2D kernel's task body verbatim. The total is
+// of which run the 2D kernel's one task body. The total is
 // therefore bit-identical to triangle.CountParallel2D for every peer
 // count, window size, and failure pattern.
 
@@ -51,7 +51,8 @@ type fragEntry struct {
 // evicts least-recently-used fragments until the cache fits
 // MaxFragmentBytes again. The declared range must match the fragment's
 // own header — a coordinator cannot alias one block's bytes under
-// another block's key.
+// another block's key — and its universe must stay within
+// checkRankSpace's cap.
 func (s *Service) StoreFragment(snapID string, p int, lo, hi int32, data []byte) (bool, error) {
 	if p < 1 {
 		return false, fmt.Errorf("service: fragment tiling dimension %d out of range", p)
@@ -63,6 +64,9 @@ func (s *Service) StoreFragment(snapID string, p int, lo, hi int32, data []byte)
 	}
 	f, err := triangle.DecodeFragment(data)
 	if err != nil {
+		return false, err
+	}
+	if err := checkRankSpace(f.Ranks); err != nil {
 		return false, err
 	}
 	if f.Lo != lo || f.Hi != hi {
@@ -122,6 +126,20 @@ func lessFragKey(a, b fragKey) bool {
 	return a.hi < b.hi
 }
 
+// checkRankSpace rejects a rank universe larger than uploads may build
+// (uploadLimits.MaxVertices): a replica sizes its stamp scratch by the
+// universe, so an unchecked header would let a tiny request demand
+// gigabytes, and an out-of-memory failure kills the whole process. A
+// coordinator whose own graph is larger still gets the right total —
+// its replicas refuse the triples, and they fall back to its local
+// count.
+func checkRankSpace(ranks int) error {
+	if ranks > uploadLimits.MaxVertices {
+		return fmt.Errorf("service: rank space %d exceeds the %d-vertex cap", ranks, uploadLimits.MaxVertices)
+	}
+	return nil
+}
+
 // DistCountTriple executes one block triple against resident fragments:
 // the replica half of the distributed count. Both row-block fragments
 // must already be resident under (snapID, tl.P, block range) — a miss
@@ -130,6 +148,9 @@ func lessFragKey(a, b fragKey) bool {
 // together with FragmentStores this proves each key is transferred at
 // most once per replica while resident.
 func (s *Service) DistCountTriple(snapID string, tl triangle.Tiling, t triangle.BlockTriple) (int, error) {
+	if err := checkRankSpace(tl.Ranks); err != nil {
+		return 0, err
+	}
 	if err := tl.Validate(); err != nil {
 		return 0, err
 	}

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -260,4 +262,54 @@ func TestFragmentCacheEviction(t *testing.T) {
 	if _, err := svc.DistCountTriple(id, plan.Tiling, triangle.BlockTriple{I: 0, J: 0, K: 0}); err == nil {
 		t.Fatal("count on the evicted fragment succeeded")
 	}
+}
+
+// TestHostileFragmentRankSpaceRejected replays a 42-byte fragment whose
+// header claims a 2^31-1 rank universe, then a count request on a tiling
+// of that universe. Sizing the replica's stamp scratch by the claim
+// would demand 8 GiB and kill the process; both requests must instead
+// fail as caller errors (400) with the replica still serving.
+func TestHostileFragmentRankSpaceRejected(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+
+	frag := (&triangle.Fragment{Ranks: 1<<31 - 1, Lo: 0, Hi: 0, Off: []int32{0}}).Encode()
+	if len(frag) != 42 {
+		t.Fatalf("hostile fragment is %d bytes, want 42", len(frag))
+	}
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/dist/fragments/x/2/0/0", bytes.NewReader(frag))
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("put fragment: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("hostile fragment PUT answered %d, want 400", resp.StatusCode)
+	}
+	body := `{"snapshot": "x", "tiling": {"p": 2, "ranks": 2147483647, "cuts": [0, 0, 2147483647]}, "triple": {"i": 0, "j": 0, "k": 0}}`
+	resp, err = srv.Client().Post(srv.URL+"/v1/dist/count", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("dist count: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("hostile tiling count answered %d, want 400", resp.StatusCode)
+	}
+
+	// The same input straight through the Service methods, as the
+	// in-process reproduction drove it.
+	if _, err := svc.StoreFragment("x", 2, 0, 0, frag); err == nil {
+		t.Fatal("StoreFragment accepted a 2^31-1 rank universe")
+	}
+	tl := triangle.Tiling{P: 2, Ranks: 1<<31 - 1, Cuts: []int32{0, 0, 1<<31 - 1}}
+	if _, err := svc.DistCountTriple("x", tl, triangle.BlockTriple{}); err == nil {
+		t.Fatal("DistCountTriple accepted a 2^31-1 rank universe")
+	}
+	resp, err = srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after hostile input: %v", err)
+	}
+	resp.Body.Close()
 }

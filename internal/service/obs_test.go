@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,76 @@ func TestTraceDistPropagation(t *testing.T) {
 		if sp.Parent != 0 && !ids[sp.Parent] {
 			t.Fatalf("span %q (id %d) has dangling parent %d", sp.Name, sp.ID, sp.Parent)
 		}
+	}
+}
+
+// TestTraceCount2DTriples pins the per-triple spans of a traced
+// kernel=2d count: its "count" span must hold exactly one
+// "triangle.triple" child per block triple of the grid, whose counts sum
+// to the served total. A service that stopped handing the kernel its
+// span on the context would lose them all.
+func TestTraceCount2DTriples(t *testing.T) {
+	svc := New(Config{Workers: 2, Tracer: obs.NewTracer(1024, 1)})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	snap, err := svc.RegisterSpec("", gen.Spec{Family: "gnp", Params: map[string]float64{"n": 96, "p": 0.2}, Seed: 7})
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	ctx := context.Background()
+	cl := NewClient(srv.URL)
+	cl.RequestID = "trace-count-2d-001"
+	res, err := cl.TriangleCount(ctx, snap.ID, CountParams{Kernel: "2d"})
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	tr, err := cl.Trace(ctx, cl.RequestID)
+	if err != nil {
+		t.Fatalf("fetch trace: %v", err)
+	}
+	var count *obs.Span
+	for i := range tr.Spans {
+		if tr.Spans[i].Name == "count" {
+			if count != nil {
+				t.Fatal("trace holds two count spans")
+			}
+			count = &tr.Spans[i]
+		}
+	}
+	if count == nil || count.Attrs["kernel"] != "2d" {
+		t.Fatalf("trace has no kernel=2d count span: %+v", count)
+	}
+	seen := map[triangle.BlockTriple]bool{}
+	p, total := 0, 0
+	for _, sp := range tr.Spans {
+		if sp.Name != "triangle.triple" {
+			continue
+		}
+		if sp.Parent != count.ID {
+			t.Fatalf("triangle.triple span %d parents under %d, not the count span %d", sp.ID, sp.Parent, count.ID)
+		}
+		var bt triangle.BlockTriple
+		var n int
+		for k, dst := range map[string]*int{"bi": &bt.I, "bj": &bt.J, "bk": &bt.K, "count": &n} {
+			v, err := strconv.Atoi(sp.Attrs[k])
+			if err != nil {
+				t.Fatalf("triangle.triple attr %s = %q: %v", k, sp.Attrs[k], err)
+			}
+			*dst = v
+		}
+		if seen[bt] || bt.I > bt.J || bt.J > bt.K {
+			t.Fatalf("block triple %+v repeated or unordered", bt)
+		}
+		seen[bt] = true
+		p = max(p, bt.K+1)
+		total += n
+	}
+	if want := p * (p + 1) * (p + 2) / 6; p == 0 || len(seen) != want {
+		t.Fatalf("%d triangle.triple spans for a %d-grid, want %d", len(seen), p, want)
+	}
+	if total != res.Triangles {
+		t.Fatalf("triple spans count %d triangles, served %d", total, res.Triangles)
 	}
 }
 

@@ -41,12 +41,12 @@ type Params interface {
 	// computation reads.
 	canon() string
 	// run executes the computation. ctx is the flight's cancelable
-	// context: implementations forward par.CheckpointFromContext(ctx)
-	// into the kernels so a canceled flight frees its worker within one
-	// checkpoint interval. env carries the host parallelism bound plus
-	// the service-level context distributed algorithms need (snapshot
-	// fingerprint, peer fleet); outputs are bit-identical for every
-	// worker count and peer set.
+	// context: implementations hand it to the kernels (directly, or as
+	// par.CheckpointFromContext(ctx)) so a canceled flight frees its
+	// worker within one checkpoint interval. env carries the host
+	// parallelism bound plus the service-level context distributed
+	// algorithms need (snapshot fingerprint, peer fleet); outputs are
+	// bit-identical for every worker count and peer set.
 	run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error)
 }
 
@@ -253,10 +253,12 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 
 // CountParams configures the shared-memory triangle count.
 type CountParams struct {
-	// Kernel selects the kernel: "merge", "rank", "2d", or "auto" (the
-	// default; currently the rank kernel). merge, rank, and auto produce
-	// bit-identical checksums; 2d runs the counting-only edge-partitioned
-	// path, whose checksum digests the count alone.
+	// Kernel selects the kernel: "rank", "2d", or "auto" (the default;
+	// currently the rank kernel). rank and auto produce bit-identical
+	// checksums; 2d runs the counting-only edge-partitioned path, whose
+	// checksum digests the count alone. "merge" names the retired merge
+	// kernel and is now an alias of rank: it is served as kernel=rank,
+	// from rank's cache line.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -264,8 +266,11 @@ type CountParams struct {
 func (p CountParams) Algorithm() string { return "triangle-count" }
 
 func (p CountParams) normalize() Params {
-	if p.Kernel == "" {
+	switch p.Kernel {
+	case "":
 		p.Kernel = "auto"
+	case "merge":
+		p.Kernel = "rank"
 	}
 	return p
 }
@@ -277,34 +282,24 @@ func (p CountParams) validate() error {
 
 func (p CountParams) canon() string { return fmt.Sprintf("kernel=%s", p.Kernel) }
 
-// run executes the selected shared-memory kernel. For merge, rank, and
-// auto the checksum digests the full triangle set — identical across the
-// three and matching the bench matrix's brute/brute-par and
-// enumerate-merge/enumerate-rank cells. The 2d kernel counts without
-// materializing a set, so its checksum digests the count alone, exactly
-// like the matrix's count-2d cells.
+// run executes the selected shared-memory kernel. For rank and auto the
+// checksum digests the full triangle set — identical across the two and
+// matching the bench matrix's brute/brute-par and enumerate-rank cells.
+// The 2d kernel counts without materializing a set, so its checksum
+// digests the count alone, exactly like the matrix's count-2d cells.
 func (p CountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	k, err := triangle.ParseKernel(p.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	cp := par.CheckpointFromContext(ctx)
+	if k == triangle.Kernel2D {
+		return count2D(ctx, view, env, p.Kernel)
+	}
 	sp := env.span.Child("count")
 	sp.Attr("kernel", p.Kernel)
 	defer sp.End()
 	start := time.Now()
-	if k == triangle.Kernel2D {
-		n, err := triangle.CountParallel2DSpan(view, env.workers, cp, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Checksum:  checksumString(triangle.HashWords(uint64(n))),
-			ComputeNS: time.Since(start).Nanoseconds(),
-			Triangles: n,
-		}, nil
-	}
-	set, err := triangle.SetKernelCheck(view, env.workers, k, cp)
+	set, err := triangle.SetKernelContext(ctx, view, env.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -413,24 +408,29 @@ func (p DistCountParams) canon() string { return fmt.Sprintf("grid=%d", p.Grid) 
 // it IS the local kernel. The checksum digests the count alone, exactly
 // like the count-2d bench cells.
 func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
-	peers := env.svc.cfg.Peers
-	if len(peers) == 0 {
-		cp := par.CheckpointFromContext(ctx)
-		sp := env.span.Child("count")
-		sp.Attr("kernel", "2d-local")
-		defer sp.End()
-		start := time.Now()
-		n, err := triangle.CountParallel2DSpan(view, env.workers, cp, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Checksum:  checksumString(triangle.HashWords(uint64(n))),
-			ComputeNS: time.Since(start).Nanoseconds(),
-			Triangles: n,
-		}, nil
+	if len(env.svc.cfg.Peers) == 0 {
+		return count2D(ctx, view, env, "2d-local")
 	}
 	return env.svc.distCount(ctx, view, env.fingerprint, p.Grid, env.span)
+}
+
+// count2D runs the local 2D kernel under a "count" span tagged with
+// kernel; the kernel hangs one "triangle.triple" span per block triple
+// under it. The checksum digests the count alone.
+func count2D(ctx context.Context, view *graph.Sub, env runEnv, kernel string) (*Result, error) {
+	sp := env.span.Child("count")
+	sp.Attr("kernel", kernel)
+	defer sp.End()
+	start := time.Now()
+	n, err := triangle.CountParallel2DContext(obs.ContextWithSpan(ctx, sp), view, env.workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Checksum:  checksumString(triangle.HashWords(uint64(n))),
+		ComputeNS: time.Since(start).Nanoseconds(),
+		Triangles: n,
+	}, nil
 }
 
 // checksumString renders a digest the way every bench cell does, so

@@ -246,6 +246,7 @@ func TestCanonStrings(t *testing.T) {
 		{CountParams{}, "kernel=auto"},
 		{CountParams{Kernel: "auto"}, "kernel=auto"},
 		{CountParams{Kernel: "2d"}, "kernel=2d"},
+		{CountParams{Kernel: "merge"}, "kernel=rank"},
 		{EnumerateParams{}, "seed=1 limit=1000"},
 		{EnumerateParams{Seed: 1, Limit: 1000}, "seed=1 limit=1000"},
 		{EnumerateParams{Seed: 9, Limit: 3}, "seed=9 limit=3"},
@@ -257,11 +258,12 @@ func TestCanonStrings(t *testing.T) {
 	}
 }
 
-// TestTriangleCountKernels pins the kernel query parameter: merge, rank,
-// and auto must serve the identical full-set checksum (distinct cache
-// keys, same bytes — the serving layer's replay of the kernels'
-// bit-identity contract), 2d must report the same count under its
-// count-only digest, and an unknown kernel is a caller error.
+// TestTriangleCountKernels pins the kernel query parameter: rank and
+// auto must serve the identical full-set checksum (distinct cache keys,
+// same bytes — the serving layer's replay of the kernels' bit-identity
+// contract), merge is an alias of rank served from rank's cache line,
+// 2d must report the same count under its count-only digest, and an
+// unknown kernel is a caller error.
 func TestTriangleCountKernels(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -282,6 +284,7 @@ func TestTriangleCountKernels(t *testing.T) {
 		t.Fatalf("default params = %q, want kernel=auto", auto.Params)
 	}
 	for _, kernel := range []string{"merge", "rank", "auto"} {
+		before := s.Stats().Computations
 		res, err := s.Query(bg, "", snap.ID, CountParams{Kernel: kernel})
 		if err != nil {
 			t.Fatalf("kernel %s: %v", kernel, err)
@@ -289,6 +292,12 @@ func TestTriangleCountKernels(t *testing.T) {
 		if res.Checksum != auto.Checksum || res.Triangles != auto.Triangles {
 			t.Fatalf("kernel %s: served %d/%s, auto %d/%s",
 				kernel, res.Triangles, res.Checksum, auto.Triangles, auto.Checksum)
+		}
+		if kernel == "merge" && res.Params != "kernel=rank" {
+			t.Fatalf("merge served as %q, want kernel=rank", res.Params)
+		}
+		if kernel == "rank" && s.Stats().Computations != before {
+			t.Fatal("rank after merge recomputed: merge must share rank's cache line")
 		}
 	}
 	twod, err := s.Query(bg, "", snap.ID, CountParams{Kernel: "2d"})

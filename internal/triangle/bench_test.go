@@ -16,15 +16,15 @@ func BenchmarkBruteForce(b *testing.B) {
 	}
 }
 
-// BenchmarkBruteForceParallel benchmarks the sharded merge kernel on the
-// same instance as BenchmarkBruteForce (compare ns/op directly), plus a
+// BenchmarkSetKernel benchmarks the sharded rank kernel on the same
+// instance as BenchmarkBruteForce (compare ns/op directly), plus a
 // larger instance closer to the bench matrix's heavy cells.
-func BenchmarkBruteForceParallel(b *testing.B) {
+func BenchmarkSetKernel(b *testing.B) {
 	g := gen.GNP(128, 0.3, 1)
 	view := graph.WholeGraph(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BruteForceParallel(view, 0)
+		SetKernel(view, 0, KernelAuto)
 	}
 }
 
@@ -37,21 +37,21 @@ func BenchmarkBruteForce2048(b *testing.B) {
 	}
 }
 
-func BenchmarkBruteForceParallel2048(b *testing.B) {
+func BenchmarkSetKernel2048(b *testing.B) {
 	g := gen.GNP(2048, 0.05, 7)
 	view := graph.WholeGraph(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BruteForceParallel(view, 0)
+		SetKernel(view, 0, KernelAuto)
 	}
 }
 
-func BenchmarkCountParallel2048(b *testing.B) {
+func BenchmarkCountParallel2D2048(b *testing.B) {
 	g := gen.GNP(2048, 0.05, 7)
 	view := graph.WholeGraph(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CountParallel(view, 0)
+		CountParallel2D(view, 0)
 	}
 }
 

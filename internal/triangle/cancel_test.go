@@ -69,51 +69,52 @@ func TestEnumerateCanceled(t *testing.T) {
 	}
 }
 
-// TestCountKernelCheckCancel covers each kernel's counting path: a
-// pre-canceled probe aborts, a never-firing probe reproduces the exact
+// TestCountParallel2DContextCancel covers the counting path: a
+// pre-canceled context aborts with its error, a live cancelable context
+// (whose checkpoint is probed per block triple) reproduces the exact
 // uncanceled count.
-func TestCountKernelCheckCancel(t *testing.T) {
+func TestCountParallel2DContextCancel(t *testing.T) {
 	g := gen.GNP(48, 0.3, 5)
 	view := graph.WholeGraph(g)
 	want := BruteForce(view).Len()
-	boom := errors.New("boom")
-	for _, k := range []Kernel{KernelMerge, KernelRank, Kernel2D} {
-		for _, workers := range []int{1, 4} {
-			if _, err := CountKernelCheck(view, workers, k, func() error { return boom }); !errors.Is(err, boom) {
-				t.Fatalf("kernel=%v workers=%d: pre-canceled count: %v", k, workers, err)
-			}
-			var probes atomic.Int64
-			got, err := CountKernelCheck(view, workers, k, func() error { probes.Add(1); return nil })
-			if err != nil {
-				t.Fatalf("kernel=%v workers=%d: %v", k, workers, err)
-			}
-			if probes.Load() == 0 {
-				t.Fatalf("kernel=%v workers=%d: checkpoint never consulted", k, workers)
-			}
-			if got != want {
-				t.Fatalf("kernel=%v workers=%d: count %d, want %d", k, workers, got, want)
-			}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, workers := range []int{1, 4} {
+		if _, err := CountParallel2DContext(canceled, view, workers); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: pre-canceled count: %v", workers, err)
+		}
+		got, err := CountParallel2DContext(live, view, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got != want {
+			t.Fatalf("workers=%d: count %d, want %d", workers, got, want)
 		}
 	}
 }
 
-// TestSetKernelCheckCancel mirrors the counting coverage for the Set
-// entry point (2D resolves to rank for enumeration).
-func TestSetKernelCheckCancel(t *testing.T) {
+// TestSetKernelContextCancel mirrors the counting coverage for the Set
+// entry point, whose checkpoint is probed per rank.
+func TestSetKernelContextCancel(t *testing.T) {
 	g := gen.GNP(48, 0.3, 5)
 	view := graph.WholeGraph(g)
 	want := BruteForce(view)
-	boom := errors.New("boom")
-	for _, k := range []Kernel{KernelMerge, KernelRank} {
-		if _, err := SetKernelCheck(view, 4, k, func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("kernel=%v: pre-canceled set: %v", k, err)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, workers := range []int{1, 4} {
+		if _, err := SetKernelContext(canceled, view, workers); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: pre-canceled set: %v", workers, err)
 		}
-		set, err := SetKernelCheck(view, 4, k, func() error { return nil })
+		set, err := SetKernelContext(live, view, workers)
 		if err != nil {
-			t.Fatalf("kernel=%v: %v", k, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if set.Checksum() != want.Checksum() || set.Len() != want.Len() {
-			t.Fatalf("kernel=%v: checkpointed set diverged", k)
+		if set.Checksum() != want.Checksum() || !set.Equal(want) {
+			t.Fatalf("workers=%d: set under a live context diverged", workers)
 		}
 	}
 }

@@ -13,9 +13,10 @@ import (
 // touches — and a compact versioned serialization of a rank-range slice
 // of the forward CSR, so a block triple becomes a shippable unit of work
 // a dexpanderd replica can execute from two fragments without ever
-// holding the graph. CountFragments reproduces countTwoD's task loop
-// instruction for instruction, so the sum of per-triple counts over any
-// tiling equals CountParallel2D's total exactly.
+// holding the graph. CountFragments, DistPlan.CountTriple, and
+// CountParallel2D all run the same task body (countTriple), so the sum
+// of per-triple counts over any tiling equals CountParallel2D's total
+// exactly.
 
 // BlockTriple is one ordered (I <= J <= K) unit of distributed counting
 // work: triangles whose lowest-rank vertex falls in block I, middle
@@ -46,7 +47,7 @@ func AutoGrid(units, ranks int) int { return twoDGrid(units, ranks) }
 func (tl Tiling) Block(b int) (lo, hi int32) { return tl.Cuts[b], tl.Cuts[b+1] }
 
 // Triples enumerates every ordered block triple (i <= j <= k) in the
-// canonical task order of countTwoD.
+// canonical task order CountParallel2D reduces in.
 func (tl Tiling) Triples() []BlockTriple {
 	out := make([]BlockTriple, 0, tl.P*(tl.P+1)*(tl.P+2)/6)
 	for i := 0; i < tl.P; i++ {
@@ -91,9 +92,8 @@ type DistPlan struct {
 }
 
 // NewDistPlan builds the rank CSR and the p x p tiling for the view.
-// p < 1 is clamped to 1; p beyond the rank-space size is clamped down,
-// exactly like CountParallel2DGrid. The resulting block boundaries are
-// deterministic in (view, p) alone.
+// p < 1 is clamped to 1; p beyond the rank-space size is clamped down.
+// The resulting block boundaries are deterministic in (view, p) alone.
 func NewDistPlan(view *graph.Sub, p int) *DistPlan {
 	rc := buildRankCSR(view)
 	if p < 1 {
@@ -113,10 +113,22 @@ func NewDistPlan(view *graph.Sub, p int) *DistPlan {
 }
 
 // Fragment extracts block b's rank-range slice of the forward CSR as a
-// self-contained Fragment.
+// self-contained Fragment: its arcs are copied out and its offsets
+// rebased, so Encode renders exactly the block's lists.
 func (pl *DistPlan) Fragment(b int) *Fragment {
 	lo, hi := pl.Tiling.Block(b)
-	return sliceFragment(pl.rc, lo, hi)
+	base := pl.rc.off[lo]
+	f := &Fragment{
+		Ranks: pl.rc.ranks(),
+		Lo:    lo,
+		Hi:    hi,
+		Off:   make([]int32, hi-lo+1),
+		Nbr:   append([]int32(nil), pl.rc.nbr[base:pl.rc.off[hi]]...),
+	}
+	for i := range f.Off {
+		f.Off[i] = pl.rc.off[lo+int32(i)] - base
+	}
+	return f
 }
 
 // TripleCost estimates a triple's work for the volume-balanced schedule:
@@ -138,72 +150,30 @@ func (pl *DistPlan) blockVolume(b int) int64 {
 	return int64(pl.rc.off[hi]-pl.rc.off[lo]) + int64(hi-lo)
 }
 
-// CountTriple executes one block triple's task locally on the
-// coordinator's own CSR — the fallback when every replica has failed a
-// triple, and the oracle the distributed path is tested against. It is
-// countTwoD's task body verbatim.
+// CountTriple executes one block triple's task locally on the plan's
+// own CSR — CountParallel2D's task, the coordinator's fallback when
+// every replica has failed a triple, and the oracle the distributed path
+// is tested against.
 func (pl *DistPlan) CountTriple(t BlockTriple) int {
-	rc := pl.rc
-	cuts := pl.Tiling.Cuts
-	sc := getTwoDScratch(rc.ranks())
+	fi := pl.rc.block(pl.Tiling.Block(t.I))
+	fj := pl.rc.block(pl.Tiling.Block(t.J))
+	sc := getTwoDScratch(pl.rc.ranks())
 	defer twoDScratchPool.Put(sc)
-	jLo, jHi := cuts[t.J], cuts[t.J+1]
-	kLo, kHi := cuts[t.K], cuts[t.K+1]
-	n := 0
-	for r := int(cuts[t.I]); r < int(cuts[t.I+1]); r++ {
-		fv := rc.fwd(r)
-		mLo, mHi := rangeOf(fv, jLo, jHi)
-		if mLo == mHi {
-			continue
-		}
-		aLo, aHi := rangeOf(fv, kLo, kHi)
-		for m := mLo; m < mHi; m++ {
-			ru := fv[m]
-			va := fv[aLo:aHi]
-			if t.J == t.K {
-				va = fv[max(m+1, aLo):aHi]
-			}
-			fu := rc.fwd(int(ru))
-			uLo, uHi := rangeOf(fu, kLo, kHi)
-			n += intersectCount(va, fu[uLo:uHi], sc)
-		}
-	}
-	return n
+	return countTriple(pl.Tiling, t, &fi, &fj, sc)
 }
 
 // Fragment is a contiguous rank-range slice [Lo, Hi) of a rank-permuted
-// forward CSR: Off is rebased to the slice (Off[0] == 0), and
-// Nbr[Off[r-Lo]:Off[r-Lo+1]] is the strictly-ascending forward neighbor
-// list (absolute ranks) of the vertex with rank r. Ranks carries the
-// full rank-space size so a replica can size its stamp scratch without
-// the graph.
+// forward CSR: Nbr[Off[r-Lo]:Off[r-Lo+1]] is the strictly-ascending
+// forward neighbor list (absolute ranks) of the vertex with rank r.
+// Ranks carries the full rank-space size so a replica can size its stamp
+// scratch without the graph. Encoded and decoded fragments are rebased
+// (Off[0] == 0, Nbr holds only the slice's arcs); the local counting
+// path also runs on unrebased views into the whole CSR.
 type Fragment struct {
 	Ranks  int
 	Lo, Hi int32
 	Off    []int32
 	Nbr    []int32
-}
-
-// sliceFragment cuts [lo, hi) out of the CSR with rebased offsets. The
-// source CSR's per-rank (off, end) pairs may leave dedup gaps; the
-// fragment is compacted so its lists are contiguous.
-func sliceFragment(rc rankCSR, lo, hi int32) *Fragment {
-	f := &Fragment{
-		Ranks: rc.ranks(),
-		Lo:    lo,
-		Hi:    hi,
-		Off:   make([]int32, hi-lo+1),
-	}
-	var total int32
-	for r := lo; r < hi; r++ {
-		total += rc.end[r] - rc.off[r]
-	}
-	f.Nbr = make([]int32, 0, total)
-	for r := lo; r < hi; r++ {
-		f.Nbr = append(f.Nbr, rc.fwd(int(r))...)
-		f.Off[r-lo+1] = int32(len(f.Nbr))
-	}
-	return f
 }
 
 // Fwd returns the forward list of the vertex with absolute rank r, which
@@ -358,8 +328,8 @@ func (f *Fragment) validate() error {
 		return fmt.Errorf("triangle: fragment offsets not rebased to its arcs")
 	}
 	for i := 1; i < len(f.Off); i++ {
-		if f.Off[i] < f.Off[i-1] {
-			return fmt.Errorf("triangle: fragment offset %d descends", i)
+		if f.Off[i] < f.Off[i-1] || int(f.Off[i]) > len(f.Nbr) {
+			return fmt.Errorf("triangle: fragment offset %d descends or passes its arcs", i)
 		}
 		r := f.Lo + int32(i-1)
 		list := f.Nbr[f.Off[i-1]:f.Off[i]]
@@ -378,8 +348,8 @@ func (f *Fragment) validate() error {
 // CountFragments executes one block triple's task from the two fragments
 // covering its row blocks: fi must cover block t.I's rank range and fj
 // block t.J's (pass the same fragment twice when t.I == t.J). The count
-// is exactly what countTwoD's task for t computes, so summing over a
-// tiling's Triples reproduces CountParallel2D bit for bit.
+// is exactly what CountParallel2D's task for t computes, so summing over
+// a tiling's Triples reproduces CountParallel2D bit for bit.
 func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if err := tl.Validate(); err != nil {
 		return 0, err
@@ -395,27 +365,7 @@ func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if fj.Lo != jLo || fj.Hi != jHi || fj.Ranks != tl.Ranks {
 		return 0, fmt.Errorf("triangle: fragment [%d, %d) does not cover block %d = [%d, %d)", fj.Lo, fj.Hi, t.J, jLo, jHi)
 	}
-	kLo, kHi := tl.Block(t.K)
 	sc := getTwoDScratch(tl.Ranks)
 	defer twoDScratchPool.Put(sc)
-	n := 0
-	for r := iLo; r < iHi; r++ {
-		fv := fi.Fwd(r)
-		mLo, mHi := rangeOf(fv, jLo, jHi)
-		if mLo == mHi {
-			continue
-		}
-		aLo, aHi := rangeOf(fv, kLo, kHi)
-		for m := mLo; m < mHi; m++ {
-			ru := fv[m]
-			va := fv[aLo:aHi]
-			if t.J == t.K {
-				va = fv[max(m+1, aLo):aHi]
-			}
-			fu := fj.Fwd(ru)
-			uLo, uHi := rangeOf(fu, kLo, kHi)
-			n += intersectCount(va, fu[uLo:uHi], sc)
-		}
-	}
-	return n, nil
+	return countTriple(tl, t, fi, fj, sc), nil
 }

@@ -11,8 +11,8 @@ import (
 
 // TestParallelMatchesBruteForce50Seeds is the kernel's ground-truth
 // contract: on 50 random instances spanning several families, the
-// parallel counter returns exactly BruteForce's set for several worker
-// counts, and the count/slice variants agree.
+// parallel kernel returns exactly BruteForce's set for several worker
+// counts, and the 2D count agrees.
 func TestParallelMatchesBruteForce50Seeds(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		var g *graph.Graph
@@ -29,7 +29,7 @@ func TestParallelMatchesBruteForce50Seeds(t *testing.T) {
 		view := graph.WholeGraph(g)
 		want := BruteForce(view)
 		for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-			got := BruteForceParallel(view, workers)
+			got := SetKernel(view, workers, KernelAuto)
 			if !got.Equal(want) {
 				t.Fatalf("seed %d workers %d: parallel set differs (got %d, want %d)",
 					seed, workers, got.Len(), want.Len())
@@ -37,8 +37,8 @@ func TestParallelMatchesBruteForce50Seeds(t *testing.T) {
 			if got.Checksum() != want.Checksum() {
 				t.Fatalf("seed %d workers %d: checksum mismatch on equal sets", seed, workers)
 			}
-			if c := CountParallel(view, workers); c != want.Len() {
-				t.Fatalf("seed %d workers %d: CountParallel = %d, want %d",
+			if c := CountParallel2D(view, workers); c != want.Len() {
+				t.Fatalf("seed %d workers %d: CountParallel2D = %d, want %d",
 					seed, workers, c, want.Len())
 			}
 		}
@@ -59,7 +59,7 @@ func TestParallelRespectsView(t *testing.T) {
 	}
 	view := graph.NewSub(g, members, mask)
 	want := BruteForce(view)
-	got := BruteForceParallel(view, 4)
+	got := SetKernel(view, 4, KernelAuto)
 	if !got.Equal(want) {
 		t.Fatalf("masked view: parallel %d triangles, brute %d", got.Len(), want.Len())
 	}
@@ -77,19 +77,19 @@ func TestParallelHandlesMultigraph(t *testing.T) {
 	b.AddEdge(3, 4)
 	view := graph.WholeGraph(b.Graph())
 	want := BruteForce(view)
-	got := BruteForceParallel(view, 2)
+	got := SetKernel(view, 2, KernelAuto)
 	if !got.Equal(want) || got.Len() != 1 {
 		t.Fatalf("multigraph: got %d triangles, want %d (=1)", got.Len(), want.Len())
 	}
 }
 
-// TestParallelDeterministicOrder pins the merge contract: the triangle
-// slice is lexicographically sorted and bit-identical for every worker
-// count.
+// TestParallelDeterministicOrder pins the output contract: the sorted
+// triangle slice is strictly lexicographic and bit-identical for every
+// worker count.
 func TestParallelDeterministicOrder(t *testing.T) {
 	g := gen.GNP(120, 0.15, 42)
 	view := graph.WholeGraph(g)
-	ref := TrianglesParallel(view, 1)
+	ref := SetKernel(view, 1, KernelAuto).Sorted()
 	for i := 1; i < len(ref); i++ {
 		a, b := ref[i-1], ref[i]
 		if a.A > b.A || (a.A == b.A && (a.B > b.B || (a.B == b.B && a.C >= b.C))) {
@@ -97,7 +97,7 @@ func TestParallelDeterministicOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 5, 8, 64} {
-		got := TrianglesParallel(view, workers)
+		got := SetKernel(view, workers, KernelAuto).Sorted()
 		if len(got) != len(ref) {
 			t.Fatalf("workers %d: %d triangles, want %d", workers, len(got), len(ref))
 		}
@@ -110,18 +110,24 @@ func TestParallelDeterministicOrder(t *testing.T) {
 }
 
 func TestParallelEmptyAndTiny(t *testing.T) {
-	if n := CountParallel(graph.WholeGraph(gen.Path(1)), 4); n != 0 {
-		t.Fatalf("single vertex: %d triangles", n)
-	}
-	if n := CountParallel(graph.WholeGraph(gen.Path(2)), 4); n != 0 {
-		t.Fatalf("single edge: %d triangles", n)
-	}
-	if n := CountParallel(graph.WholeGraph(gen.Complete(3)), 4); n != 1 {
-		t.Fatalf("K3: %d triangles, want 1", n)
-	}
 	empty := graph.NewSub(gen.Complete(4), graph.NewVSet(4), nil)
-	if n := CountParallel(empty, 4); n != 0 {
-		t.Fatalf("empty member set: %d triangles", n)
+	for _, c := range []struct {
+		name string
+		view *graph.Sub
+		want int
+	}{
+		{"no vertices", graph.WholeGraph(graph.NewBuilder(0).Graph()), 0},
+		{"single vertex", graph.WholeGraph(gen.Path(1)), 0},
+		{"single edge", graph.WholeGraph(gen.Path(2)), 0},
+		{"K3", graph.WholeGraph(gen.Complete(3)), 1},
+		{"empty member set", empty, 0},
+	} {
+		if n := SetKernel(c.view, 4, KernelAuto).Len(); n != c.want {
+			t.Fatalf("%s: rank kernel found %d triangles, want %d", c.name, n, c.want)
+		}
+		if n := CountParallel2D(c.view, 4); n != c.want {
+			t.Fatalf("%s: 2D path counted %d triangles, want %d", c.name, n, c.want)
+		}
 	}
 }
 
@@ -148,7 +154,7 @@ func TestParallelSpeedup2048(t *testing.T) {
 	seq := time.Since(start)
 
 	start = time.Now()
-	got := BruteForceParallel(view, 0)
+	got := SetKernel(view, 0, KernelAuto)
 	par := time.Since(start)
 
 	if !got.Equal(want) {

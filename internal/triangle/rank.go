@@ -1,43 +1,41 @@
 package triangle
 
 import (
+	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"dexpander/internal/graph"
 	"dexpander/internal/par"
 )
 
-// This file implements the skew-proof rank kernel: a degree-descending
-// rank ordering with forward-only adjacency (SNIPPETS snippet 2's
-// compute_rank / forward_adjacency_lists idiom over our CSR). Every
-// vertex keeps only its higher-rank neighbors, strictly sorted by rank,
-// so each wedge is examined exactly once from its lowest-rank endpoint
-// and a hub's adjacency is split across the vertices ranked below it:
-// forward lists are O(sqrt(m)) long on any graph, which kills the
-// O(deg^2) per-hub term the id-ordered merge kernel pays on power-law
-// inputs. Intersections go through the adaptive strategies in
-// intersect.go, with the per-worker stamp array marked once per vertex.
+// This file implements the shared-memory triangle kernel: a
+// degree-descending rank ordering with forward-only adjacency (SNIPPETS
+// snippet 2's compute_rank / forward_adjacency_lists idiom over our
+// CSR). Every vertex keeps only its higher-rank neighbors, strictly
+// sorted by rank, so each wedge is examined exactly once from its
+// lowest-rank endpoint and a hub's adjacency is split across the
+// vertices ranked below it: forward lists are O(sqrt(m)) long on any
+// graph, which kills the O(deg^2) per-hub term an id-ordered kernel pays
+// on power-law inputs. Intersections go through the adaptive strategies
+// in intersect.go, with the per-worker stamp array marked once per
+// vertex. The same forward CSR backs the 2D counting path (twod.go) and
+// its distribution seam (dist.go).
 //
 // Output contract: the kernel discovers each triangle at its lowest-RANK
 // vertex but emits it as the vertex-sorted (A < B < C by original id)
-// triple, and the public entry points canonicalize the concatenated
-// per-shard slices, so every result is bit-identical to the merge
-// kernel's for any worker count.
+// triple into a Set, so the result is exactly BruteForce's for any
+// worker count.
 
-// Kernel selects a triangle-kernel implementation. The zero value is
-// KernelAuto, which currently resolves to the rank kernel for
-// enumeration/counting — the fastest choice on both uniform and skewed
-// degree distributions (see BenchmarkTriangleSkewed).
+// Kernel selects a triangle-count path. The zero value is KernelAuto,
+// which currently resolves to the rank kernel — the fastest choice on
+// both uniform and skewed degree distributions (see
+// BenchmarkTriangleSkewed).
 type Kernel int
 
 const (
-	// KernelAuto lets the library pick (currently: rank; 2D when asked
-	// to count with a grid explicitly).
+	// KernelAuto lets the library pick (currently: rank).
 	KernelAuto Kernel = iota
-	// KernelMerge is the original id-ordered sorted-CSR merge kernel.
-	KernelMerge
 	// KernelRank is the degree-rank forward-adjacency kernel.
 	KernelRank
 	// Kernel2D is the 2D edge-partitioned counting path (counting only;
@@ -48,8 +46,6 @@ const (
 // String renders the kernel the way the CLI flags spell it.
 func (k Kernel) String() string {
 	switch k {
-	case KernelMerge:
-		return "merge"
 	case KernelRank:
 		return "rank"
 	case Kernel2D:
@@ -59,45 +55,50 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel parses the CLI/service spelling of a kernel name.
+// ParseKernel parses the CLI/service spelling of a kernel name. "merge"
+// names the retired id-ordered merge kernel, whose output was identical
+// to rank's; it is accepted as an alias of rank.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "", "auto":
 		return KernelAuto, nil
-	case "merge":
-		return KernelMerge, nil
-	case "rank":
+	case "rank", "merge":
 		return KernelRank, nil
 	case "2d":
 		return Kernel2D, nil
 	}
-	return KernelAuto, fmt.Errorf("triangle: unknown kernel %q (want merge, rank, 2d, or auto)", s)
+	return KernelAuto, fmt.Errorf("triangle: unknown kernel %q (want rank, 2d, or auto)", s)
 }
 
 // rankCSR is the rank-permuted forward adjacency: order maps rank ->
 // base vertex id (usable-degree descending, ties by ascending id, so
-// the permutation is deterministic), and nbr[off[r]:end[r]] is the
+// the permutation is deterministic), and nbr[off[r]:off[r+1]] is the
 // strictly-ascending deduped list of forward neighbor RANKS of the
 // vertex with rank r. Non-member vertices carry degree 0 and sink to
 // the bottom of the order with empty lists.
 //
 // The degree-descending permutation is a performance heuristic, not a
-// correctness requirement: the public entry points canonicalize the
-// output, so ANY deterministic permutation yields identical results —
-// which is why the raw (parallel-edge-counting) usable degree is good
-// enough and no deduped CSR has to exist first.
+// correctness requirement: any deterministic permutation yields the
+// same triangles — which is why the raw (parallel-edge-counting) usable
+// degree is good enough and no deduped CSR has to exist first.
 type rankCSR struct {
 	order []int32
 	off   []int32
-	end   []int32
 	nbr   []int32
 }
 
 // fwd returns the forward list of the vertex with rank r.
-func (rc rankCSR) fwd(r int) []int32 { return rc.nbr[rc.off[r]:rc.end[r]] }
+func (rc rankCSR) fwd(r int) []int32 { return rc.nbr[rc.off[r]:rc.off[r+1]] }
 
 // ranks returns the size of the rank space.
 func (rc rankCSR) ranks() int { return len(rc.order) }
+
+// block returns the rank range [lo, hi) as a zero-copy Fragment view:
+// its offsets index the CSR's own arc array rather than a rebased copy,
+// which Fragment.Fwd handles transparently.
+func (rc rankCSR) block(lo, hi int32) Fragment {
+	return Fragment{Ranks: rc.ranks(), Lo: lo, Hi: hi, Off: rc.off[lo : hi+1], Nbr: rc.nbr}
+}
 
 // buildRankCSR derives the rank permutation and forward CSR straight
 // from the view's edge list in O(n + m + sort(forward lists)): a
@@ -179,22 +180,25 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 		nbr[off[lo]+fill[lo]] = hi
 		fill[lo]++
 	}
-	end := make([]int32, n)
+	// Sort each list and collapse parallel edges, compacting as we go:
+	// the write cursor w never passes the read cursor, so every list is
+	// read before anything lands on it and off ends up dense.
+	var w, src int32
 	for r := 0; r < n; r++ {
-		seg := nbr[off[r] : off[r]+fill[r]]
+		seg := nbr[src : src+fill[r]]
+		src += fill[r]
 		slices.Sort(seg)
-		// Collapse parallel edges in place, exactly like buildCSR.
-		w := int32(0)
-		for i := range seg {
-			if i > 0 && seg[i] == seg[i-1] {
+		off[r] = w
+		for i, x := range seg {
+			if i > 0 && x == seg[i-1] {
 				continue
 			}
-			seg[w] = seg[i]
+			nbr[w] = x
 			w++
 		}
-		end[r] = off[r] + w
 	}
-	return rankCSR{order: order, off: off, end: end, nbr: nbr}
+	off[n] = w
+	return rankCSR{order: order, off: off, nbr: nbr[:w]}
 }
 
 // shardRanks splits the rank space [0, R) into at most `workers`
@@ -206,9 +210,6 @@ func shardRanks(rc rankCSR, workers int) [][2]int {
 	r := rc.ranks()
 	if r == 0 {
 		return nil
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	if workers > r {
 		workers = r
@@ -242,130 +243,69 @@ func shardRanks(rc rankCSR, workers int) [][2]int {
 	return shards
 }
 
-// forEachTriangleRank enumerates every triangle once from its
-// lowest-rank vertex, sharded by rank range across workers. Shard
-// contents are deterministic (the rank permutation and shard boundaries
-// depend only on the view and worker count), but unlike the merge
-// kernel the concatenation is NOT globally sorted by vertex id — the
-// public entry points canonicalize. cp (nil = never canceled) is probed
-// once per rank; on cancellation every shard stops within one vertex's
-// intersections and the first probe error is returned.
-func forEachTriangleRank(view *graph.Sub, workers int, cp par.Checkpoint) ([][]Triangle, error) {
+// SetKernel collects the view's triangles into a Set with the rank
+// kernel; workers <= 0 means GOMAXPROCS. k is accepted for callers that
+// pass a parsed -kernel flag; every kernel yields the same set.
+func SetKernel(view *graph.Sub, workers int, k Kernel) *Set {
+	set, _ := SetKernelContext(context.Background(), view, workers)
+	return set
+}
+
+// SetKernelContext enumerates every triangle once from its lowest-rank
+// vertex, sharded by rank range across workers, and collects them into a
+// Set. The checkpoint carried by ctx (par.CheckpointFromContext) is
+// probed once per rank: a canceled run stops within one vertex's
+// intersections and returns ctx's error; an uncanceled run returns
+// exactly SetKernel's set.
+func SetKernelContext(ctx context.Context, view *graph.Sub, workers int) (*Set, error) {
+	cp := par.CheckpointFromContext(ctx)
 	rc := buildRankCSR(view)
-	shards := shardRanks(rc, resolveWorkers(workers))
+	shards := shardRanks(rc, par.Workers(workers))
 	out := make([][]Triangle, len(shards))
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for si, shard := range shards {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			sc := newIntersectScratch(rc.ranks())
-			var buf []int32
-			var local []Triangle
-			for r := lo; r < hi; r++ {
-				if cp != nil {
-					if err := cp(); err != nil {
-						errs[si] = err
-						return
-					}
-				}
-				fv := rc.fwd(r)
-				if len(fv) < 2 {
-					continue
-				}
-				// One markAll serves every pair (r, u): the probes see the
-				// full fv, which intersects each fwd(u) exactly like the
-				// above-u suffix does (every common rank exceeds u's).
-				sc.markAll(fv)
-				a := int(rc.order[r])
-				for i := 0; i+1 < len(fv); i++ {
-					ru := fv[i]
-					buf = intersectAdaptive(fv[i+1:], rc.fwd(int(ru)), sc, true, buf[:0])
-					b := int(rc.order[ru])
-					for _, rw := range buf {
-						local = append(local, MakeTriangle(a, b, int(rc.order[rw])))
-					}
+	par.ForEach(len(shards), len(shards), func(si int) {
+		sc := newIntersectScratch(rc.ranks())
+		var buf []int32
+		var local []Triangle
+		for r := shards[si][0]; r < shards[si][1]; r++ {
+			if cp != nil {
+				if err := cp(); err != nil {
+					errs[si] = err
+					return
 				}
 			}
-			out[si] = local
-		}(si, shard[0], shard[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			fv := rc.fwd(r)
+			if len(fv) < 2 {
+				continue
+			}
+			// One markAll serves every pair (r, u): the probes see the
+			// full fv, which intersects each fwd(u) exactly like the
+			// above-u suffix does (every common rank exceeds u's).
+			sc.markAll(fv)
+			a := int(rc.order[r])
+			for i := 0; i+1 < len(fv); i++ {
+				ru := fv[i]
+				buf = intersectAdaptive(fv[i+1:], rc.fwd(int(ru)), sc, true, buf[:0])
+				b := int(rc.order[ru])
+				for _, rw := range buf {
+					local = append(local, MakeTriangle(a, b, int(rc.order[rw])))
+				}
+			}
 		}
-	}
-	return out, nil
-}
-
-// TrianglesKernel returns every triangle of the view in lexicographic
-// order, computed by the selected kernel; results are bit-identical
-// across kernels and worker counts. Kernel2D has no enumeration path and
-// resolves to the rank kernel here.
-func TrianglesKernel(view *graph.Sub, workers int, k Kernel) []Triangle {
-	if k == KernelMerge {
-		shards, _ := forEachTriangleParallel(view, workers, nil)
-		return concatShards(shards)
-	}
-	shards, _ := forEachTriangleRank(view, workers, nil)
-	out := concatShards(shards)
-	// Rank shards cover rank ranges, not id ranges: restore the global
-	// lexicographic order the merge kernel produces natively.
-	slices.SortFunc(out, func(a, b Triangle) int {
-		switch {
-		case a.Key() < b.Key():
-			return -1
-		case a.Key() > b.Key():
-			return 1
-		}
-		return 0
+		out[si] = local
 	})
-	return out
-}
-
-// CountKernel counts the view's triangles with the selected kernel.
-func CountKernel(view *graph.Sub, workers int, k Kernel) int {
-	n, _ := CountKernelCheck(view, workers, k, nil)
-	return n
-}
-
-// CountKernelCheck is CountKernel with a cooperative-cancellation probe
-// (per shard vertex for merge/rank, per block triple for 2D); a canceled
-// count returns cp's error, an uncanceled one exactly CountKernel's
-// total.
-func CountKernelCheck(view *graph.Sub, workers int, k Kernel, cp par.Checkpoint) (int, error) {
-	switch k {
-	case KernelMerge:
-		shards, err := forEachTriangleParallel(view, workers, cp)
-		if err != nil {
-			return 0, err
-		}
-		return countShards(shards), nil
-	case Kernel2D:
-		return CountParallel2DCheck(view, workers, cp)
-	default:
-		shards, err := forEachTriangleRank(view, workers, cp)
-		if err != nil {
-			return 0, err
-		}
-		return countShards(shards), nil
-	}
-}
-
-func concatShards(shards [][]Triangle) []Triangle {
-	out := make([]Triangle, 0, countShards(shards))
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
-}
-
-func countShards(shards [][]Triangle) int {
 	total := 0
-	for _, s := range shards {
-		total += len(s)
+	for si := range out {
+		if errs[si] != nil {
+			return nil, errs[si]
+		}
+		total += len(out[si])
 	}
-	return total
+	set := newSetSized(total)
+	for _, shard := range out {
+		for _, t := range shard {
+			set.Add(t)
+		}
+	}
+	return set, nil
 }

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"context"
 	"sync"
 
 	"dexpander/internal/graph"
@@ -19,7 +20,9 @@ import (
 // order, so the total is deterministic for any worker count — and since
 // each task only touches two rank ranges of the forward CSR, the same
 // tiling is the seam for fanning counting out across dexpanderd
-// replicas, where a block pair is a shippable unit of work.
+// replicas (dist.go), where a block pair is a shippable unit of work.
+// countTriple is the one task body every path runs: locally over
+// zero-copy views of the CSR, on a replica over decoded fragments.
 
 // twoDScratchPool recycles the per-task stamp arrays; tasks are coarse,
 // so pool churn is negligible next to the intersection work.
@@ -51,42 +54,40 @@ func twoDGrid(workers, ranks int) int {
 
 // CountParallel2D counts the view's triangles on the 2D edge-partitioned
 // path with an automatically sized block grid; workers <= 0 means
-// GOMAXPROCS. The count always equals CountParallel's.
+// GOMAXPROCS. The count always equals the rank kernel's.
 func CountParallel2D(view *graph.Sub, workers int) int {
-	n, _ := CountParallel2DCheck(view, workers, nil)
+	n, _ := CountParallel2DContext(context.Background(), view, workers)
 	return n
 }
 
-// CountParallel2DCheck is CountParallel2D with a cooperative-
-// cancellation probe consulted at block-triple granularity: once cp
-// errors, no further block tasks start and that error is returned. An
-// uncanceled run returns exactly CountParallel2D's count.
-func CountParallel2DCheck(view *graph.Sub, workers int, cp par.Checkpoint) (int, error) {
-	return CountParallel2DSpan(view, workers, cp, nil)
-}
-
-// CountParallel2DSpan is CountParallel2DCheck with per-block-triple
-// tracing: when sp is non-nil each block-triple task runs under a
-// child span carrying the (i, j, k) block coordinates. A nil sp adds
-// one pointer test to the whole call; counts are identical either way.
-func CountParallel2DSpan(view *graph.Sub, workers int, cp par.Checkpoint, sp *obs.Span) (int, error) {
-	w := resolveWorkers(workers)
-	rc := buildRankCSR(view)
-	return countTwoD(rc, w, twoDGrid(w, rc.ranks()), cp, sp)
-}
-
-// CountParallel2DGrid is CountParallel2D with an explicit p x p tiling,
-// for tests and benchmarks that sweep the grid dimension.
-func CountParallel2DGrid(view *graph.Sub, workers, p int) int {
-	rc := buildRankCSR(view)
-	if p < 1 {
-		p = 1
+// CountParallel2DContext is CountParallel2D under a context: its
+// checkpoint (par.CheckpointFromContext) is probed before each block
+// triple starts, so once ctx is done no further tasks begin and ctx's
+// error is returned; when ctx carries a span (obs.ContextWithSpan) each
+// block triple runs under a "triangle.triple" child span holding its
+// (bi, bj, bk) coordinates and count. Counts are identical either way.
+func CountParallel2DContext(ctx context.Context, view *graph.Sub, workers int) (int, error) {
+	w := par.Workers(workers)
+	pl := NewDistPlan(view, twoDGrid(w, view.Base().N()))
+	triples := pl.Tiling.Triples()
+	counts := make([]int, len(triples))
+	sp := obs.SpanFromContext(ctx)
+	err := par.ForEachCheck(w, len(triples), par.CheckpointFromContext(ctx), func(ti int) {
+		t := triples[ti]
+		child := sp.Child("triangle.triple")
+		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
+		counts[ti] = pl.CountTriple(t)
+		child.AttrInt("count", counts[ti])
+		child.End()
+	})
+	if err != nil {
+		return 0, err
 	}
-	if p > rc.ranks() && rc.ranks() > 0 {
-		p = rc.ranks()
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
-	n, _ := countTwoD(rc, resolveWorkers(workers), p, nil, nil)
-	return n
+	return total, nil
 }
 
 // rankCuts splits [0, ranks) into p contiguous ranges balanced by
@@ -132,73 +133,34 @@ func lowerBound(s []int32, x int32) int {
 	return lo
 }
 
-// countTwoD runs the block-triple tasks on the internal/par pool and
-// reduces the private accumulators in task order. cp is probed before
-// each block triple starts (nil = never canceled); sp, when non-nil,
-// gets one child span per block triple.
-func countTwoD(rc rankCSR, workers, p int, cp par.Checkpoint, sp *obs.Span) (int, error) {
-	if rc.ranks() == 0 {
-		return 0, nil
-	}
-	cuts := rankCuts(rc, p)
-	type task struct{ i, j, k int }
-	tasks := make([]task, 0, p*(p+1)*(p+2)/6)
-	for i := 0; i < p; i++ {
-		for j := i; j < p; j++ {
-			for k := j; k < p; k++ {
-				tasks = append(tasks, task{i, j, k})
+// countTriple is the block-triple task: it counts the triangles whose
+// lowest-rank vertex lies in fi's rows (block t.I of tl), middle vertex
+// in block t.J — whose rows fj holds — and apex in block t.K. Callers
+// guarantee the fragments cover those blocks and that sc spans tl.Ranks.
+func countTriple(tl Tiling, t BlockTriple, fi, fj *Fragment, sc *intersectScratch) int {
+	jLo, jHi := tl.Block(t.J)
+	kLo, kHi := tl.Block(t.K)
+	n := 0
+	for r := fi.Lo; r < fi.Hi; r++ {
+		fv := fi.Fwd(r)
+		// Middle vertices: forward neighbors of r inside block j.
+		mLo, mHi := rangeOf(fv, jLo, jHi)
+		if mLo == mHi {
+			continue
+		}
+		// Apexes live in block k; slice v's forward list down to it
+		// once — per-u suffixes are then cheap re-slices.
+		aLo, aHi := rangeOf(fv, kLo, kHi)
+		for m := mLo; m < mHi; m++ {
+			va := fv[aLo:aHi]
+			if t.J == t.K {
+				// Apex must also be above the middle vertex.
+				va = fv[max(m+1, aLo):aHi]
 			}
+			fu := fj.Fwd(fv[m])
+			uLo, uHi := rangeOf(fu, kLo, kHi)
+			n += intersectCount(va, fu[uLo:uHi], sc)
 		}
 	}
-	counts := make([]int, len(tasks))
-	fn := func(ti int) {
-		t := tasks[ti]
-		sc := getTwoDScratch(rc.ranks())
-		defer twoDScratchPool.Put(sc)
-		jLo, jHi := cuts[t.j], cuts[t.j+1]
-		kLo, kHi := cuts[t.k], cuts[t.k+1]
-		n := 0
-		for r := int(cuts[t.i]); r < int(cuts[t.i+1]); r++ {
-			fv := rc.fwd(r)
-			// Middle vertices: forward neighbors of r inside block j.
-			mLo, mHi := rangeOf(fv, jLo, jHi)
-			if mLo == mHi {
-				continue
-			}
-			// Apexes live in block k; slice v's forward list down to it
-			// once — per-u suffixes are then cheap re-slices.
-			aLo, aHi := rangeOf(fv, kLo, kHi)
-			for m := mLo; m < mHi; m++ {
-				ru := fv[m]
-				va := fv[aLo:aHi]
-				if t.j == t.k {
-					// Apex must also be above the middle vertex.
-					va = fv[max(m+1, aLo):aHi]
-				}
-				fu := rc.fwd(int(ru))
-				uLo, uHi := rangeOf(fu, kLo, kHi)
-				n += intersectCount(va, fu[uLo:uHi], sc)
-			}
-		}
-		counts[ti] = n
-	}
-	if sp != nil {
-		inner := fn
-		fn = func(ti int) {
-			t := tasks[ti]
-			child := sp.Child("triangle.triple")
-			child.AttrInt("bi", t.i).AttrInt("bj", t.j).AttrInt("bk", t.k)
-			inner(ti)
-			child.AttrInt("count", counts[ti])
-			child.End()
-		}
-	}
-	if err := par.ForEachCheck(workers, len(tasks), cp, fn); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
+	return n
 }
