@@ -40,8 +40,15 @@
 // buffers, so each step, truncation, sweep-cut construction, and
 // participating-edge assembly costs O(vol(support)) with zero
 // allocations at steady state — the locality Appendix A's analysis is
-// built on, rather than O(n) per step. The engine is bit-identical to
-// the dense reference walk (pinned by oracle tests), graph.Sub views
+// built on, rather than O(n) per step. Each sweep's sort starts from the
+// previous sweep's order, which the walk's slowly drifting rho values
+// leave nearly sorted: an insertion pass under a 4k-move budget usually
+// finishes it, and a full sort takes over otherwise. A step that leaves
+// the truncated state bitwise unchanged ends the walk before T0, since
+// every later step would repeat a sweep that already failed; step 1
+// never does, as its predecessor chi_v was never swept. The engine is
+// bit-identical to the dense reference walk, and both nibbles return what
+// the dense originals return (pinned by oracle tests). graph.Sub views
 // cache their member lists, alive degrees, and usable adjacency so
 // whole-view algorithms stop re-filtering edges per query, and the
 // independent trials of a ParallelNibble round execute on a worker pool

@@ -15,7 +15,8 @@ type Result struct {
 	// with an endpoint carrying positive truncated mass at some step.
 	// Used by ParallelNibble's congestion accounting.
 	PStar []int
-	// Steps is the number of walk steps actually performed (<= T0).
+	// Steps is the step whose sweep returned C, or T0 when no step did
+	// (including walks cut short by an empty support or a fixed point).
 	Steps int
 }
 
@@ -29,6 +30,13 @@ func (r *Result) Empty() bool { return r.C == nil || r.C.Empty() }
 // allocation-free at steady state. The engine is bit-identical to the
 // dense reference walk, so these functions return exactly what the
 // original dense implementations returned (pinned by oracle tests).
+//
+// A walk stops before T0 when no later step can return a cut: when
+// truncation empties the support, or at the first step t >= 2 that
+// leaves the state bitwise unchanged. From such a fixed point every later
+// state, sweep, and check repeats step t-1's, which already failed, and
+// the touched set and P* are final. Step 1 may not stop the walk: its
+// predecessor chi_v was never swept.
 
 // Nibble runs the original Spielman–Teng Nibble(G, v, phi, b) on the
 // view: a truncated lazy walk from v for up to T0 steps, checking at each
@@ -36,7 +44,7 @@ func (r *Result) Empty() bool { return r.C == nil || r.C.Empty() }
 // specification reference; ApproximateNibble is what the distributed
 // algorithm implements.
 func Nibble(view *graph.Sub, pr Params, v, b int) *Result {
-	res := &Result{C: graph.NewVSet(view.Base().N())}
+	res := &Result{C: graph.NewVSet(view.Base().N()), Steps: pr.T0}
 	eps := pr.EpsB(b)
 	totalVol := view.TotalVol()
 	minVol := 5.0 / 7.0 * math.Pow(2, float64(b-1))
@@ -44,12 +52,8 @@ func Nibble(view *graph.Sub, pr Params, v, b int) *Result {
 	defer ws.Release()
 	ws.Init(v)
 	for t := 1; t <= pr.T0; t++ {
-		ws.StepTruncate(eps)
-		res.Steps = t
-		if ws.SupportLen() == 0 {
-			// Truncation killed the walk; the remaining steps are all
-			// empty sweeps, so report the full step count and stop.
-			res.Steps = pr.T0
+		changed := ws.StepTruncate(eps)
+		if ws.SupportLen() == 0 || (!changed && t >= 2) {
 			break
 		}
 		sweep := ws.Sweep()
@@ -70,6 +74,7 @@ func Nibble(view *graph.Sub, pr Params, v, b int) *Result {
 			}
 			res.C = sweep.PrefixSet(view.Base().N(), j)
 			res.PStar = ws.Participating()
+			res.Steps = t
 			return res
 		}
 	}
@@ -84,7 +89,7 @@ func Nibble(view *graph.Sub, pr Params, v, b int) *Result {
 // Lemma 5: for v in the good core S^g_b of a sparse cut S, the output is
 // non-empty with Vol(C ∩ S) >= 2^{b-2}.
 func ApproximateNibble(view *graph.Sub, pr Params, v, b int) *Result {
-	res := &Result{C: graph.NewVSet(view.Base().N())}
+	res := &Result{C: graph.NewVSet(view.Base().N()), Steps: pr.T0}
 	eps := pr.EpsB(b)
 	totalVol := view.TotalVol()
 	minVol := 5.0 / 7.0 * math.Pow(2, float64(b-1))
@@ -93,10 +98,8 @@ func ApproximateNibble(view *graph.Sub, pr Params, v, b int) *Result {
 	ws.Init(v)
 	var jbuf []int // reused across steps
 	for t := 1; t <= pr.T0; t++ {
-		ws.StepTruncate(eps)
-		res.Steps = t
-		if ws.SupportLen() == 0 {
-			res.Steps = pr.T0
+		changed := ws.StepTruncate(eps)
+		if ws.SupportLen() == 0 || (!changed && t >= 2) {
 			break
 		}
 		sweep := ws.Sweep()
@@ -119,6 +122,7 @@ func ApproximateNibble(view *graph.Sub, pr Params, v, b int) *Result {
 			if ok {
 				res.C = sweep.PrefixSet(view.Base().N(), j)
 				res.PStar = ws.Participating()
+				res.Steps = t
 				return res
 			}
 		}

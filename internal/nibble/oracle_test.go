@@ -193,6 +193,101 @@ func TestNibbleOracleOnRestrictedViews(t *testing.T) {
 	}
 }
 
+// fixedPointStep returns the first step t >= 2 at which the walk a nibble
+// runs from v at scale b leaves its state bitwise unchanged, or 0 when
+// none does within T0 or the support empties first.
+func fixedPointStep(view *graph.Sub, pr Params, v, b int) int {
+	ws := spectral.AcquireWalkState(view)
+	defer ws.Release()
+	ws.Init(v)
+	for t := 1; t <= pr.T0; t++ {
+		changed := ws.StepTruncate(pr.EpsB(b))
+		if ws.SupportLen() == 0 {
+			return 0
+		}
+		if !changed && t >= 2 {
+			return t
+		}
+	}
+	return 0
+}
+
+// TestNibbleOracleAtPracticalT0 repeats the oracle comparison at the
+// uncapped Practical T0 on families whose walks reach a bitwise fixed
+// point before it, so both nibbles' early stop is exercised: each family
+// must have a cutless, converging walk under each nibble. At phi 0.1
+// ApproximateNibble's relaxed conductance test (12 phi >= 1) accepts a
+// cut within two steps, so phi is 0.05.
+func TestNibbleOracleAtPracticalT0(t *testing.T) {
+	families := map[string]*graph.Graph{
+		"gnp":      oracleFamilies(1)["gnp"],
+		"torus":    oracleFamilies(1)["torus"],
+		"complete": gen.Complete(24),
+	}
+	for name, g := range families {
+		view := graph.WholeGraph(g)
+		pr := PracticalParams(view, 0.05)
+		members := view.MemberList()
+		var stopped [2]int // cutless walks that reached a fixed point: Nibble, ApproximateNibble
+		for i := 0; i < 2; i++ {
+			v := members[(i*7+1)%len(members)]
+			for b := 1; b <= pr.Ell; b += 2 {
+				converges := fixedPointStep(view, pr, v, b) > 0
+				got, want := Nibble(view, pr, v, b), denseNibble(view, pr, v, b)
+				if !sameResult(got, want) {
+					t.Fatalf("%s v=%d b=%d T0=%d: Nibble diverged from dense oracle", name, v, b, pr.T0)
+				}
+				if got.Empty() && converges {
+					stopped[0]++
+				}
+				got, want = ApproximateNibble(view, pr, v, b), denseApproximateNibble(view, pr, v, b)
+				if !sameResult(got, want) {
+					t.Fatalf("%s v=%d b=%d T0=%d: ApproximateNibble diverged from dense oracle", name, v, b, pr.T0)
+				}
+				if got.Empty() && converges {
+					stopped[1]++
+				}
+			}
+		}
+		if stopped[0] == 0 || stopped[1] == 0 {
+			t.Fatalf("%s: cutless walks that reached a fixed point within T0=%d: %v, want some for each nibble", name, pr.T0, stopped)
+		}
+	}
+}
+
+// TestNibbleOracleDeadStart starts the walk at a vertex whose edges are
+// all dead in the view: chi_v is already a fixed point at step 1, yet its
+// sweep {v} was never checked, so the walk may not stop there. For small
+// b that sweep is the cut.
+func TestNibbleOracleDeadStart(t *testing.T) {
+	g := gen.RingOfCliques(4, 8, 1)
+	mask := make([]bool, g.M())
+	for e := range mask {
+		u, w := g.EdgeEndpoints(e)
+		mask[e] = u != 0 && w != 0
+	}
+	view := graph.NewSub(g, nil, mask)
+	pr := PracticalParams(view, 0.1)
+	if fixedPointStep(view, pr, 0, 1) != 2 {
+		t.Fatal("walk from the dead vertex should repeat chi_0 from the start")
+	}
+	start := graph.VSetOf(g.N(), 0)
+	for b := 1; b <= pr.Ell; b++ {
+		got, want := Nibble(view, pr, 0, b), denseNibble(view, pr, 0, b)
+		if !sameResult(got, want) {
+			t.Fatalf("b=%d: Nibble diverged from dense oracle", b)
+		}
+		approx := ApproximateNibble(view, pr, 0, b)
+		if !sameResult(approx, denseApproximateNibble(view, pr, 0, b)) {
+			t.Fatalf("b=%d: ApproximateNibble diverged from dense oracle", b)
+		}
+		if b <= 4 && (!got.C.Equal(start) || got.Steps != 1 || !approx.C.Equal(start) || approx.Steps != 1) {
+			t.Fatalf("b=%d: want the cut {0} at step 1, got %v at step %d and %v at step %d",
+				b, got.C.Members(), got.Steps, approx.C.Members(), approx.Steps)
+		}
+	}
+}
+
 // TestParallelNibbleDeterministicAcrossWorkers pins the parallel trial
 // contract: Partition output is bit-identical for every GOMAXPROCS.
 func TestParallelNibbleDeterministicAcrossWorkers(t *testing.T) {

@@ -46,6 +46,9 @@ type WalkState struct {
 	touched    []int
 
 	// Sweep scratch: the engine-owned SweepOrder aliases these slices.
+	// sweepVerts keeps the previous sweep's order between calls (empty
+	// after Init), and inPrefix[v] == sweepEpoch marks its vertices, so
+	// the next Sweep can start its sort from that order.
 	sweepEnts  []sweepEnt
 	sweepVerts []int
 	prefixVol  []int64
@@ -112,6 +115,10 @@ func (w *WalkState) Init(v int) {
 	w.touchEpoch++
 	w.touched = append(w.touched[:0], v)
 	w.touchStamp[v] = w.touchEpoch
+
+	// Forget the previous walk's sweep order.
+	w.sweepVerts = w.sweepVerts[:0]
+	w.sweepEpoch++
 }
 
 // SupportLen returns the number of live entries. A support that empties
@@ -218,10 +225,23 @@ func (w *WalkState) Truncate(eps float64) {
 	w.support = kept
 }
 
-// StepTruncate is one step of the truncated walk p~ <- [M p~]_eps.
-func (w *WalkState) StepTruncate(eps float64) {
+// StepTruncate is one step of the truncated walk p~ <- [M p~]_eps. It
+// reports whether the step changed the state: false means the same
+// support with every value ==, a bitwise fixed point that every later
+// step repeats. After Step's swap the next* buffers still hold the
+// previous state, so the check costs O(|support|).
+func (w *WalkState) StepTruncate(eps float64) (changed bool) {
 	w.Step()
 	w.Truncate(eps)
+	if len(w.support) != len(w.nextSupport) {
+		return true
+	}
+	for _, v := range w.support {
+		if w.nextStamp[v] != w.nextEpoch || w.nextVal[v] != w.val[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepEnt is one sweep candidate: the comparator orders by decreasing
@@ -242,22 +262,59 @@ func compareSweepEnt(a, b sweepEnt) int {
 	return a.v - b.v
 }
 
+// sortSweepEnts sorts ents by compareSweepEnt: by insertion while the
+// element moves stay within 4*len(ents), then by slices.SortFunc. The
+// comparator is a strict total order, so both reach the same permutation;
+// insertion wins when ents arrive nearly sorted. It reports whether the
+// insertion pass finished within budget.
+func sortSweepEnts(ents []sweepEnt) bool {
+	budget := 4 * len(ents)
+	for i := 1; i < len(ents); i++ {
+		e := ents[i]
+		j := i
+		for j > 0 && compareSweepEnt(e, ents[j-1]) < 0 {
+			ents[j] = ents[j-1]
+			j--
+		}
+		ents[j] = e
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(ents, compareSweepEnt)
+			return false
+		}
+	}
+	return true
+}
+
 // Sweep builds the sweep order of the current distribution's support,
 // equivalent to NewSweepOrderSupport(view, Rho(view, p)) but in
 // O(vol(support) + |support| log |support|) with no allocations at steady
-// state. The returned SweepOrder aliases engine scratch: it is valid
-// until the next Sweep or Release.
+// state. The sort starts from the previous sweep's order (its vertices
+// still live, then the support vertices it lacks): rho order drifts
+// slowly along a walk, so that input is nearly sorted. The returned
+// SweepOrder aliases engine scratch: it is valid until the next Sweep or
+// Release.
 func (w *WalkState) Sweep() *SweepOrder {
 	view := w.view
 	g := view.Base()
 	ents := w.sweepEnts[:0]
+	for _, v := range w.sweepVerts {
+		if w.stamp[v] != w.epoch {
+			continue
+		}
+		if d := g.Deg(v); d > 0 && w.val[v] > 0 {
+			ents = append(ents, sweepEnt{rho: w.val[v] / float64(d), v: v})
+		}
+	}
 	for _, v := range w.support {
+		if w.inPrefix[v] == w.sweepEpoch {
+			continue // placed from the previous order
+		}
 		if d := g.Deg(v); d > 0 && w.val[v] > 0 {
 			ents = append(ents, sweepEnt{rho: w.val[v] / float64(d), v: v})
 		}
 	}
 	w.sweepEnts = ents
-	slices.SortFunc(ents, compareSweepEnt)
+	sortSweepEnts(ents)
 
 	k := len(ents)
 	w.sweepVerts = growTo(w.sweepVerts, k)

@@ -1,6 +1,8 @@
 package spectral
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -169,16 +171,33 @@ func slicesEqual(a, b []int) bool {
 
 // TestWalkStateReuseAcrossTrials reruns a walk on a released-and-
 // reacquired state (and on a different graph in between) and demands the
-// same results as a fresh run, pinning the epoch-stamp reset logic.
+// same results as a fresh run, pinning the epoch-stamp reset logic. Every
+// step is swept against the dense reference, and the pool is first filled
+// by a swept walk on a larger graph, so a sweep order leaking from another
+// walk into Sweep's seeded sort panics or reorders.
 func TestWalkStateReuseAcrossTrials(t *testing.T) {
+	large := graph.WholeGraph(gen.RingOfCliques(6, 12, 2))
+	wlarge := AcquireWalkState(large)
+	wlarge.Init(large.Base().N() - 1)
+	for i := 0; i < 20; i++ {
+		wlarge.StepTruncate(1e-6)
+		wlarge.Sweep()
+	}
+	wlarge.Release()
+
 	g := gen.RingOfCliques(4, 8, 1)
 	view := graph.WholeGraph(g)
 	run := func() (Dist, []int) {
 		ws := AcquireWalkState(view)
 		defer ws.Release()
 		ws.Init(3)
+		dense := Chi(g.N(), 3)
 		for i := 0; i < 15; i++ {
 			ws.StepTruncate(1e-4)
+			dense = Truncate(view, Step(view, dense), 1e-4)
+			if !sameSweep(ws.Sweep(), NewSweepOrderSupport(view, Rho(view, dense))) {
+				t.Fatalf("step %d: pooled engine's sweep order differs from the dense one", i+1)
+			}
 		}
 		return ws.Dist(), ws.Participating()
 	}
@@ -188,10 +207,98 @@ func TestWalkStateReuseAcrossTrials(t *testing.T) {
 	wsmall := AcquireWalkState(small)
 	wsmall.Init(0)
 	wsmall.StepTruncate(0)
+	wsmall.Sweep()
 	wsmall.Release()
 	d2, p2 := run()
 	if !sameDist(d1, d2) || !slicesEqual(p1, p2) {
 		t.Fatal("pooled reuse changed walk results")
+	}
+}
+
+// TestWalkStateFixedPoint walks until StepTruncate reports no change,
+// then demands that 50 more steps keep reporting none and leave the
+// distribution and sweep order bit-identical.
+func TestWalkStateFixedPoint(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"complete": gen.Complete(24),
+		"torus":    gen.Torus(5),
+	} {
+		view := graph.WholeGraph(g)
+		ws := AcquireWalkState(view)
+		ws.Init(0)
+		const eps = 1e-5
+		step := 1
+		for ; step <= 2000 && ws.StepTruncate(eps); step++ {
+		}
+		if step > 2000 || ws.SupportLen() == 0 {
+			t.Fatalf("%s: walk reached no fixed point with live support", name)
+		}
+		dist := ws.Dist()
+		sweep := ws.Sweep()
+		fixed := SweepOrder{
+			Vertices:  slices.Clone(sweep.Vertices),
+			PrefixVol: slices.Clone(sweep.PrefixVol),
+			PrefixCut: slices.Clone(sweep.PrefixCut),
+			Rho:       slices.Clone(sweep.Rho),
+		}
+		for i := 1; i <= 50; i++ {
+			if ws.StepTruncate(eps) {
+				t.Fatalf("%s: step %d after the fixed point at %d reported a change", name, i, step)
+			}
+			if !sameDist(ws.Dist(), dist) || !sameSweep(ws.Sweep(), &fixed) {
+				t.Fatalf("%s: step %d after the fixed point at %d moved the state", name, i, step)
+			}
+		}
+		ws.Release()
+	}
+}
+
+// TestSortSweepEnts pins the seeded sort to slices.SortFunc on random,
+// reversed, nearly sorted and tied-rho inputs, and checks that reversed
+// input exhausts the insertion budget and falls back.
+func TestSortSweepEnts(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	random := make([]sweepEnt, 200)
+	for i := range random {
+		random[i] = sweepEnt{rho: r.Float64(), v: i}
+	}
+	sorted := slices.Clone(random)
+	slices.SortFunc(sorted, compareSweepEnt)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	nearly := slices.Clone(sorted)
+	for i := 0; i+1 < len(nearly); i += 9 {
+		nearly[i], nearly[i+1] = nearly[i+1], nearly[i]
+	}
+	nearly[0], nearly[5] = nearly[5], nearly[0]
+	tied := make([]sweepEnt, 200)
+	for i := range tied {
+		tied[i] = sweepEnt{rho: float64(r.IntN(4)) / 8, v: r.IntN(1000)*200 + i}
+	}
+	for _, tc := range []struct {
+		name      string
+		ents      []sweepEnt
+		insertion bool // must finish within the move budget
+		fallback  bool // must exhaust it
+	}{
+		{name: "random", ents: random},
+		{name: "reversed", ents: reversed, fallback: true},
+		{name: "nearly-sorted", ents: nearly, insertion: true},
+		{name: "sorted", ents: sorted, insertion: true},
+		{name: "tied-rho", ents: tied},
+		{name: "single", ents: random[:1], insertion: true},
+		{name: "empty", insertion: true},
+	} {
+		got := slices.Clone(tc.ents)
+		want := slices.Clone(tc.ents)
+		slices.SortFunc(want, compareSweepEnt)
+		within := sortSweepEnts(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: seeded sort differs from slices.SortFunc", tc.name)
+		}
+		if tc.insertion && !within || tc.fallback && within {
+			t.Fatalf("%s: insertion finished within budget = %v", tc.name, within)
+		}
 	}
 }
 
