@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -59,7 +60,7 @@ func run() error {
 		peers      = flag.String("peers", "", "comma-separated replica base URLs the count-dist coordinator fans block triples across (empty = local fallback)")
 		distWindow = flag.Int("dist-window", 0, "in-flight triples per peer for count-dist (0 = 4)")
 		maxFrag    = flag.Int64("max-fragment-bytes", 0, "replica fragment cache byte bound (0 = 256 MiB)")
-		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
+		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error (any case)")
 		slowMS     = flag.Int("slow-query-ms", 1000, "queries at or above this wall time log at warn with slow=true (0 = off)")
 		traceSpans = flag.Int("trace-spans", 4096, "trace ring capacity in finished spans (0 = tracing off)")
 		traceSamp  = flag.Float64("trace-sample", 1, "fraction of traces sampled into the ring (hashed from the trace ID)")
@@ -76,11 +77,11 @@ func run() error {
 		return runSmokeDist(*smokeDist)
 	}
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	logger := obs.NewLogger(os.Stderr, level)
+	logger := obs.NewJSONLogger(os.Stderr, level)
 
 	svc := service.New(service.Config{
 		Workers:            *workers,
@@ -147,7 +148,7 @@ func run() error {
 		"peers", len(splitPeers(*peers)),
 		"trace_spans", *traceSpans,
 		"trace_sample", *traceSamp,
-		"log_level", level.String(),
+		"log_level", strings.ToLower(level.String()),
 	)
 
 	select {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -31,7 +32,7 @@ import (
 )
 
 // logger carries failures as structured JSON lines on stderr.
-var logger = obs.NewLogger(os.Stderr, obs.LevelInfo)
+var logger = obs.NewJSONLogger(os.Stderr, slog.LevelInfo)
 
 // fatal logs one structured error line and exits non-zero.
 func fatal(msg string, kv ...any) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -92,6 +93,20 @@ func TestOptionsValidationTyped(t *testing.T) {
 			}
 		}
 	}
+	// A valid request under a canceled context is refused with the
+	// context's error at every front door, auto included.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Eps: 0.4, K: 2, Preset: nibble.Practical, Seed: 1}
+	for _, name := range BackendNames() {
+		b, _ := LookupBackend(name)
+		if _, _, err := b.DecomposeContext(canceled, view, opt); !errors.Is(err, context.Canceled) {
+			t.Errorf("pre-canceled: backend %s error %v, want context.Canceled", name, err)
+		}
+	}
+	if _, _, _, err := DecomposeAutoContext(canceled, view, opt, 0.4); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled: auto error %v, want context.Canceled", err)
+	}
 }
 
 // backendDigest folds the complete structural output — labels, counts,
@@ -125,28 +140,42 @@ func backendDigest(dec *Decomposition) uint64 {
 // TestBackendQualityContract runs every backend over the family matrix
 // and asserts the shared contract: a structurally valid partition whose
 // independently recomputed inter-cluster edge fraction meets the
-// requested eps bound.
+// requested eps bound, and which a live cancelable context reproduces
+// bit for bit (checked on the first seed).
 func TestBackendQualityContract(t *testing.T) {
 	const eps = 0.4
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	for _, seed := range seeds {
 		for fam, g := range backendFamilies(seed) {
 			view := graph.WholeGraph(g)
 			for _, name := range BackendNames() {
 				b, _ := LookupBackend(name)
-				dec, _, err := b.Decompose(view, Options{
-					Eps: eps, K: 2, Preset: nibble.Practical, Seed: seed,
-				})
+				opt := Options{Eps: eps, K: 2, Preset: nibble.Practical, Seed: seed}
+				dec, _, err := b.Decompose(view, opt)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", fam, name, seed, err)
+				}
+				if seed == seeds[0] {
+					withCtx, _, err := b.DecomposeContext(live, view, opt)
+					if err != nil {
+						t.Fatalf("%s/%s under a live context: %v", fam, name, err)
+					}
+					if backendDigest(withCtx) != backendDigest(dec) {
+						t.Fatalf("%s/%s: live context changed the output", fam, name)
+					}
 				}
 				if err := dec.CheckPartition(view); err != nil {
 					t.Fatalf("%s/%s seed %d: invalid partition: %v", fam, name, seed, err)
 				}
 				q := dec.Evaluate(view)
+				if f := dec.InterFraction(view); f != q.InterFraction {
+					t.Fatalf("%s/%s seed %d: InterFraction %v, Evaluate %v", fam, name, seed, f, q.InterFraction)
+				}
 				if q.InterFraction > eps {
 					t.Fatalf("%s/%s seed %d: inter-fraction %v above eps %v",
 						fam, name, seed, q.InterFraction, eps)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"dexpander/internal/congest"
@@ -10,17 +11,18 @@ import (
 	"dexpander/internal/rng"
 )
 
-// cmpsBackend is the simple near-optimal parallel decomposition in the
-// spirit of Chen–Meierhans–Probst Gutenberg–Saranurak (arXiv
-// 2410.13451): expander decomposition by repeated low-diameter
-// clustering alone. Each round runs the exponential-shift clustering at
-// beta = eps/(3*depth) on every live component in parallel; a component
-// the clustering leaves whole is final, otherwise its inter-cluster
-// edges are removed and the pieces recurse. The recursion is
-// boundary-linked exactly the way the paper's machinery already
-// provides: removed edges become implicit self-loops under graph.Sub, so
-// every recursive subproblem keeps the original degrees and each
-// boundary edge keeps charging volume to both former endpoints.
+// decomposeCMPS runs the "par-cmps" backend, the simple near-optimal
+// parallel decomposition in the spirit of Chen–Meierhans–Probst
+// Gutenberg–Saranurak (arXiv 2410.13451): expander decomposition by
+// repeated low-diameter clustering alone. Each round runs the
+// exponential-shift clustering at beta = eps/(3*depth) on every live
+// component in parallel; a component the clustering leaves whole is
+// final, otherwise its inter-cluster edges are removed and the pieces
+// recurse. The recursion is boundary-linked exactly the way the paper's
+// machinery already provides: removed edges become implicit self-loops
+// under graph.Sub, so every recursive subproblem keeps the original
+// degrees and each boundary edge keeps charging volume to both former
+// endpoints.
 //
 // No Nibble walks, no conductance ladder — one clustering sweep per
 // round, which is why this is the fast host path (CostHint below both
@@ -32,24 +34,12 @@ import (
 // removal budget of eps*m refuses any round that would overdraw it
 // (the component stays final instead) — so EpsAchieved <= Eps always,
 // not just in expectation.
-type cmpsBackend struct{}
-
-func (cmpsBackend) Info() BackendInfo {
-	return BackendInfo{
-		Name:        "par-cmps",
-		Description: "repeated low-diameter clustering with boundary-linked recursion (CMPS); seeded, fast host path",
-		CostHint:    10,
-	}
-}
-
-func (cmpsBackend) Decompose(view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
+func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
 	if err := opt.validate(); err != nil {
 		return nil, congest.Stats{}, err
 	}
-	if opt.Check != nil {
-		if err := opt.Check(); err != nil {
-			return nil, congest.Stats{}, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, congest.Stats{}, err
 	}
 	g := view.Base()
 	m := float64(view.UsableEdgeCount())
@@ -94,7 +84,7 @@ func (cmpsBackend) Decompose(view *graph.Sub, opt Options) (*Decomposition, cong
 			whole   bool
 		}
 		outs := make([]clusterOut, len(tasks))
-		if err := par.ForEachCheck(workers, len(tasks), opt.Check, func(i int) {
+		if err := par.ForEachContext(ctx, workers, len(tasks), func(i int) {
 			u := tasks[i]
 			priv := acquireMask(mask)
 			defer releaseMask(priv)

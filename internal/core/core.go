@@ -26,10 +26,10 @@
 // combine as the maximum while their traffic sums
 // (congest.Stats.CombineParallel), and successive steps add.
 //
-// One level up, every way of producing a Decomposition sits behind the
-// Backend interface, registered in a closed static registry the way
-// gen's family registry works (LookupBackend, BackendNames,
-// BackendsByCost):
+// One level up, every way of producing a Decomposition is a Backend — a
+// BackendInfo plus the function that runs it — registered in a closed
+// static registry the way gen's family registry works (LookupBackend,
+// BackendNames, BackendsByCost):
 //
 //   - "cs19" is this randomized pipeline with the sequential reference
 //     subroutines — the paper's algorithm, seeded.
@@ -45,8 +45,15 @@
 //     under a hard edge-removal budget — the fast host path.
 //
 // DecomposeAuto picks the cheapest backend whose independently measured
-// quality (Quality.InterFraction, recomputed from the final mask) meets
-// a requested bound; the service's backend=auto is exactly this call.
+// inter-cluster fraction (Decomposition.InterFraction, recomputed from
+// the final mask) meets a requested bound; the service's backend=auto is
+// exactly this call.
+//
+// Cancellation and tracing ride the context: DecomposeContext,
+// DecomposeAutoContext and Backend.DecomposeContext probe ctx between
+// subroutine calls and hang their phase spans under the span ctx carries
+// (obs.SpanFromContext). The ctx-free names run under
+// context.Background. Neither alters an uncanceled output.
 //
 // The host-side execution exploits the same structure the accounting
 // models: the vertex-disjoint tasks of a Phase 1 level (the LDD step, then
@@ -63,6 +70,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -96,20 +104,6 @@ type Options struct {
 	// 0 means GOMAXPROCS; 1 forces inline serial execution. The output is
 	// bit-identical for every value.
 	Workers int
-	// Check is the cooperative-cancellation probe (nil = never
-	// canceled). It is consulted at every recursion level, before each
-	// vertex-disjoint phase task is dispatched, and at each Phase 2
-	// iteration, so a canceled run returns Check's error within one
-	// subroutine call. It must be cheap and concurrency-safe
-	// (par.CheckpointFromContext qualifies); it never alters the output
-	// of a run it does not cancel.
-	Check par.Checkpoint
-	// Span, when non-nil, receives tracing children for each Phase 1
-	// level (with per-task LDD/sparse-cut sub-spans) and the Phase 2
-	// component fan-out. Purely observational: a nil Span costs one
-	// pointer test per probe site and the output is bit-identical
-	// either way.
-	Span *obs.Span
 }
 
 // Typed Options validation errors, so callers can distinguish a bad
@@ -187,15 +181,25 @@ type Decomposition struct {
 	FinalMask []bool
 }
 
-// Decompose runs Theorem 1 on the view with the given subroutines.
+// Decompose runs Theorem 1 on the view with the given subroutines. It is
+// DecomposeContext under context.Background.
 func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, error) {
+	return DecomposeContext(context.Background(), view, opt, subs)
+}
+
+// DecomposeContext runs Theorem 1 on the view with the given subroutines.
+// ctx is probed at every recursion level, before each
+// vertex-disjoint phase task is dispatched, and at each Phase 2
+// iteration, so a canceled run returns ctx's error within one subroutine
+// call. When ctx carries a span, each Phase 1 level (with per-task
+// LDD/sparse-cut sub-spans) and the Phase 2 component fan-out get child
+// spans. An uncanceled run's output is bit-identical either way.
+func DecomposeContext(ctx context.Context, view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Check != nil {
-		if err := opt.Check(); err != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	g := view.Base()
 	n := g.N()
@@ -238,8 +242,6 @@ func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, 
 		mask:    aliveMask(view),
 		root:    rng.New(opt.Seed),
 		workers: par.Workers(opt.Workers),
-		check:   opt.Check,
-		span:    opt.Span,
 	}
 	dec := &Decomposition{PhiTarget: ladder[opt.K], PhiLadder: ladder}
 
@@ -247,15 +249,16 @@ func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, 
 	tasks := splitComponents(st.current(), view.Members())
 	depth := 0
 	var phase2 []*graph.VSet
+	sp := obs.SpanFromContext(ctx)
 	for len(tasks) > 0 && depth < d {
-		if err := st.checkpoint(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		depth++
 		dec.Phase1Depth = depth
-		lsp := st.span.Child("core.phase1.level")
+		lsp := sp.Child("core.phase1.level")
 		lsp.AttrInt("level", depth).AttrInt("tasks", len(tasks))
-		next, entered, err := st.phase1Level(tasks, dec, lsp)
+		next, entered, err := st.phase1Level(ctx, tasks, dec, lsp)
 		lsp.End()
 		if err != nil {
 			return nil, err
@@ -277,10 +280,11 @@ func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, 
 		bases[i] = st.reserveSeeds(budgets[i])
 	}
 	outs := make([]phase2Out, len(phase2))
-	psp := st.span.Child("core.phase2")
+	psp := sp.Child("core.phase2")
 	psp.AttrInt("components", len(phase2))
-	if err := par.ForEachCheckSpan(st.workers, len(phase2), st.check, psp, "core.phase2.component", func(i int) {
-		outs[i] = st.phase2(phase2[i], budgets[i], bases[i])
+	if err := par.ForEachContext(ctx, st.workers, len(phase2), func(i int) {
+		defer psp.Child("core.phase2.component").AttrInt("task", i).End()
+		outs[i] = st.phase2(ctx, phase2[i], budgets[i], bases[i])
 	}); err != nil {
 		psp.End()
 		return nil, err
@@ -329,17 +333,6 @@ type state struct {
 	stats   congest.Stats
 	seqNo   uint64
 	workers int
-	check   par.Checkpoint
-	span    *obs.Span
-}
-
-// checkpoint probes the cooperative-cancellation hook; nil means never
-// canceled. Safe to call from concurrent phase tasks.
-func (s *state) checkpoint() error {
-	if s.check == nil {
-		return nil
-	}
-	return s.check()
 }
 
 func (s *state) current() *graph.Sub {
@@ -371,7 +364,7 @@ func (s *state) reserveSeeds(count int) uint64 {
 // combine as max-rounds/summed-traffic; the two steps add.
 // lsp is the enclosing level's trace span (nil when tracing is off);
 // the LDD and sparse-cut stages each get a child with per-task spans.
-func (s *state) phase1Level(tasks []*graph.VSet, dec *Decomposition, lsp *obs.Span) (next []*graph.VSet, phase2 []*graph.VSet, err error) {
+func (s *state) phase1Level(ctx context.Context, tasks []*graph.VSet, dec *Decomposition, lsp *obs.Span) (next []*graph.VSet, phase2 []*graph.VSet, err error) {
 	g := s.view.Base()
 
 	type lddOut struct {
@@ -388,7 +381,8 @@ func (s *state) phase1Level(tasks []*graph.VSet, dec *Decomposition, lsp *obs.Sp
 	lddOuts := make([]lddOut, len(tasks))
 	lddSpan := lsp.Child("core.ldd")
 	lddSpan.AttrInt("tasks", len(tasks))
-	if err := par.ForEachCheckSpan(s.workers, len(tasks), s.check, lddSpan, "core.ldd.task", func(i int) {
+	if err := par.ForEachContext(ctx, s.workers, len(tasks), func(i int) {
+		defer lddSpan.Child("core.ldd.task").AttrInt("task", i).End()
 		o := &lddOuts[i]
 		u := tasks[i]
 		priv := acquireMask(s.mask)
@@ -441,7 +435,8 @@ func (s *state) phase1Level(tasks []*graph.VSet, dec *Decomposition, lsp *obs.Sp
 	cutOuts := make([]cutOut, len(afterLDD))
 	cutSpan := lsp.Child("core.cut")
 	cutSpan.AttrInt("tasks", len(afterLDD))
-	if err := par.ForEachCheckSpan(s.workers, len(afterLDD), s.check, cutSpan, "core.cut.task", func(i int) {
+	if err := par.ForEachContext(ctx, s.workers, len(afterLDD), func(i int) {
+		defer cutSpan.Child("core.cut.task").AttrInt("task", i).End()
 		o := &cutOuts[i]
 		u := afterLDD[i]
 		priv := acquireMask(s.mask)
@@ -525,8 +520,8 @@ type phase2Out struct {
 
 // phase2 runs the level ladder on one component U (the paper's G*) over a
 // private mask copy; iteration seeds come from the component's reserved
-// block.
-func (s *state) phase2(u *graph.VSet, maxIters int, seedBase uint64) (out phase2Out) {
+// block. ctx is probed before every iteration.
+func (s *state) phase2(ctx context.Context, u *graph.VSet, maxIters int, seedBase uint64) (out phase2Out) {
 	g := s.view.Base()
 	volU := float64(g.Vol(u))
 	k := s.opt.K
@@ -537,7 +532,7 @@ func (s *state) phase2(u *graph.VSet, maxIters int, seedBase uint64) (out phase2
 	priv := acquireMask(s.mask)
 	defer releaseMask(priv)
 	for out.iters < maxIters {
-		if err := s.checkpoint(); err != nil {
+		if err := ctx.Err(); err != nil {
 			out.err = err
 			return out
 		}

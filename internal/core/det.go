@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
 	"dexpander/internal/ldd"
@@ -35,26 +37,12 @@ func (d detSubroutines) SparseCut(comm *graph.Sub, active *graph.VSet, phi float
 	return nibble.DetSparseCut(view, phi, d.preset), congest.Stats{}, nil
 }
 
-// detBackend is the deterministic decomposition variant: identical
-// output for any Seed, worker count, GOMAXPROCS, and process.
-type detBackend struct{}
-
-func (detBackend) Info() BackendInfo {
-	return BackendInfo{
-		Name:          "det",
-		Description:   "derandomized Theorem 1 pipeline (ball-growing LDD, greedy deterministic sweep cuts); seed-independent",
-		Deterministic: true,
-		CostHint:      20,
-	}
-}
-
-func (detBackend) Decompose(view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
+// decomposeDet runs the "det" backend, the deterministic decomposition
+// variant: identical output for any Seed, worker count, GOMAXPROCS, and
+// process.
+func decomposeDet(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
 	// The subroutines ignore every seed drawn from opt.Seed; pin it so
 	// even the (unobservable) draw schedule is one fixed sequence.
 	opt.Seed = 1
-	dec, err := Decompose(view, opt, detSubroutines{preset: opt.Preset})
-	if err != nil {
-		return nil, congest.Stats{}, err
-	}
-	return dec, dec.Stats, nil
+	return withStats(DecomposeContext(ctx, view, opt, detSubroutines{preset: opt.Preset}))
 }

@@ -58,19 +58,7 @@ func (d *Decomposition) Evaluate(view *graph.Sub) Quality {
 		EpsAchieved:      d.EpsAchieved,
 		MinPhiLower:      math.Inf(1),
 		MinPhiExactKnown: true,
-	}
-	var inter, usable int
-	for e := 0; e < g.M(); e++ {
-		if !view.Usable(e) {
-			continue
-		}
-		usable++
-		if !d.FinalMask[e] {
-			inter++
-		}
-	}
-	if usable > 0 {
-		q.InterFraction = float64(inter) / float64(usable)
+		InterFraction:    d.InterFraction(view),
 	}
 	final := graph.NewSub(g, view.Members(), d.FinalMask)
 	singles := 0
@@ -101,6 +89,29 @@ func (d *Decomposition) Evaluate(view *graph.Sub) Quality {
 		q.SingletonFraction = float64(singles) / float64(n)
 	}
 	return q
+}
+
+// InterFraction recomputes the inter-cluster edge fraction from the
+// final mask: the view's usable edges no longer alive, over its usable
+// edges (0 for an edgeless view). It is Quality.InterFraction without
+// Evaluate's conductance certificate, and what auto selection and the
+// service's max_eps_fraction check verify.
+func (d *Decomposition) InterFraction(view *graph.Sub) float64 {
+	g := view.Base()
+	var inter, usable int
+	for e := 0; e < g.M(); e++ {
+		if !view.Usable(e) {
+			continue
+		}
+		usable++
+		if !d.FinalMask[e] {
+			inter++
+		}
+	}
+	if usable == 0 {
+		return 0
+	}
+	return float64(inter) / float64(usable)
 }
 
 // CheckPartition verifies structural validity: labels partition the

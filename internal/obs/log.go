@@ -1,156 +1,28 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
-	"sync"
-	"time"
+	"log/slog"
+	"strings"
 )
 
-// Level is a log severity. The zero value is LevelInfo so a
-// zero-configured logger does the conventional thing.
-type Level int8
-
-const (
-	LevelDebug Level = iota - 1
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name used on the wire.
-func (l Level) String() string {
-	switch {
-	case l <= LevelDebug:
-		return "debug"
-	case l == LevelInfo:
-		return "info"
-	case l == LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel maps the flag vocabulary ("debug", "info", "warn",
-// "error") to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
-}
-
-// Logger emits one JSON object per line: {"ts":..., "level":...,
-// "msg":..., <key>:<value>...}. Writes are serialized under a mutex
-// so concurrent request handlers never interleave lines. A nil
-// *Logger discards everything without allocating — the disabled
-// state, mirroring the nil Tracer convention.
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
-}
-
-// NewLogger builds a logger writing at or above min to w. A nil
-// writer returns a nil logger (disabled).
-func NewLogger(w io.Writer, min Level) *Logger {
-	if w == nil {
-		return nil
-	}
-	return &Logger{w: w, min: min}
-}
-
-// Enabled reports whether lv would be emitted; callers use it to skip
-// building expensive field values.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
-
-// Debug logs at debug level. kv is alternating key, value pairs.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":"`...)
-	buf = time.Now().UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, lv.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSONString(buf, msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprintf("!badkey:%v", kv[i])
-		}
-		buf = append(buf, ',')
-		buf = appendJSONString(buf, key)
-		buf = append(buf, ':')
-		buf = appendJSONValue(buf, kv[i+1])
-	}
-	if len(kv)%2 != 0 {
-		buf = append(buf, `,"!orphan":`...)
-		buf = appendJSONValue(buf, kv[len(kv)-1])
-	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-func appendJSONString(buf []byte, s string) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return append(buf, `"?"`...)
-	}
-	return append(buf, b...)
-}
-
-func appendJSONValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "null"...)
-	case string:
-		return appendJSONString(buf, x)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case float64:
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case time.Duration:
-		// Durations log as fractional milliseconds: numeric, so log
-		// pipelines can aggregate without parsing unit suffixes.
-		return strconv.AppendFloat(buf, float64(x)/float64(time.Millisecond), 'f', 3, 64)
-	case error:
-		return appendJSONString(buf, x.Error())
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return appendJSONString(buf, fmt.Sprintf("%v", v))
-	}
-	return append(buf, b...)
+// NewJSONLogger returns a logger writing one JSON object per line to w
+// at or above level: {"ts":..., "level":..., "msg":..., <key>:<value>...}.
+// It is slog's JSON handler with the time key renamed to "ts" (RFC 3339,
+// UTC) and the level lower-cased ("info", "warn", ...), the line format
+// dexpanderd's log pipelines read.
+func NewJSONLogger(w io.Writer, level slog.Leveler) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		Level: level,
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			switch {
+			case len(groups) > 0:
+			case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+				return slog.Time("ts", a.Value.Time().UTC())
+			case a.Key == slog.LevelKey:
+				return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+			}
+			return a
+		},
+	}))
 }

@@ -4,97 +4,46 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestLoggerJSONLines pins NewJSONLogger's wire format: one JSON object
+// per line, opening with "ts" (RFC 3339, UTC), then the lower-case
+// "level" and "msg", then the fields in call order; lines below the
+// level are dropped.
 func TestLoggerJSONLines(t *testing.T) {
 	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelDebug)
+	lg := NewJSONLogger(&buf, slog.LevelDebug)
 	lg.Info("query served",
 		"tenant", "acme",
-		"duration", 1500*time.Microsecond,
 		"count", 42,
 		"hit", true,
 		"err", errors.New("boom"),
 		"ratio", 0.25,
+		"time", "later", // a caller's own "time" field is not the timestamp
 	)
 	lg.Debug("fine detail")
+	NewJSONLogger(&buf, slog.LevelInfo).Debug("dropped")
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
+	}
+	const fields = `","level":"info","msg":"query served","tenant":"acme","count":42,"hit":true,"err":"boom","ratio":0.25,"time":"later"}`
+	if !strings.HasPrefix(lines[0], `{"ts":"`) || !strings.HasSuffix(lines[0], fields) {
+		t.Fatalf("line 0 = %s, want {\"ts\":\"...%s", lines[0], fields)
 	}
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("line not valid JSON: %v (%s)", err, lines[0])
 	}
-	if rec["level"] != "info" || rec["msg"] != "query served" {
-		t.Fatalf("header fields wrong: %v", rec)
+	ts, err := time.Parse(time.RFC3339Nano, rec["ts"].(string))
+	if err != nil || ts.Location() != time.UTC {
+		t.Fatalf("ts %v not RFC 3339 UTC: %v", rec["ts"], err)
 	}
-	if rec["tenant"] != "acme" || rec["hit"] != true || rec["err"] != "boom" {
-		t.Fatalf("fields wrong: %v", rec)
-	}
-	if rec["duration"] != 1.5 { // milliseconds
-		t.Fatalf("duration = %v, want 1.5 ms", rec["duration"])
-	}
-	if rec["count"] != float64(42) || rec["ratio"] != 0.25 {
-		t.Fatalf("numeric fields wrong: %v", rec)
-	}
-	if ts, ok := rec["ts"].(string); !ok || ts == "" {
-		t.Fatalf("missing ts: %v", rec)
-	} else if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
-		t.Fatalf("ts not RFC3339: %v", err)
-	}
-}
-
-func TestLoggerLevels(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelWarn)
-	lg.Debug("no")
-	lg.Info("no")
-	lg.Warn("yes")
-	lg.Error("yes")
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("level filter emitted %d lines, want 2: %q", got, buf.String())
-	}
-	if !lg.Enabled(LevelError) || lg.Enabled(LevelInfo) {
-		t.Fatal("Enabled disagrees with filtering")
-	}
-	var nilLogger *Logger
-	nilLogger.Error("dropped")
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger claims enabled")
-	}
-}
-
-func TestLoggerAwkwardInput(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelInfo)
-	lg.Info("odd", "key-without-value")
-	lg.Info("badkey", 7, "v")
-	lg.Info("weird string", "s", "a\"quote\nand newline")
-	lg.Info("nil value", "v", nil)
-	lg.Info("struct value", "v", struct{ A int }{1})
-	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d not valid JSON: %v (%s)", i, err, line)
-		}
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "": LevelInfo,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel accepted garbage")
+	if !strings.Contains(lines[1], `"level":"debug","msg":"fine detail"`) {
+		t.Fatalf("debug line = %s", lines[1])
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -44,6 +45,37 @@ func TestSpanTreeAndTrace(t *testing.T) {
 	}
 	if byName["query"].DurationNS < byName["compute"].DurationNS {
 		t.Fatal("parent duration shorter than child")
+	}
+}
+
+// TestConcurrentChildren opens and ends children of one shared parent
+// from several goroutines, the way per-task spans run on a par fan-out's
+// workers; under -race it checks Child and End need no caller locking.
+func TestConcurrentChildren(t *testing.T) {
+	tr := NewTracer(64, 1)
+	root := tr.Root("trace-c", "level")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer root.Child("task").AttrInt("task", i).End()
+		}(i)
+	}
+	wg.Wait()
+	root.End()
+	tasks := map[string]bool{}
+	for _, sp := range tr.Trace("trace-c") {
+		if sp.Name != "task" {
+			continue
+		}
+		if sp.Parent != root.ID {
+			t.Fatalf("task span %d parents under %d, want %d", sp.ID, sp.Parent, root.ID)
+		}
+		tasks[sp.Attrs["task"]] = true
+	}
+	if len(tasks) != 8 {
+		t.Fatalf("%d distinct task spans, want 8", len(tasks))
 	}
 }
 
@@ -165,7 +197,6 @@ func TestContextRoundTrip(t *testing.T) {
 
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var tr *Tracer
-	var lg *Logger
 	ctx := context.Background()
 	got := testing.AllocsPerRun(1000, func() {
 		sp := SpanFromContext(ctx)
@@ -175,7 +206,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		sp.End()
 		root := tr.Root("id", "query")
 		root.End()
-		lg.Info("msg", "k", 1)
 		_ = ContextWithSpan(ctx, nil)
 	})
 	if got != 0 {

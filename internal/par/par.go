@@ -3,7 +3,9 @@
 // triangle.Enumerate's per-component loop, nibble's trial pool). It only
 // schedules: callers keep determinism by drawing every seed before
 // dispatch and merging results by task index afterwards, so the worker
-// count never influences outputs — only wall time.
+// count never influences outputs — only wall time. Cancellation reaches
+// it on the context (ForEachContext); tracing stays with the caller,
+// which opens any per-task span inside fn.
 package par
 
 import (
@@ -11,18 +13,15 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dexpander/internal/obs"
 )
 
-// Checkpoint is the cooperative-cancellation probe threaded through the
-// long-running kernels (core.Decompose's phase tasks and level loops,
-// triangle.Enumerate's component loop, the counting kernels' shard and
-// block-triple loops). A nil Checkpoint means "never canceled" and costs
-// nothing; a non-nil one is consulted at task boundaries and must be
-// cheap (the context-backed probe below is one non-blocking channel
-// receive). Once it returns a non-nil error the computation winds down
-// and surfaces that error — it never changes outputs of uncanceled runs.
+// Checkpoint is the cooperative-cancellation probe hot loops consult at
+// task and loop boundaries (every ForEachContext task, the rank
+// kernel's per-rank loop). A nil Checkpoint means "never canceled" and
+// costs nothing; a non-nil one must be cheap (the context-backed probe
+// below is one non-blocking channel receive). Once it returns a non-nil
+// error the computation winds down and surfaces that error — it never
+// changes outputs of uncanceled runs.
 type Checkpoint func() error
 
 // CheckpointFromContext adapts a context into a Checkpoint: a
@@ -62,23 +61,24 @@ func Workers(requested int) int {
 // it degenerates to an inline loop on the caller's goroutine — the serial
 // execution the equivalence tests oracle against. Tasks are handed out in
 // index order through a shared counter; fn must write results only into
-// its own index's slot. It is ForEachCheck with no checkpoint.
+// its own index's slot. It is ForEachContext under context.Background.
 func ForEach(workers, n int, fn func(i int)) {
-	_ = ForEachCheck(workers, n, nil, fn)
+	_ = ForEachContext(context.Background(), workers, n, fn)
 }
 
-// ForEachCheck is ForEach with a cooperative-cancellation probe: cp
-// (when non-nil) is consulted before each task starts, and once it
-// reports an error no further tasks begin — tasks already running finish
+// ForEachContext is ForEach under a context: ctx's checkpoint
+// (CheckpointFromContext) is probed before each task starts, and once
+// ctx is done no further tasks begin — tasks already running finish
 // their current fn call, so a caller is released within one task (one
-// "checkpoint interval") of the cancellation. The first checkpoint error
-// is returned; an uncanceled run returns nil having executed exactly the
-// calls ForEach would, in a schedule drawn from the same shared counter,
-// so outputs stay bit-identical. A nil cp skips the probe entirely.
-func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
+// "checkpoint interval") of the cancellation. ctx's error is returned;
+// an uncanceled run returns nil having executed exactly the calls
+// ForEach would, in a schedule drawn from the same shared counter, so
+// outputs stay bit-identical. A never-canceled ctx skips the probe.
+func ForEachContext(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
+	cp := CheckpointFromContext(ctx)
 	if workers > n {
 		workers = n
 	}
@@ -120,25 +120,4 @@ func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
 		return *p
 	}
 	return nil
-}
-
-// ForEachCheckSpan is ForEachCheck with per-task tracing: when sp is
-// non-nil every task runs under its own child span named name with a
-// "task" attribute holding the task index (tasks are handed out from
-// the same deterministic index space ForEach uses, so the index
-// identifies the work item). Each task's span is created and ended on
-// the worker goroutine running it; spans only read the shared
-// parent's immutable identity, so concurrent tasks are safe. With a
-// nil sp this is exactly ForEachCheck — the probe costs one pointer
-// test, keeping tracing off the hot path.
-func ForEachCheckSpan(workers, n int, cp Checkpoint, sp *obs.Span, name string, fn func(i int)) error {
-	if sp == nil {
-		return ForEachCheck(workers, n, cp, fn)
-	}
-	return ForEachCheck(workers, n, cp, func(i int) {
-		child := sp.Child(name)
-		child.AttrInt("task", i)
-		fn(i)
-		child.End()
-	})
 }

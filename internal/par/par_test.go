@@ -35,14 +35,17 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	ForEach(4, 0, func(i int) { t.Fatal("fn called for n=0") })
 }
 
-// TestForEachCheckUncanceledMatchesForEach: with a never-firing (or nil)
-// probe, ForEachCheck runs exactly the calls ForEach would.
+// TestForEachCheckUncanceledMatchesForEach: under a never-canceled (or
+// live cancelable) context, ForEachContext runs exactly the calls
+// ForEach would.
 func TestForEachCheckUncanceledMatchesForEach(t *testing.T) {
-	for _, cp := range []Checkpoint{nil, func() error { return nil }} {
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, ctx := range []context.Context{context.Background(), live} {
 		for _, workers := range []int{1, 2, 7, 64} {
 			const n = 50
 			var hits [n]atomic.Int32
-			if err := ForEachCheck(workers, n, cp, func(i int) { hits[i].Add(1) }); err != nil {
+			if err := ForEachContext(ctx, workers, n, func(i int) { hits[i].Add(1) }); err != nil {
 				t.Fatalf("workers=%d: uncanceled run returned %v", workers, err)
 			}
 			for i := range hits {
@@ -54,46 +57,40 @@ func TestForEachCheckUncanceledMatchesForEach(t *testing.T) {
 	}
 }
 
-// TestForEachCheckStopsOnCancel: once the probe fires, no further tasks
-// start and the probe's error is surfaced — on both the inline and the
-// fanned-out paths.
+// TestForEachCheckStopsOnCancel: once a task cancels the context, no
+// further tasks start and ctx's error is surfaced — on both the inline
+// and the fanned-out paths.
 func TestForEachCheckStopsOnCancel(t *testing.T) {
-	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		var fired atomic.Bool
-		cp := func() error {
-			if fired.Load() {
-				return boom
-			}
-			return nil
-		}
-		err := ForEachCheck(workers, 1000, cp, func(i int) {
-			ran.Add(1)
-			if ran.Load() >= 3 {
-				fired.Store(true)
+		err := ForEachContext(ctx, workers, 1000, func(i int) {
+			if ran.Add(1) >= 3 {
+				cancel()
 			}
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		// Every worker may finish the task it had in hand, but nothing new
-		// starts after the probe fires: the count stays far below n.
+		// starts after the cancel: the count stays far below n.
 		if got := ran.Load(); got >= 1000 {
 			t.Fatalf("workers=%d: %d tasks ran after cancellation", workers, got)
 		}
 	}
 }
 
-// TestForEachCheckPreCanceled: a probe that fails from the start means
+// TestForEachCheckPreCanceled: a context canceled from the start means
 // zero tasks run.
 func TestForEachCheckPreCanceled(t *testing.T) {
-	boom := errors.New("boom")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, workers := range []int{1, 4} {
-		err := ForEachCheck(workers, 10, func() error { return boom }, func(i int) {
-			t.Fatal("task ran under a pre-canceled probe")
+		err := ForEachContext(ctx, workers, 10, func(i int) {
+			t.Error("task ran under a pre-canceled context")
 		})
-		if !errors.Is(err, boom) {
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 	}

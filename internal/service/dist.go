@@ -376,7 +376,7 @@ func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, t triangle.
 // LPT) assignment, run each peer's share through a bounded in-flight
 // window, fail triples over to the other replicas, and count the last
 // resort locally. Called from DistCountParams.run with len(peers) > 0.
-func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, grid int, parent *obs.Span) (res *Result, err error) {
+func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, grid int) (res *Result, err error) {
 	start := time.Now()
 	peers := s.cfg.Peers
 	window := s.cfg.DistWindow
@@ -386,7 +386,7 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 	}
 	plan := triangle.NewDistPlan(view, p)
 	triples := plan.Tiling.Triples()
-	dsp := parent.Child("dist")
+	dsp := obs.SpanFromContext(ctx).Child("dist")
 	dsp.AttrInt("grid", p).AttrInt("peers", len(peers)).AttrInt("triples", len(triples))
 	defer func() {
 		if err != nil {

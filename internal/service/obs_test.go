@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -202,6 +203,76 @@ func TestTraceCount2DTriples(t *testing.T) {
 	}
 }
 
+// TestTraceDecomposeEnumerateSpans pins the span trees a traced
+// decompose and a traced enumerate hang under their query: each kernel
+// phase span must sit under its named parent, and every parent link must
+// resolve within the trace. A run that stopped handing its span down on
+// the context would drop its subtree.
+func TestTraceDecomposeEnumerateSpans(t *testing.T) {
+	svc := New(Config{Workers: 1, Tracer: obs.NewTracer(4096, 1)})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	// At eps 0.9, Phase 1 hands this graph's core to Phase 2, so every
+	// decompose phase span appears.
+	snap, err := svc.RegisterGraph("", gen.SatelliteCliques(40, 12, 2, 1))
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	ctx := context.Background()
+	cl := NewClient(srv.URL)
+	for _, tc := range []struct {
+		id    string
+		query func() error
+		edges [][2]string // {child, parent} span names
+	}{
+		{"trace-decompose-001", func() error {
+			_, err := cl.Decompose(ctx, snap.ID, DecomposeParams{Eps: 0.9, Backend: "cs19"})
+			return err
+		}, [][2]string{
+			{"core.phase1.level", "decompose"}, {"core.ldd", "core.phase1.level"}, {"core.ldd.task", "core.ldd"},
+			{"core.cut", "core.phase1.level"}, {"core.cut.task", "core.cut"},
+			{"core.phase2", "decompose"}, {"core.phase2.component", "core.phase2"},
+		}},
+		{"trace-enumerate-001", func() error {
+			_, err := cl.Enumerate(ctx, snap.ID, EnumerateParams{})
+			return err
+		}, [][2]string{
+			{"enumerate.level", "enumerate"}, {"core.phase1.level", "enumerate.level"},
+			{"enumerate.component", "enumerate.level"},
+		}},
+	} {
+		cl.RequestID = tc.id
+		if err := tc.query(); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		tr, err := cl.Trace(ctx, tc.id)
+		if err != nil {
+			t.Fatalf("%s: fetch trace: %v", tc.id, err)
+		}
+		byID := map[uint64]obs.Span{}
+		for _, sp := range tr.Spans {
+			byID[sp.ID] = sp
+		}
+		found := map[[2]string]bool{}
+		for _, sp := range tr.Spans {
+			if sp.Parent == 0 {
+				continue
+			}
+			parent, ok := byID[sp.Parent]
+			if !ok {
+				t.Fatalf("%s: span %q (id %d) has dangling parent %d", tc.id, sp.Name, sp.ID, sp.Parent)
+			}
+			found[[2]string{sp.Name, parent.Name}] = true
+		}
+		for _, e := range tc.edges {
+			if !found[e] {
+				t.Errorf("%s: no %q span under %q", tc.id, e[0], e[1])
+			}
+		}
+	}
+}
+
 // TestMetricsEndpoint scrapes /metrics after a mixed workload and
 // checks the exposition parses as valid Prometheus text (ValidateProm
 // enforces bucket cumulativity, le monotonicity, and +Inf == _count)
@@ -332,7 +403,7 @@ func TestQueryLogFields(t *testing.T) {
 	var buf bytes.Buffer
 	svc := New(Config{
 		Workers:   1,
-		Logger:    obs.NewLogger(&buf, obs.LevelInfo),
+		Logger:    obs.NewJSONLogger(&buf, slog.LevelInfo),
 		SlowQuery: time.Nanosecond, // everything is slow: exercise the slow path
 	})
 	t.Cleanup(svc.Close)

@@ -9,7 +9,6 @@ import (
 	"dexpander/internal/graph"
 	"dexpander/internal/nibble"
 	"dexpander/internal/obs"
-	"dexpander/internal/par"
 	"dexpander/internal/triangle"
 )
 
@@ -41,12 +40,14 @@ type Params interface {
 	// computation reads.
 	canon() string
 	// run executes the computation. ctx is the flight's cancelable
-	// context: implementations hand it to the kernels (directly, or as
-	// par.CheckpointFromContext(ctx)) so a canceled flight frees its
-	// worker within one checkpoint interval. env carries the host
-	// parallelism bound plus the service-level context distributed
-	// algorithms need (snapshot fingerprint, peer fleet); outputs are
-	// bit-identical for every worker count and peer set.
+	// context, carrying the flight's compute span when the query is
+	// traced: implementations open their span under it and hand the
+	// kernels a ctx carrying that span, so a canceled flight frees its
+	// worker within one checkpoint interval and the kernel's phase
+	// spans land in the query's trace. env carries the host parallelism
+	// bound plus the service-level context distributed algorithms need
+	// (snapshot fingerprint, peer fleet); outputs are bit-identical for
+	// every worker count and peer set.
 	run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error)
 }
 
@@ -63,10 +64,6 @@ type runEnv struct {
 	// and dist tuning from svc.cfg and reports fleet counters through
 	// it. Implementations must not touch svc.mu-guarded state directly.
 	svc *Service
-	// span is the flight's compute span (nil when tracing is off).
-	// Implementations hang their phase spans under it; it never alters
-	// outputs.
-	span *obs.Span
 }
 
 // Result is one computed (and cached) analytics answer. All fields are
@@ -189,17 +186,15 @@ func (p DecomposeParams) canon() string {
 // run executes the selected decomposition backend. The checksum digests
 // the full structural output exactly like the bench matrix's decompose
 // cells: HashWords(count, cutEdges, labels...). backend=auto dispatches
-// through core.DecomposeAuto, so the served result provably satisfies the
-// quality bound (MaxEpsFraction, or Eps when unset); a fixed backend with
-// MaxEpsFraction set gets the same post-verification, as a hard error.
+// through core.DecomposeAutoContext, so the served result provably
+// satisfies the quality bound (MaxEpsFraction, or Eps when unset); a
+// fixed backend with MaxEpsFraction set gets the same post-verification
+// (Decomposition.InterFraction), as a hard error.
 func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
-	sp := env.span.Child("decompose")
+	sp := obs.SpanFromContext(ctx).Child("decompose")
 	defer sp.End()
-	opt := core.Options{
-		Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed,
-		Workers: env.workers, Check: par.CheckpointFromContext(ctx),
-		Span: sp,
-	}
+	ctx = obs.ContextWithSpan(ctx, sp)
+	opt := core.Options{Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed, Workers: env.workers}
 	start := time.Now()
 	var dec *core.Decomposition
 	var served string
@@ -209,7 +204,7 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 		if bound == 0 {
 			bound = p.Eps
 		}
-		dec, _, served, err = core.DecomposeAuto(view, opt, bound)
+		dec, _, served, err = core.DecomposeAutoContext(ctx, view, opt, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -219,14 +214,14 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 			return nil, lookErr
 		}
 		served = p.Backend
-		dec, _, err = b.Decompose(view, opt)
+		dec, _, err = b.DecomposeContext(ctx, view, opt)
 		if err != nil {
 			return nil, err
 		}
 		if p.MaxEpsFraction > 0 {
-			if q := dec.Evaluate(view); q.InterFraction > p.MaxEpsFraction {
+			if f := dec.InterFraction(view); f > p.MaxEpsFraction {
 				return nil, fmt.Errorf("service: backend %s inter-cluster fraction %.4f exceeds max_eps_fraction %v",
-					served, q.InterFraction, p.MaxEpsFraction)
+					served, f, p.MaxEpsFraction)
 			}
 		}
 	}
@@ -295,7 +290,7 @@ func (p CountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Res
 	if k == triangle.Kernel2D {
 		return count2D(ctx, view, env, p.Kernel)
 	}
-	sp := env.span.Child("count")
+	sp := obs.SpanFromContext(ctx).Child("count")
 	sp.Attr("kernel", p.Kernel)
 	defer sp.End()
 	start := time.Now()
@@ -346,13 +341,11 @@ func (p EnumerateParams) canon() string {
 // checksum, count, rounds, and messages match the bench matrix's
 // enumerate cells.
 func (p EnumerateParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
-	sp := env.span.Child("enumerate")
+	sp := obs.SpanFromContext(ctx).Child("enumerate")
 	defer sp.End()
 	start := time.Now()
-	set, stats, err := triangle.Enumerate(view, triangle.Options{
-		Seed: p.Seed, Workers: env.workers, Check: par.CheckpointFromContext(ctx),
-		Span: sp,
-	})
+	set, stats, err := triangle.EnumerateContext(obs.ContextWithSpan(ctx, sp), view,
+		triangle.Options{Seed: p.Seed, Workers: env.workers})
 	if err != nil {
 		return nil, err
 	}
@@ -411,14 +404,14 @@ func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	if len(env.svc.cfg.Peers) == 0 {
 		return count2D(ctx, view, env, "2d-local")
 	}
-	return env.svc.distCount(ctx, view, env.fingerprint, p.Grid, env.span)
+	return env.svc.distCount(ctx, view, env.fingerprint, p.Grid)
 }
 
 // count2D runs the local 2D kernel under a "count" span tagged with
 // kernel; the kernel hangs one "triangle.triple" span per block triple
 // under it. The checksum digests the count alone.
 func count2D(ctx context.Context, view *graph.Sub, env runEnv, kernel string) (*Result, error) {
-	sp := env.span.Child("count")
+	sp := obs.SpanFromContext(ctx).Child("count")
 	sp.Attr("kernel", kernel)
 	defer sp.End()
 	start := time.Now()

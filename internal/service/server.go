@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -244,7 +245,7 @@ func (s *Service) instrument(mux http.Handler) http.Handler {
 			if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 				kv = append(kv, "slow", true)
 				lg.Warn("http", kv...)
-			} else if lg.Enabled(obs.LevelDebug) {
+			} else if lg.Enabled(r.Context(), slog.LevelDebug) {
 				// Per-request HTTP lines are debug-level: the query log
 				// already covers the compute endpoints at info.
 				lg.Debug("http", kv...)

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -144,9 +145,9 @@ type Config struct {
 	// either way). Traces are retrievable at GET /v1/debug/traces/{id}
 	// and feed the per-phase series on GET /metrics.
 	Tracer *obs.Tracer
-	// Logger receives structured JSON request/query logs (nil disables
-	// logging).
-	Logger *obs.Logger
+	// Logger receives structured request/query logs (nil disables
+	// logging); dexpanderd passes obs.NewJSONLogger.
+	Logger *slog.Logger
 	// SlowQuery marks queries and requests slower than this with
 	// slow=true at warn level; 0 disables the threshold.
 	SlowQuery time.Duration
@@ -914,10 +915,10 @@ func (s *Service) Query(ctx context.Context, tn, id string, p Params) (res *Resu
 			ErrQuota, held, s.cfg.TenantMaxInFlight)
 	}
 	env.fingerprint = snap.fingerprint
-	env.span = q.computeSpan()
-	fctx, fcancel := context.WithCancel(context.Background())
+	csp := q.computeSpan()
+	fctx, fcancel := context.WithCancel(obs.ContextWithSpan(context.Background(), csp))
 	e := &entry{
-		span:   env.span,
+		span:   csp,
 		key:    key,
 		snap:   snap,
 		tenant: tn,

@@ -3,16 +3,17 @@ package triangle
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
+	"dexpander/internal/congest"
+	"dexpander/internal/core"
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
-	"dexpander/internal/par"
+	"dexpander/internal/nibble"
 )
 
-// TestEnumerateCheckpointIsTransparent: a never-firing probe is consulted
-// but leaves the triangle set and cost accounting bit-identical.
+// TestEnumerateCheckpointIsTransparent: a live, never-canceled context
+// leaves the triangle set and cost accounting bit-identical.
 func TestEnumerateCheckpointIsTransparent(t *testing.T) {
 	g := gen.RingOfCliques(5, 10, 2)
 	view := graph.WholeGraph(g)
@@ -21,15 +22,11 @@ func TestEnumerateCheckpointIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var probes atomic.Int64
-	opt.Check = func() error { probes.Add(1); return nil }
-	checked, checkedStats, err := Enumerate(view, opt)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	checked, checkedStats, err := EnumerateContext(live, view, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if probes.Load() == 0 {
-		t.Fatal("checkpoint was never consulted")
 	}
 	if plain.Checksum() != checked.Checksum() || plain.Len() != checked.Len() {
 		t.Fatalf("checkpointed enumeration diverged: %d/%#x vs %d/%#x",
@@ -40,30 +37,38 @@ func TestEnumerateCheckpointIsTransparent(t *testing.T) {
 	}
 }
 
-// TestEnumerateCanceled: both a pre-canceled context and a probe firing
-// mid-run abort the enumeration with the underlying cause.
+// cancelOnCut wraps the decomposition subroutines and cancels the
+// enumeration's context inside every SparseCut call.
+type cancelOnCut struct {
+	core.Subroutines
+	cancel context.CancelFunc
+}
+
+func (c cancelOnCut) SparseCut(comm *graph.Sub, active *graph.VSet, phi float64, seed uint64) (*nibble.PartitionResult, congest.Stats, error) {
+	c.cancel()
+	return c.Subroutines.SparseCut(comm, active, phi, seed)
+}
+
+// TestEnumerateCanceled: both a pre-canceled context and one canceled
+// inside the first decomposition sparse cut abort the enumeration with
+// context.Canceled.
 func TestEnumerateCanceled(t *testing.T) {
 	g := gen.RingOfCliques(5, 10, 2)
 	view := graph.WholeGraph(g)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Enumerate(view, Options{Seed: 9, Check: par.CheckpointFromContext(ctx)})
+	_, _, err := EnumerateContext(ctx, view, Options{Seed: 9})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled enumerate: %v", err)
 	}
 
-	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		var probes atomic.Int64
-		check := func() error {
-			if probes.Add(1) > 5 {
-				return boom
-			}
-			return nil
-		}
-		_, _, err := Enumerate(view, Options{Seed: 9, Workers: workers, Check: check})
-		if !errors.Is(err, boom) {
+		ctx, cancel := context.WithCancel(context.Background())
+		subs := cancelOnCut{Subroutines: core.SeqSubroutines{Preset: nibble.Practical, Workers: workers}, cancel: cancel}
+		_, _, err := EnumerateContext(ctx, view, Options{Seed: 9, Workers: workers, Subs: subs})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: mid-run canceled enumerate: %v", workers, err)
 		}
 	}

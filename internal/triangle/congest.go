@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -40,17 +41,6 @@ type Options struct {
 	// decomposition). 0 means GOMAXPROCS; 1 forces inline serial
 	// execution. The output is bit-identical for every value.
 	Workers int
-	// Check is the cooperative-cancellation probe (nil = never
-	// canceled), consulted at every recursion level and before each
-	// component task, and forwarded into the per-level decomposition.
-	// A canceled enumeration returns Check's error within one component
-	// (or decomposition subroutine) call; an uncanceled run's output is
-	// untouched.
-	Check par.Checkpoint
-	// Span, when non-nil, receives one child per recursion level (with
-	// decomposition and per-component sub-spans). Purely
-	// observational; a nil Span costs one pointer test per level.
-	Span *obs.Span
 }
 
 func (o Options) withDefaults() Options {
@@ -140,8 +130,21 @@ func combineComponents(stats []congest.Stats) congest.Stats {
 // component collects its triangles into a private Set, and sets and stats
 // merge in component order — sibling F_i edge sets overlap only at
 // boundary edges, whose duplicate triangles the Set dedupes identically
-// regardless of merge order.
+// regardless of merge order. It is EnumerateContext under
+// context.Background.
 func Enumerate(view *graph.Sub, opt Options) (*Set, Stats, error) {
+	return EnumerateContext(context.Background(), view, opt)
+}
+
+// EnumerateContext is Enumerate under a context. ctx's checkpoint is
+// probed at every recursion level and before each component task, and
+// reaches the per-level decomposition, so a canceled enumeration
+// returns ctx's error within one component (or decomposition
+// subroutine) call. When ctx carries a span, each recursion level gets
+// an "enumerate.level" child holding the decomposition's spans and one
+// "enumerate.component" span per component. An uncanceled run's output
+// is untouched.
+func EnumerateContext(ctx context.Context, view *graph.Sub, opt Options) (*Set, Stats, error) {
 	opt = opt.withDefaults()
 	g := view.Base()
 	out := NewSet()
@@ -156,24 +159,21 @@ func Enumerate(view *graph.Sub, opt Options) (*Set, Stats, error) {
 		}
 	}
 	root := rng.New(opt.Seed)
+	sp := obs.SpanFromContext(ctx)
 	for level := 0; level < opt.MaxRecursion && remaining > 0; level++ {
-		if opt.Check != nil {
-			if err := opt.Check(); err != nil {
-				return nil, st, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, st, err
 		}
 		st.Recursions++
-		lsp := opt.Span.Child("enumerate.level")
+		lsp := sp.Child("enumerate.level")
 		lsp.AttrInt("level", level).AttrInt("edges", remaining)
 		cur := graph.NewSub(g, view.Members(), mask)
-		dec, err := core.Decompose(cur, core.Options{
+		dec, err := core.DecomposeContext(obs.ContextWithSpan(ctx, lsp), cur, core.Options{
 			Eps:     opt.Eps,
 			K:       opt.K,
 			Preset:  opt.Preset,
 			Seed:    root.Fork(uint64(level)).Uint64(),
 			Workers: opt.Workers,
-			Check:   opt.Check,
-			Span:    lsp,
 		}, opt.Subs)
 		if err != nil {
 			lsp.End()
@@ -208,7 +208,8 @@ func Enumerate(view *graph.Sub, opt Options) (*Set, Stats, error) {
 			})
 		}
 		results := make([]compResult, len(tasks))
-		if err := par.ForEachCheckSpan(workers, len(tasks), opt.Check, lsp, "enumerate.component", func(i int) {
+		if err := par.ForEachContext(ctx, workers, len(tasks), func(i int) {
+			defer lsp.Child("enumerate.component").AttrInt("task", i).End()
 			set, cs, err := processComponent(cur, final, tasks[i].comp, opt, tasks[i].seed)
 			results[i] = compResult{set: set, stats: cs, err: err}
 		}); err != nil {

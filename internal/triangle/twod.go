@@ -72,7 +72,7 @@ func CountParallel2DContext(ctx context.Context, view *graph.Sub, workers int) (
 	triples := pl.Tiling.Triples()
 	counts := make([]int, len(triples))
 	sp := obs.SpanFromContext(ctx)
-	err := par.ForEachCheck(w, len(triples), par.CheckpointFromContext(ctx), func(ti int) {
+	err := par.ForEachContext(ctx, w, len(triples), func(ti int) {
 		t := triples[ti]
 		child := sp.Child("triangle.triple")
 		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
