@@ -1,50 +1,22 @@
 package congest
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // barrier is a reusable round barrier whose participant count can shrink
-// as nodes finish. The last arriver of each generation runs onRelease
-// (message delivery) while everyone else is parked, which gives the
-// simulation its synchronous-rounds semantics.
+// as nodes finish. Whoever completes a generation — the last wait, or a
+// leave that was the last missing arrival — runs onRelease (message
+// delivery) while every other live node is parked and then wakes them,
+// which gives the simulation its synchronous-rounds semantics.
 //
 // Parking is per-node: every participant owns a 1-buffered wake channel,
 // so a wakeup is a single channel send that the runtime turns into a
-// direct handoff. The barrier runs in one of two modes:
-//
-//   - counter mode: nodes arrive under a mutex; the last arriver runs
-//     delivery and wakes everyone. All node segments of a round execute
-//     concurrently. This is the only mode used when GOMAXPROCS > 1.
-//
-//   - relay mode (GOMAXPROCS == 1): after the first generation, nodes
-//     form a ring and exactly one runs at a time; finishing a segment
-//     hands the baton to the ring successor, and the last ring member
-//     runs delivery and restarts the ring. On a single P the runtime
-//     would serialize the segments anyway, so this changes nothing
-//     observable — it only replaces the O(n) wake-all and run-queue
-//     churn per round with n direct handoffs, roughly halving the
-//     barrier cost of 10k-node rounds. Baton passing makes every ring
-//     mutation single-threaded, so steady-state rounds touch no locks
-//     at all.
-//
-// Relay mode assumes node programs synchronize with each other only
-// through the engine (Send/Next) — the CONGEST model's contract — and
-// never busy-wait on another node's same-round side effects.
+// direct handoff.
 type barrier struct {
 	mu      sync.Mutex
-	live    int // participants still running
-	arrived int // counter mode: arrivals this generation
+	live    int    // participants still running
+	arrived int    // arrivals this generation
+	gone    []bool // departed participants, written under mu
 	wake    []chan struct{}
-	relayOK bool // single-P: eligible to switch to relay mode
-	relay   bool // relay mode active (set once, while all are parked)
-
-	// Ring state; in relay mode it is only ever touched by the baton
-	// holder, which makes it single-threaded by construction.
-	next  []int32
-	prev  []int32
-	start int32
 
 	onRelease func()
 }
@@ -52,32 +24,16 @@ type barrier struct {
 func (b *barrier) init(n int, onRelease func()) {
 	b.live = n
 	b.onRelease = onRelease
+	b.gone = make([]bool, n)
 	b.wake = make([]chan struct{}, n)
 	for i := range b.wake {
 		b.wake[i] = make(chan struct{}, 1)
 	}
-	// next doubles as the liveness marker before the ring is built:
-	// ringDead flags departed nodes, anything else means alive.
-	b.next = make([]int32, n)
-	b.prev = make([]int32, n)
-	b.relayOK = runtime.GOMAXPROCS(0) == 1 && n > 1
 }
 
-// wait parks the caller until all live participants have arrived; the
-// last arriver (counter mode) or ring predecessor (relay mode) wakes it.
-// idx is the caller's dense node index.
+// wait parks the caller, whose dense node index is idx, until all live
+// participants have arrived.
 func (b *barrier) wait(idx int) {
-	if b.relay {
-		// Baton held: hand it on. If our successor starts the ring, the
-		// generation is complete: deliver, then start the next one.
-		succ := b.next[idx]
-		if succ == b.start {
-			b.onRelease()
-		}
-		b.wake[succ] <- struct{}{}
-		<-b.wake[idx]
-		return
-	}
 	b.mu.Lock()
 	b.arrived++
 	if b.arrived < b.live {
@@ -85,105 +41,34 @@ func (b *barrier) wait(idx int) {
 		<-b.wake[idx]
 		return
 	}
-	// Last arriver: release the generation.
-	b.onRelease()
-	b.arrived = 0
-	if b.relayOK && b.live > 1 {
-		// Everyone (but us) is parked: switch to relay mode, start the
-		// ring, and park until the baton reaches our position.
-		b.buildRing()
-		b.relay = true
-		b.mu.Unlock()
-		b.wake[b.start] <- struct{}{}
-		<-b.wake[idx]
-		return
-	}
-	b.mu.Unlock()
-	for i := range b.wake {
-		if i != idx && b.next[i] != ringDead {
-			b.wake[i] <- struct{}{}
-		}
-	}
+	b.release(idx)
 }
 
-const ringDead = int32(-1)
-
-// buildRing links all live nodes into a ring in index order. Callers
-// hold mu; live membership is tracked in next (ringDead marks departed
-// nodes even before the ring is first built).
-func (b *barrier) buildRing() {
-	first, last := -1, -1
-	for i := range b.wake {
-		if b.next[i] == ringDead {
-			continue
-		}
-		if first == -1 {
-			first = i
-		} else {
-			b.next[last] = int32(i)
-			b.prev[i] = int32(last)
-		}
-		last = i
-	}
-	b.next[last] = int32(first)
-	b.prev[first] = int32(last)
-	b.start = int32(first)
-}
-
-// leave removes the caller from the participant set. The caller is
-// running (in relay mode: holds the baton), so in both modes it passes
-// the turn it will never take.
+// leave removes the caller from the participant set. If it was the only
+// missing arrival, it completes the generation on the others' behalf.
 func (b *barrier) leave(idx int) {
-	if b.relay {
-		b.leaveRelay(idx)
-		return
-	}
 	b.mu.Lock()
 	b.live--
-	b.next[idx] = ringDead
+	b.gone[idx] = true
 	if b.live == 0 || b.arrived < b.live {
 		b.mu.Unlock()
 		return
 	}
-	// The caller was the only missing arrival: release the generation.
+	b.release(idx)
+}
+
+// release completes the generation on behalf of the caller idx, which
+// holds mu: it delivers, unlocks, and wakes every other live node.
+func (b *barrier) release(idx int) {
 	b.onRelease()
 	b.arrived = 0
-	if b.relayOK && b.live > 1 {
-		b.buildRing()
-		b.relay = true
-		b.mu.Unlock()
-		b.wake[b.start] <- struct{}{}
-		return
-	}
 	b.mu.Unlock()
+	// gone is read here without mu. That is safe only because a woken
+	// node writes (by leaving) just its own slot, which this loop has
+	// already passed; unwoken nodes are parked and write nothing.
 	for i := range b.wake {
-		if b.next[i] != ringDead {
+		if i != idx && !b.gone[i] {
 			b.wake[i] <- struct{}{}
 		}
 	}
-}
-
-// leaveRelay splices the baton holder out of the ring and passes the
-// baton (or completes the generation) on its behalf.
-func (b *barrier) leaveRelay(idx int) {
-	b.mu.Lock()
-	b.live--
-	b.mu.Unlock()
-	if b.live == 0 {
-		return
-	}
-	nxt, prv := b.next[idx], b.prev[idx]
-	wasEnd := nxt == b.start && int32(idx) != b.start
-	b.next[prv], b.prev[nxt] = nxt, prv
-	b.next[idx] = ringDead
-	if int32(idx) == b.start {
-		b.start = nxt
-	}
-	if wasEnd {
-		// Everyone else already ran this generation.
-		b.onRelease()
-		b.wake[b.start] <- struct{}{}
-		return
-	}
-	b.wake[nxt] <- struct{}{}
 }

@@ -76,12 +76,9 @@ func TestDeterministicStatsAndTraces(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkerCounts: the same seeded run must be
-// bit-identical whatever GOMAXPROCS was when the engine was built — that
-// setting selects the barrier mode (relay vs counter) and the delivery
-// shard count, none of which may leak into results.
+// bit-identical whatever GOMAXPROCS is, so no processor-count-dependent
+// choice can leak into results.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	// 49 nodes: not divisible by any shard count, so receiver-to-shard
-	// bucketing is exercised on uneven bounds.
 	view := torusView(7)
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
@@ -100,11 +97,12 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestDeterministicParallelDelivery drives enough per-round traffic to
-// cross the engine's parallel-delivery threshold and checks the fan-out
-// still reproduces the single-shard inbox order and stats exactly.
+// TestDeterministicParallelDelivery drives heavy all-to-all traffic
+// (n*(n-1) = 5256 messages per round on a 73-clique) through delivery and
+// checks that every message arrives, and that inbox order and stats are
+// identical whatever GOMAXPROCS is.
 func TestDeterministicParallelDelivery(t *testing.T) {
-	const n, rounds = 73, 4 // n*(n-1) > deliverParallelMin messages per round; n prime, so shard bounds are uneven
+	const n, rounds = 73, 4
 	run := func() (Stats, [][]string) {
 		e := NewClique(n, Config{Seed: 3})
 		traces := make([][]string, n)
@@ -135,7 +133,7 @@ func TestDeterministicParallelDelivery(t *testing.T) {
 		t.Fatalf("stats differ: %+v vs %+v", st1, st2)
 	}
 	if v, ok := sameTraces(tr1, tr2); !ok {
-		t.Fatalf("trace differs at node %d between shard counts", v)
+		t.Fatalf("trace differs at node %d between GOMAXPROCS settings", v)
 	}
 }
 

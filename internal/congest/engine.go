@@ -24,11 +24,13 @@
 //
 // # Delivery order and arena lifetime
 //
-// Delivery at the barrier is deterministic: each node's inbox receives
-// messages ordered by sender node index first and, per sender, by the
-// order the sender staged them. The order — and Stats — are identical
-// across runs and independent of how many worker goroutines the engine
-// fans delivery across, so seeded executions reproduce bit-identically.
+// Delivery at the barrier is deterministic: the goroutine that completes
+// a round moves every staged message into its receiver's inbox, walking
+// senders in node-index order, so each inbox holds messages ordered by
+// sender node index first and, per sender, by the order the sender staged
+// them. The order — and Stats — are identical across runs and independent
+// of goroutine scheduling and of how many processors the run has, so
+// seeded executions reproduce bit-identically.
 //
 // Message payloads live in per-node word arenas that the engine recycles
 // every other round (double buffering), so the steady-state message path
@@ -49,7 +51,6 @@ package congest
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -141,11 +142,6 @@ type Incoming struct {
 	Words []int64
 }
 
-// deliverParallelMin is the staged-message count below which delivery
-// stays on the barrier goroutine: fanning out workers only pays off once
-// there is real per-round traffic to move.
-const deliverParallelMin = 4096
-
 // Engine simulates one run of a node program over a Topology.
 // An Engine is single-use: construct, Run once, read Stats.
 type Engine struct {
@@ -157,13 +153,6 @@ type Engine struct {
 	failMu sync.Mutex
 	fail   error
 	failed atomic.Bool
-
-	// shards is the delivery fan-out: receiver i belongs to shard
-	// i*shards/len(nodes), and each sender stages per shard, so workers
-	// never contend and per-receiver order stays exact.
-	shards     int
-	shardStats []Stats
-	senders    []int32 // reused scratch: nodes with staged traffic this round
 }
 
 // NewEngine builds a fresh single-run engine over the topology. This is
@@ -173,16 +162,8 @@ type Engine struct {
 func NewEngine(t *Topology, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	n := t.NumNodes()
-	shards := runtime.GOMAXPROCS(0)
-	if shards > 16 {
-		shards = 16
-	}
-	if shards < 1 || n < 2 {
-		shards = 1
-	}
-	e := &Engine{cfg: cfg, topo: t, shards: shards}
+	e := &Engine{cfg: cfg, topo: t}
 	e.nodes = make([]Node, n)
-	e.shardStats = make([]Stats, shards)
 	// One arena per allocation site, shared across nodes via subslicing.
 	totalPorts := 0
 	for i := 0; i < n; i++ {
@@ -192,7 +173,6 @@ func NewEngine(t *Topology, cfg Config) *Engine {
 	for i := range stamps {
 		stamps[i] = -1
 	}
-	outShards := make([][]outMsg, n*shards)
 	root := rng.New(cfg.Seed)
 	off := 0
 	for i := 0; i < n; i++ {
@@ -204,7 +184,6 @@ func NewEngine(t *Topology, cfg Config) *Engine {
 		nd.idx = i
 		nd.rng = root.Fork(uint64(nd.v))
 		nd.sentStamp = stamps[off : off+deg*cfg.Channels]
-		nd.outShards = outShards[i*shards : (i+1)*shards]
 		nd.arenaRound = -1
 		off += deg * cfg.Channels
 	}
@@ -272,8 +251,7 @@ func (e *Engine) setFail(err error) {
 
 // deliver is called by the barrier, with all live nodes parked, once per
 // round. It moves staged messages into receivers' inboxes in the
-// deterministic order (sender node index, then staging order), fanning
-// across shard workers when the round carries enough traffic.
+// deterministic order: sender node index, then staging order.
 func (e *Engine) deliver() {
 	if e.failed.Load() {
 		// The run is already doomed: drop staged traffic and stop
@@ -292,84 +270,18 @@ func (e *Engine) deliver() {
 		e.clearStaged()
 		return
 	}
-	total := 0
-	e.senders = e.senders[:0]
 	for i := range e.nodes {
-		if c := e.nodes[i].outCount; c > 0 {
-			total += c
-			e.nodes[i].outCount = 0
-			e.senders = append(e.senders, int32(i))
-		}
+		e.nodes[i].in = e.nodes[i].in[:0]
 	}
-	if total == 0 {
-		// Idle round: nothing staged, so just empty every inbox.
-		for i := range e.nodes {
-			e.nodes[i].in = e.nodes[i].in[:0]
-		}
-		return
-	}
-	if e.shards == 1 || total < deliverParallelMin {
-		for s := 0; s < e.shards; s++ {
-			e.deliverShard(s)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(e.shards)
-		for s := 0; s < e.shards; s++ {
-			go func() {
-				defer wg.Done()
-				e.deliverShard(s)
-			}()
-		}
-		wg.Wait()
-	}
-	// Merging per-shard counters after the join keeps Stats independent
-	// of scheduling and of the shard/worker count.
-	for s := range e.shardStats {
-		e.stats.Messages += e.shardStats[s].Messages
-		e.stats.Words += e.shardStats[s].Words
-		e.shardStats[s] = Stats{}
-	}
-}
-
-// shardBounds returns the dense node range [lo, hi) owned by shard s:
-// exactly the receivers i with i*shards/n == s, the formula senders use
-// to pick a staging bucket, so every inbox has one owning worker.
-func (e *Engine) shardBounds(s int) (int, int) {
-	n := len(e.nodes)
-	lo := (s*n + e.shards - 1) / e.shards
-	hi := ((s+1)*n + e.shards - 1) / e.shards
-	return lo, hi
-}
-
-// deliverShard moves every message staged for shard s's receivers. Each
-// sender keeps a separate staging list per shard, so scanning the active
-// senders in index order (staging order within each list) reproduces
-// exactly the serial delivery order for every receiver in the shard.
-func (e *Engine) deliverShard(s int) {
-	lo, hi := e.shardBounds(s)
-	for i := lo; i < hi; i++ {
-		nd := &e.nodes[i]
-		nd.inNext = nd.inNext[:0]
-	}
-	st := &e.shardStats[s]
-	for _, i := range e.senders {
+	for i := range e.nodes {
 		sender := &e.nodes[i]
-		buf := sender.outShards[s]
-		if len(buf) == 0 {
-			continue
-		}
-		for _, m := range buf {
+		for _, m := range sender.out {
 			recv := &e.nodes[m.peerNode]
-			recv.inNext = append(recv.inNext, Incoming{Port: int(m.peerPort), Ch: int(m.ch), Words: m.words})
-			st.Messages++
-			st.Words += int64(len(m.words))
+			recv.in = append(recv.in, Incoming{Port: int(m.peerPort), Ch: int(m.ch), Words: m.words})
+			e.stats.Words += int64(len(m.words))
 		}
-		sender.outShards[s] = buf[:0]
-	}
-	for i := lo; i < hi; i++ {
-		nd := &e.nodes[i]
-		nd.in, nd.inNext = nd.inNext, nd.in
+		e.stats.Messages += int64(len(sender.out))
+		sender.out = sender.out[:0]
 	}
 }
 
@@ -378,11 +290,7 @@ func (e *Engine) deliverShard(s int) {
 func (e *Engine) clearStaged() {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		for s := range nd.outShards {
-			nd.outShards[s] = nd.outShards[s][:0]
-		}
-		nd.outCount = 0
+		nd.out = nd.out[:0]
 		nd.in = nd.in[:0]
-		nd.inNext = nd.inNext[:0]
 	}
 }

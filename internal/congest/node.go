@@ -13,12 +13,8 @@ type Node struct {
 	idx  int
 	rng  *rng.RNG
 
-	// outShards[s] stages messages for receivers of delivery shard s, in
-	// staging order; outCount is their total this round.
-	outShards [][]outMsg
-	outCount  int
-	in        []Incoming
-	inNext    []Incoming
+	out       []outMsg   // this round's staged messages, in staging order
+	in        []Incoming // inbox filled by the last delivery
 	round     int
 	sentStamp []int32 // per (channel*port): round of last send, -1 never
 
@@ -85,17 +81,12 @@ func (n *Node) SendOn(ch, port int, words ...int64) {
 	n.sentStamp[slot] = int32(n.round)
 	payload := n.stage(words)
 	pt := n.topo.portAt(n.idx, port)
-	s := 0
-	if n.eng.shards > 1 {
-		s = pt.peerNode * n.eng.shards / len(n.eng.nodes)
-	}
-	n.outShards[s] = append(n.outShards[s], outMsg{
+	n.out = append(n.out, outMsg{
 		peerNode: int32(pt.peerNode),
 		peerPort: int32(pt.peerPort),
 		ch:       int32(ch),
 		words:    payload,
 	})
-	n.outCount++
 }
 
 // TrySendMux stages a message on the first free logical channel of the
@@ -136,42 +127,10 @@ func (n *Node) SendToAll(words ...int64) {
 		n.sentStamp[p] = round
 	}
 	payload := n.stage(words)
-	shards, nn := n.eng.shards, len(n.eng.nodes)
-	if t := n.topo; t.cliqueN > 0 {
-		for p := 0; p < deg; p++ {
-			pt := t.portAt(n.idx, p)
-			s := 0
-			if shards > 1 {
-				s = pt.peerNode * shards / nn
-			}
-			n.outShards[s] = append(n.outShards[s], outMsg{
-				peerNode: int32(pt.peerNode), peerPort: int32(pt.peerPort), words: payload,
-			})
-		}
-	} else {
-		ports := t.ports[t.portOff[n.idx]:t.portOff[n.idx+1]]
-		if shards == 1 {
-			out := n.outShards[0]
-			for p := range ports {
-				out = append(out, outMsg{
-					peerNode: int32(ports[p].peerNode),
-					peerPort: int32(ports[p].peerPort),
-					words:    payload,
-				})
-			}
-			n.outShards[0] = out
-		} else {
-			for p := range ports {
-				s := ports[p].peerNode * shards / nn
-				n.outShards[s] = append(n.outShards[s], outMsg{
-					peerNode: int32(ports[p].peerNode),
-					peerPort: int32(ports[p].peerPort),
-					words:    payload,
-				})
-			}
-		}
+	for p := 0; p < deg; p++ {
+		pt := n.topo.portAt(n.idx, p)
+		n.out = append(n.out, outMsg{peerNode: int32(pt.peerNode), peerPort: int32(pt.peerPort), words: payload})
 	}
-	n.outCount += deg
 }
 
 // stage copies words into the round's arena buffer and returns the
@@ -196,15 +155,6 @@ func (n *Node) Next() []Incoming {
 	n.checkFail()
 	n.bumpRound()
 	return n.in
-}
-
-// Idle advances k rounds without sending (keeps the node aligned with a
-// protocol phase it does not participate in) and discards any messages
-// received meanwhile.
-func (n *Node) Idle(k int) {
-	for i := 0; i < k; i++ {
-		n.Next()
-	}
 }
 
 func (n *Node) bumpRound() {

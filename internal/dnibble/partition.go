@@ -127,19 +127,11 @@ func SparseCut(comm *graph.Sub, view *graph.Sub, phi float64, preset nibble.Pres
 type DistSubroutines struct {
 	// Preset selects constants for both subroutines.
 	Preset nibble.Preset
-	// FullLDD switches the LDD from plain distributed clustering (the
-	// default: the V_D/V_S machinery is only needed for the w.h.p. cut
-	// bound, and costs far more simulated rounds) to the complete
-	// Theorem 4 pipeline of ldd.DistDecompose.
-	FullLDD bool
 }
 
 // LDD implements core.Subroutines.
 func (d DistSubroutines) LDD(view *graph.Sub, beta float64, seed uint64) (*ldd.Result, congest.Stats, error) {
 	pr := ldd.NewParams(view.Members().Len(), beta, lddPreset(d.Preset))
-	if d.FullLDD {
-		return ldd.DistDecompose(view, pr, seed)
-	}
 	return ldd.DistClustering(view, pr, seed)
 }
 

@@ -31,9 +31,6 @@ func VSetOf(n int, vs ...int) *VSet {
 	return s
 }
 
-// Universe returns the universe size n.
-func (s *VSet) Universe() int { return len(s.member) }
-
 // Len returns the number of members.
 func (s *VSet) Len() int { return s.count }
 

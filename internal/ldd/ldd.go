@@ -20,13 +20,6 @@ func Decompose(view *graph.Sub, pr Params, r *rng.RNG) *Result {
 	return cutWithVDVS(view, clusters, vd, vs)
 }
 
-// DecomposeWithClusters applies the V_D/V_S cut rule to a precomputed
-// clustering (used by the distributed pipeline, which obtains the
-// clustering from DistClustering).
-func DecomposeWithClusters(view *graph.Sub, clusters *Result, vd, vs *graph.VSet) *Result {
-	return cutWithVDVS(view, clusters, vd, vs)
-}
-
 func cutWithVDVS(view *graph.Sub, clusters *Result, vd, vs *graph.VSet) *Result {
 	g := view.Base()
 	// Kill inter-cluster edges with an endpoint in VS; then components

@@ -152,9 +152,6 @@ func BuildWithOptions(view *graph.Sub, opt Options) (*Router, error) {
 // Hubs returns the hub vertices (do not modify).
 func (rt *Router) Hubs() []int { return rt.hubs }
 
-// MaxDepth returns the depth bound used for the hub trees.
-func (rt *Router) MaxDepth() int { return rt.maxDepth }
-
 // pickHubs samples hubCount distinct hubs with probability proportional
 // to degree, deterministically in the seed. Hub identity is derived from
 // public randomness (the seed plays the role of a shared hash), so

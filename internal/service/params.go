@@ -108,11 +108,6 @@ type Result struct {
 	DistRetries int `json:"dist_retries,omitempty"`
 }
 
-// AlgorithmNames lists the query endpoints (for docs and errors).
-func AlgorithmNames() []string {
-	return []string{"decompose", "enumerate", "triangle-count", "triangle-count-dist"}
-}
-
 // DecomposeParams configures the expander decomposition. Backend selects
 // the algorithm from core's backend registry; the rest parameterize the
 // selected backend.

@@ -176,6 +176,35 @@ func TestServerGzipUpload(t *testing.T) {
 	}
 }
 
+// TestServerWideVertexIDs: an upload whose two triangles differ only
+// above bit 20 of a vertex id ({0,1,3} and {0,1,2^21+3}) is served the
+// same count by kernel=auto and kernel=rank as by kernel=2d.
+func TestServerWideVertexIDs(t *testing.T) {
+	_, c := startServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	body := "2097156 5\n0 1\n1 2097155\n0 2097155\n1 3\n0 3\n"
+	snap, err := c.RegisterEdgeList(ctx, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.TriangleCount(ctx, snap.ID, CountParams{Kernel: "2d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Triangles != 2 {
+		t.Fatalf("kernel=2d: %d triangles, want 2", want.Triangles)
+	}
+	for _, kernel := range []string{"auto", "rank"} {
+		got, err := c.TriangleCount(ctx, snap.ID, CountParams{Kernel: kernel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Triangles != want.Triangles {
+			t.Errorf("kernel=%s: %d triangles, kernel=2d: %d", kernel, got.Triangles, want.Triangles)
+		}
+	}
+}
+
 // TestServerErrorEnvelope pins the uniform error envelope: every error
 // arrives as {"error":{"code","message","retryable"}} with the right
 // status and code, and the client's APIError unwraps to the sentinel.

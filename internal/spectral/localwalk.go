@@ -125,14 +125,6 @@ func (w *WalkState) Init(v int) {
 // can never refill: callers may stop stepping.
 func (w *WalkState) SupportLen() int { return len(w.support) }
 
-// Mass returns the current mass at v (0 when v is outside the support).
-func (w *WalkState) Mass(v int) float64 {
-	if w.stamp[v] != w.epoch {
-		return 0
-	}
-	return w.val[v]
-}
-
 // Dist materializes the current distribution densely (for oracle
 // comparisons and diagnostics; the hot paths never call it).
 func (w *WalkState) Dist() Dist {

@@ -30,18 +30,6 @@ func MixingTime(view *graph.Sub, src int, eps float64, cap int) int {
 	return cap + 1
 }
 
-// MaxMixingTime returns the maximum MixingTime over the given sources
-// (commonly a sample of members, or all of them for small views).
-func MaxMixingTime(view *graph.Sub, sources []int, eps float64, cap int) int {
-	max := 0
-	for _, s := range sources {
-		if t := MixingTime(view, s, eps, cap); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 func mixed(view *graph.Sub, p Dist, total, eps float64) bool {
 	g := view.Base()
 	ok := true

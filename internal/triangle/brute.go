@@ -18,9 +18,13 @@ type Triangle struct {
 	A, B, C int
 }
 
-// Key packs the triangle for set membership (vertex ids < 2^21).
-func (t Triangle) Key() int64 {
-	return int64(t.A)<<42 | int64(t.B)<<21 | int64(t.C)
+// packed returns the triangle's vertex ids packed 21 bits each into one
+// int64, and false when some id does not fit in 21 bits.
+func (t Triangle) packed() (int64, bool) {
+	if uint(t.A)|uint(t.B)|uint(t.C) >= 1<<21 {
+		return 0, false
+	}
+	return int64(t.A)<<42 | int64(t.B)<<21 | int64(t.C), true
 }
 
 // MakeTriangle sorts three distinct vertices into a Triangle.
@@ -37,9 +41,12 @@ func MakeTriangle(x, y, z int) Triangle {
 	return Triangle{A: x, B: y, C: z}
 }
 
-// Set is a deduplicating triangle collection.
+// Set is a deduplicating triangle collection. A triangle whose vertex ids
+// all fit in 21 bits is keyed by its packed int64, the cheaper map key;
+// any other triangle is keyed by itself in wide.
 type Set struct {
-	m map[int64]Triangle
+	m    map[int64]Triangle
+	wide map[Triangle]struct{}
 }
 
 // NewSet returns an empty set.
@@ -49,14 +56,27 @@ func NewSet() *Set { return &Set{m: make(map[int64]Triangle)} }
 func newSetSized(n int) *Set { return &Set{m: make(map[int64]Triangle, n)} }
 
 // Add inserts a triangle.
-func (s *Set) Add(t Triangle) { s.m[t.Key()] = t }
+func (s *Set) Add(t Triangle) {
+	if k, ok := t.packed(); ok {
+		s.m[k] = t
+		return
+	}
+	if s.wide == nil {
+		s.wide = make(map[Triangle]struct{})
+	}
+	s.wide[t] = struct{}{}
+}
 
 // Len returns the number of distinct triangles.
-func (s *Set) Len() int { return len(s.m) }
+func (s *Set) Len() int { return len(s.m) + len(s.wide) }
 
 // Has reports membership.
 func (s *Set) Has(t Triangle) bool {
-	_, ok := s.m[t.Key()]
+	if k, ok := t.packed(); ok {
+		_, ok = s.m[k]
+		return ok
+	}
+	_, ok := s.wide[t]
 	return ok
 }
 
@@ -67,12 +87,18 @@ func (s *Set) Merge(o *Set) {
 	for k, t := range o.m {
 		s.m[k] = t
 	}
+	for t := range o.wide {
+		s.Add(t)
+	}
 }
 
 // Sorted returns the triangles in lexicographic order.
 func (s *Set) Sorted() []Triangle {
-	out := make([]Triangle, 0, len(s.m))
+	out := make([]Triangle, 0, s.Len())
 	for _, t := range s.m {
+		out = append(out, t)
+	}
+	for t := range s.wide {
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -112,18 +138,26 @@ func (s *Set) Checksum() uint64 {
 		// Commutative combine keeps the digest order-independent.
 		sum += HashWords(uint64(k))
 	}
+	for t := range s.wide {
+		sum += HashWords(uint64(t.A), uint64(t.B), uint64(t.C))
+	}
 	// Mix in the cardinality so the empty set and unlucky cancellations
 	// stay distinguishable.
-	return sum ^ HashWords(uint64(len(s.m)))
+	return sum ^ HashWords(uint64(s.Len()))
 }
 
 // Equal reports whether two sets hold exactly the same triangles.
 func (s *Set) Equal(o *Set) bool {
-	if s.Len() != o.Len() {
+	if len(s.m) != len(o.m) || len(s.wide) != len(o.wide) {
 		return false
 	}
 	for k := range s.m {
 		if _, ok := o.m[k]; !ok {
+			return false
+		}
+	}
+	for t := range s.wide {
+		if _, ok := o.wide[t]; !ok {
 			return false
 		}
 	}

@@ -40,6 +40,51 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
+// TestSetWideVertexIDs: triangles that differ only above bit 20 of a
+// vertex id stay distinct. Packed into 21-bit fields, {0,1,3} and
+// {0,1,2^21+3} share a key, so a Set keyed only that way holds one of
+// them and SetKernel and BruteForce disagree with CountParallel2D.
+func TestSetWideVertexIDs(t *testing.T) {
+	const far = 1<<21 + 3
+	b := graph.NewBuilder(far + 1)
+	for _, e := range [][2]int{{0, 1}, {1, far}, {0, far}, {1, 3}, {0, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	view := graph.WholeGraph(b.Graph())
+	want := CountParallel2D(view, 2)
+	if want != 2 {
+		t.Fatalf("CountParallel2D = %d, want 2", want)
+	}
+	near, wide := Triangle{0, 1, 3}, Triangle{0, 1, far}
+	s := NewSet()
+	s.Add(near)
+	s.Add(wide)
+	s.Add(wide)
+	sets := map[string]*Set{"Set": s, "SetKernel": SetKernel(view, 2, KernelRank), "BruteForce": BruteForce(view)}
+	for name, got := range sets {
+		if got.Len() != want || !got.Has(near) || !got.Has(wide) {
+			t.Errorf("%s: Len = %d, Has(near) = %v, Has(wide) = %v; want %d, true, true",
+				name, got.Len(), got.Has(near), got.Has(wide), want)
+		}
+		if !got.Equal(s) || got.Checksum() != s.Checksum() {
+			t.Errorf("%s: differs from the directly built set", name)
+		}
+	}
+	if sorted := s.Sorted(); len(sorted) != 2 || sorted[0] != near || sorted[1] != wide {
+		t.Fatalf("Sorted = %v", sorted)
+	}
+	merged, only := NewSet(), NewSet()
+	only.Add(near)
+	merged.Merge(only)
+	if merged.Equal(s) || merged.Checksum() == s.Checksum() {
+		t.Fatal("set without the wide triangle matches the set with it")
+	}
+	merged.Merge(s)
+	if !merged.Equal(s) || merged.Checksum() != s.Checksum() {
+		t.Fatal("Merge lost the wide triangle")
+	}
+}
+
 func TestBruteForceKnownCounts(t *testing.T) {
 	cases := []struct {
 		name string
