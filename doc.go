@@ -52,10 +52,16 @@
 // bit-identical to the dense reference walk, and both nibbles return what
 // the dense originals return (pinned by oracle tests). graph.Sub views
 // cache their member lists, alive degrees, and usable adjacency so
-// whole-view algorithms stop re-filtering edges per query, and the
-// independent trials of a ParallelNibble round execute on a worker pool
-// with seed-order merging — deterministic for any GOMAXPROCS. Together
-// these make the sequential Theorem 1 pipeline tens of times faster at
+// whole-view algorithms stop re-filtering edges per query, and a sparse
+// cut's independent walks run on a worker pool. Partition runs the
+// iterations after an empty one speculatively in batches, since an empty
+// iteration leaves the graph unchanged: it draws every start in serial
+// order, merges each iteration's walks in seed order, and at the first
+// peel discards the later walks and rewinds the RNG to the serial loop's
+// state. The deterministic sparse cut runs each iteration's (start,
+// scale) probes in parallel and reduces them in schedule order. Both are
+// bit-identical for any worker count and GOMAXPROCS. Together these make
+// the sequential Theorem 1 pipeline tens of times faster at
 // thousand-vertex scales (see BenchmarkDecomposeSequential).
 //
 // The decomposition and enumeration pipelines exploit the component

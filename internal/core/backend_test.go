@@ -79,6 +79,8 @@ func TestOptionsValidationTyped(t *testing.T) {
 		{"eps -Inf", Options{Eps: math.Inf(-1), K: 2, Preset: nibble.Practical}, ErrBadEps},
 		{"k zero", Options{Eps: 0.4, K: 0, Preset: nibble.Practical}, ErrBadK},
 		{"k negative", Options{Eps: 0.4, K: -3, Preset: nibble.Practical}, ErrBadK},
+		{"k above MaxK", Options{Eps: 0.4, K: 65, Preset: nibble.Practical}, ErrBadK},
+		{"k MaxInt", Options{Eps: 0.4, K: math.MaxInt, Preset: nibble.Practical}, ErrBadK},
 		{"preset unset", Options{Eps: 0.4, K: 2}, ErrBadPreset},
 	}
 	for _, tc := range cases {

@@ -89,8 +89,8 @@ import (
 type Options struct {
 	// Eps is the target inter-cluster edge fraction (0, 1).
 	Eps float64
-	// K is Theorem 1's trade-off parameter (positive; larger K = fewer
-	// rounds, worse phi).
+	// K is Theorem 1's trade-off parameter, in [1, MaxK] (larger K =
+	// fewer rounds, worse phi).
 	K int
 	// Preset selects Paper or Practical constants for both subroutines.
 	Preset nibble.Preset
@@ -106,13 +106,19 @@ type Options struct {
 	Workers int
 }
 
+// MaxK is the largest Options.K accepted. Theorem 1's trade-off runs
+// through n^{2/K}, which is at most 2 for every K >= 48 at the 2^24
+// vertices the service admits, so a larger K buys nothing — while the
+// phi ladder allocates K+1 rungs up front.
+const MaxK = 64
+
 // Typed Options validation errors, so callers can distinguish a bad
 // request from a pipeline fault with errors.Is.
 var (
 	// ErrBadEps reports an Eps outside (0,1), NaN and ±Inf included.
 	ErrBadEps = errors.New("core: eps out of range")
-	// ErrBadK reports a non-positive K.
-	ErrBadK = errors.New("core: k must be positive")
+	// ErrBadK reports a K outside [1, MaxK].
+	ErrBadK = errors.New("core: k out of range")
 	// ErrBadPreset reports an unset Preset.
 	ErrBadPreset = errors.New("core: preset not set")
 )
@@ -125,8 +131,8 @@ func (o Options) validate() error {
 	if !(o.Eps > 0 && o.Eps < 1) {
 		return fmt.Errorf("%w: Eps = %v not in (0,1)", ErrBadEps, o.Eps)
 	}
-	if o.K < 1 {
-		return fmt.Errorf("%w: K = %d", ErrBadK, o.K)
+	if o.K < 1 || o.K > MaxK {
+		return fmt.Errorf("%w: K = %d not in [1,%d]", ErrBadK, o.K, MaxK)
 	}
 	if o.Preset == 0 {
 		return ErrBadPreset

@@ -14,8 +14,8 @@ import (
 type SeqSubroutines struct {
 	// Preset selects the constant family for both subroutines.
 	Preset nibble.Preset
-	// Workers bounds the trial pool each SparseCut's ParallelNibble
-	// rounds fan across (0 = GOMAXPROCS, 1 = inline serial; output
+	// Workers bounds the walk pool of each SparseCut's Partition
+	// (nibble.Params.Workers: 0 = GOMAXPROCS, 1 = inline serial; output
 	// identical either way). Set 1 for a genuinely serial execution end
 	// to end — e.g. the bench matrix's -seq cells. The default 0 is fine
 	// under Decompose's own component pool: nesting pools keeps the
@@ -34,7 +34,7 @@ func (s SeqSubroutines) LDD(view *graph.Sub, beta float64, seed uint64) (*ldd.Re
 
 // SparseCut implements Subroutines with the Theorem 3 re-parameterization
 // of nibble.Partition on the active member set (the same composition as
-// nibble.SparseCut, with the trial pool bounded by s.Workers).
+// nibble.SparseCut, with the walk pool bounded by s.Workers).
 func (s SeqSubroutines) SparseCut(comm *graph.Sub, active *graph.VSet, phi float64, seed uint64) (*nibble.PartitionResult, congest.Stats, error) {
 	view := comm.Restrict(active)
 	pr := nibble.NewParams(view, nibble.PartitionPhi(view, phi, s.Preset), s.Preset)

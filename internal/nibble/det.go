@@ -2,6 +2,7 @@ package nibble
 
 import (
 	"dexpander/internal/graph"
+	"dexpander/internal/par"
 )
 
 // detStarts is the number of deterministic start vertices one
@@ -25,9 +26,12 @@ const detStarts = 8
 // bound stops the loop, so the caller's eps-charging argument holds
 // deterministically, not just w.h.p.
 //
-// The result is a pure function of (view, phi, preset): no RNG, no map
-// iteration, no worker pool. Callers get bit-identical cuts for every
-// process, worker count, and GOMAXPROCS.
+// The result is a pure function of (view, phi, preset): no RNG and no
+// map iteration. Each iteration's probes run on par.Workers(pr.Workers)
+// goroutines — GOMAXPROCS, since NewParams leaves Workers at 0, whatever
+// core.Options.Workers says — and are reduced in schedule order, so
+// callers get bit-identical cuts for every process, worker count, and
+// GOMAXPROCS.
 func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult {
 	phiP := PartitionPhi(view, phi, preset)
 	pr := NewParams(view, phiP, preset)
@@ -51,12 +55,12 @@ func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult 
 			break
 		}
 		union := res.C.Clone()
-		union.AddAll(best.C)
+		union.AddAll(best)
 		if view.Conductance(union) > bound {
 			break
 		}
 		res.C = union
-		w.RemoveAll(best.C)
+		w.RemoveAll(best)
 		if float64(view.Vol(w)) <= 47.0/48.0*totalVol {
 			break
 		}
@@ -70,15 +74,17 @@ func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult 
 
 // detNibble runs the deterministic (start, scale) schedule on the view
 // and returns the greedily best non-empty cut, or nil when every probe
-// comes back empty.
-func detNibble(view *graph.Sub, pr Params) *Result {
+// comes back empty. The probes are listed first and then run on up to
+// par.Workers(pr.Workers) goroutines, each into its own slot in schedule
+// order; a slot keeps only the probe's cut. The reduction walks the
+// slots in schedule order with a total order, so the choice does not
+// depend on the worker count.
+func detNibble(view *graph.Sub, pr Params) *graph.VSet {
 	total := view.TotalVol()
 	if total == 0 || view.Members().Empty() {
 		return nil
 	}
-	var best *Result
-	var bestPhi float64
-	var bestVol int64
+	var probes []walkStart
 	prev := -1
 	for j := 0; j < detStarts; j++ {
 		v := view.VertexAtVolume(total * int64(2*j+1) / int64(2*detStarts))
@@ -87,17 +93,28 @@ func detNibble(view *graph.Sub, pr Params) *Result {
 		}
 		prev = v
 		for b := 1; b <= pr.Ell; b++ {
-			r := Nibble(view, pr, v, b)
-			if r.Empty() {
-				continue
-			}
-			phiC := view.Conductance(r.C)
-			volC := view.Vol(r.C)
-			if best == nil || phiC < bestPhi ||
-				(phiC == bestPhi && (volC > bestVol ||
-					(volC == bestVol && lexLess(r.C, best.C)))) {
-				best, bestPhi, bestVol = r, phiC, volC
-			}
+			probes = append(probes, walkStart{v, b})
+		}
+	}
+	cuts := make([]*graph.VSet, len(probes))
+	par.ForEach(par.Workers(pr.Workers), len(probes), func(i int) {
+		if r := Nibble(view, pr, probes[i].v, probes[i].b); !r.Empty() {
+			cuts[i] = r.C
+		}
+	})
+	var best *graph.VSet
+	var bestPhi float64
+	var bestVol int64
+	for _, c := range cuts {
+		if c == nil {
+			continue
+		}
+		phiC := view.Conductance(c)
+		volC := view.Vol(c)
+		if best == nil || phiC < bestPhi ||
+			(phiC == bestPhi && (volC > bestVol ||
+				(volC == bestVol && lexLess(c, best)))) {
+			best, bestPhi, bestVol = c, phiC, volC
 		}
 	}
 	return best

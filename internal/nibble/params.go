@@ -72,11 +72,13 @@ type Params struct {
 	CCut float64
 	// FailProb is the Partition failure probability p (sets s).
 	FailProb float64
-	// Workers bounds the host goroutines ParallelNibble fans its trials
-	// across (0 = GOMAXPROCS, 1 = inline serial). Callers already running
-	// on a worker pool — core's per-component tasks — set 1 to avoid
-	// nesting a second full-width pool; the output is bit-identical for
-	// every value.
+	// Workers bounds the host goroutines a sparse cut fans its walks
+	// across: ParallelNibble's trials, Partition's speculative iteration
+	// batches and det's probes (0 = GOMAXPROCS, 1 = inline serial). The
+	// output is bit-identical for every value. Callers on a worker pool of
+	// their own may still pass 0 — core's cs19 forwards Options.Workers,
+	// whose default is 0 — and the nested pools just queue surplus
+	// goroutines.
 	Workers int
 }
 

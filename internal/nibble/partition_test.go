@@ -1,6 +1,7 @@
 package nibble
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -192,4 +193,109 @@ func TestPartitionProgressOnRingOfCliques(t *testing.T) {
 	if res.Iterations < 1 {
 		t.Fatal("no iterations recorded")
 	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// serialPartition is Partition as a literal one-iteration-at-a-time
+// loop: a fresh view.Restrict(w) and one inline-serial ParallelNibble per
+// iteration, with the EmptyStop and 47/48 stopping rules. Partition's
+// speculative batches must reproduce it exactly.
+func serialPartition(view *graph.Sub, pr Params, r *rng.RNG) *PartitionResult {
+	pr.Workers = 1
+	res := &PartitionResult{C: graph.NewVSet(view.Base().N())}
+	s := pr.Iterations(view)
+	totalVol := float64(view.TotalVol())
+	w := view.Members().Clone()
+	emptyStreak := 0
+	for i := 1; i <= s; i++ {
+		res.Iterations = i
+		pn := ParallelNibble(view.Restrict(w), pr, r)
+		if pn.C.Empty() {
+			emptyStreak++
+			if pr.EmptyStop > 0 && emptyStreak >= pr.EmptyStop {
+				break
+			}
+			continue
+		}
+		emptyStreak = 0
+		res.C.AddAll(pn.C)
+		w.RemoveAll(pn.C)
+		if float64(view.Vol(w)) <= 47.0/48.0*totalVol {
+			break
+		}
+	}
+	if !res.C.Empty() {
+		res.Conductance = view.Conductance(res.C)
+		res.Balance = view.Balance(res.C)
+	}
+	return res
+}
+
+// TestPartitionMatchesSerialLoop pins Partition's speculative iteration
+// batches to the serial loop: the cut, the iteration count, the cut's
+// conductance and balance, and the caller's RNG state after the call
+// must all be equal for every worker count, instance cap and iteration
+// cap. Under -race only seed 1 runs: the race detector needs the
+// concurrent batches, not the whole matrix.
+func TestPartitionMatchesSerialLoop(t *testing.T) {
+	seeds := uint64(6)
+	if raceEnabled {
+		seeds = 1
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"complete24", gen.Complete(24)},
+		{"dumbbell12", gen.Dumbbell(12, 1, 3)},
+		{"ring8x6", gen.RingOfCliques(8, 6, 2)},
+		{"ring12x5", gen.RingOfCliques(12, 5, 1)},
+		{"planted6x10", gen.PlantedPartition(6, 10, 0.5, 0.02, 4)},
+	}
+	nonEmpty := 0
+	for _, tc := range graphs {
+		view := graph.WholeGraph(tc.g)
+		for _, kcap := range []int{1, 3} {
+			for _, scap := range []int{0, 5} {
+				pr := PracticalParams(view, 0.02)
+				pr.KCap = kcap
+				if scap > 0 {
+					pr.SCap = scap
+				}
+				for seed := uint64(1); seed <= seeds; seed++ {
+					wr := rng.New(seed)
+					want := serialPartition(view, pr, wr)
+					wantNext := wr.Uint64()
+					if !want.Empty() {
+						nonEmpty++
+					}
+					for _, workers := range []int{1, 2, 3, 8} {
+						pw := pr
+						pw.Workers = workers
+						gr := rng.New(seed)
+						got := Partition(view, pw, gr)
+						where := fmt.Sprintf("%s kcap=%d scap=%d seed=%d workers=%d", tc.name, kcap, scap, seed, workers)
+						if !got.C.Equal(want.C) || got.Iterations != want.Iterations {
+							t.Fatalf("%s: cut %v in %d iterations, serial loop %v in %d",
+								where, got.C.Members(), got.Iterations, want.C.Members(), want.Iterations)
+						}
+						if got.Conductance != want.Conductance || got.Balance != want.Balance {
+							t.Fatalf("%s: (phi, bal) = (%v, %v), serial loop (%v, %v)",
+								where, got.Conductance, got.Balance, want.Conductance, want.Balance)
+						}
+						if next := gr.Uint64(); next != wantNext {
+							t.Fatalf("%s: caller's next draw %#x, serial loop %#x", where, next, wantNext)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The rewind at a peel is only exercised by runs that find a cut.
+	if nonEmpty < 3*int(seeds) {
+		t.Fatalf("only %d non-empty serial runs; the peel path is barely covered", nonEmpty)
+	}
+	t.Logf("%d non-empty serial runs", nonEmpty)
 }

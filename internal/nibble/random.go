@@ -107,22 +107,38 @@ func (sc *overlapScratch) release() {
 // union prefix merge in seed order. The output is bit-identical to the
 // serial loop for every worker count.
 func ParallelNibble(view *graph.Sub, pr Params, r *rng.RNG) *ParallelResult {
-	k := pr.InstanceCount(view)
-	res := &ParallelResult{C: graph.NewVSet(view.Base().N()), Instances: k}
-	type start struct{ v, b int }
-	starts := make([]start, k)
-	for i := range starts {
-		starts[i].v, starts[i].b = SampleStart(view, pr, r)
+	starts := drawStarts(nil, view, pr, pr.InstanceCount(view), r)
+	return mergeRound(view, pr, runWalks(view, pr, starts, par.Workers(pr.Workers)))
+}
+
+// walkStart is one RandomNibble's (start vertex, scale) pair.
+type walkStart struct{ v, b int }
+
+// drawStarts appends k (start, scale) pairs drawn from r to dst: the
+// draws of one ParallelNibble round, in seed order.
+func drawStarts(dst []walkStart, view *graph.Sub, pr Params, k int, r *rng.RNG) []walkStart {
+	for range k {
+		v, b := SampleStart(view, pr, r)
+		dst = append(dst, walkStart{v, b})
 	}
-	results := make([]*Result, k)
-	workers := par.Workers(pr.Workers)
-	if workers > 1 && k > 1 {
-		view.UsableNeighbors(starts[0].v) // build the shared view cache once, up front
-	}
-	par.ForEach(workers, k, func(i int) {
+	return dst
+}
+
+// runWalks runs ApproximateNibble from every start on up to workers
+// goroutines, each walk into its own slot. The walks never touch an RNG,
+// so the slots do not depend on the worker count.
+func runWalks(view *graph.Sub, pr Params, starts []walkStart, workers int) []*Result {
+	results := make([]*Result, len(starts))
+	par.ForEach(workers, len(starts), func(i int) {
 		results[i] = ApproximateNibble(view, pr, starts[i].v, starts[i].b)
 	})
-	// Seed-order merge: identical to accumulating inside a serial loop.
+	return results
+}
+
+// mergeRound is ParallelNibble's seed-order merge of one round's walk
+// results: identical to accumulating inside a serial loop.
+func mergeRound(view *graph.Sub, pr Params, results []*Result) *ParallelResult {
+	res := &ParallelResult{C: graph.NewVSet(view.Base().N()), Instances: len(results)}
 	overlap := acquireOverlapScratch(view.Base().M())
 	defer overlap.release()
 	for _, one := range results {

@@ -1,6 +1,6 @@
 // Package par is the deterministic fan-out helper behind the host-side
 // component-parallel pipelines (core.Decompose's phase tasks,
-// triangle.Enumerate's per-component loop, nibble's trial pool). It only
+// triangle.Enumerate's per-component loop, nibble's walk pools). It only
 // schedules: callers keep determinism by drawing every seed before
 // dispatch and merging results by task index afterwards, so the worker
 // count never influences outputs — only wall time. Cancellation reaches

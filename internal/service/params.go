@@ -115,7 +115,8 @@ type DecomposeParams struct {
 	// Eps is the decomposition's target inter-cluster edge fraction
 	// (default 0.4, matching the bench matrix cells).
 	Eps float64 `json:"eps,omitempty"`
-	// K is Theorem 1's trade-off parameter (default 2).
+	// K is Theorem 1's trade-off parameter, in [1, core.MaxK]
+	// (default 2).
 	K int `json:"k,omitempty"`
 	// Seed drives the computation's randomness (default 1, the bench
 	// matrix seed). The det backend ignores it by construction.
@@ -157,8 +158,8 @@ func (p DecomposeParams) validate() error {
 	if !(p.Eps > 0 && p.Eps < 1) {
 		return fmt.Errorf("service: eps = %v out of (0,1)", p.Eps)
 	}
-	if p.K < 1 {
-		return fmt.Errorf("service: k = %d must be positive", p.K)
+	if p.K < 1 || p.K > core.MaxK {
+		return fmt.Errorf("service: %w: k = %d not in [1,%d]", core.ErrBadK, p.K, core.MaxK)
 	}
 	if p.Backend != "auto" {
 		if _, err := core.LookupBackend(p.Backend); err != nil {

@@ -266,6 +266,48 @@ func TestServerErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestServerHugeKRejected: a decompose request whose k overflows the
+// phi ladder's allocation is a 400, and the daemon keeps serving. Before
+// k was bounded by core.MaxK this body panicked a service worker and took
+// the whole process down.
+func TestServerHugeKRejected(t *testing.T) {
+	_, c := startServer(t, Config{Workers: 1})
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	status, body := post("/v1/graphs", `{"spec":{"family":"dumbbell","params":{"size":6}}}`)
+	var snap Snapshot
+	if err := json.Unmarshal(body, &snap); status != http.StatusCreated || err != nil {
+		t.Fatalf("register: %d %s (%v)", status, body, err)
+	}
+	status, body = post("/v1/graphs/"+snap.ID+"/decompose", `{"k": 9223372036854775807}`)
+	var envelope errorResponse
+	if err := json.Unmarshal(body, &envelope); status != http.StatusBadRequest || err != nil || envelope.Error.Code != CodeBadRequest {
+		t.Fatalf("k = MaxInt64: %d %s", status, body)
+	}
+	resp, err := http.Get(c.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected request: %d", resp.StatusCode)
+	}
+	if status, body = post("/v1/graphs/"+snap.ID+"/decompose", `{"k": 2}`); status != http.StatusOK {
+		t.Fatalf("k = 2 after the rejected request: %d %s", status, body)
+	}
+}
+
 // TestServerBusyMapsTo503 pins the backpressure contract through the
 // HTTP layer: queue-full rejections surface as 503 + Retry-After with
 // code "busy" and the retryable flag, and the client decodes them into

@@ -58,7 +58,7 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Subs == nil {
 		// Forward the worker bound so Workers=1 is genuinely serial all
-		// the way down to the nibble trial pool.
+		// the way down to the nibble walk pool.
 		o.Subs = core.SeqSubroutines{Preset: o.Preset, Workers: o.Workers}
 	}
 	if o.MaxRecursion == 0 {
