@@ -58,7 +58,7 @@ func run() error {
 		rate       = flag.Float64("rate", 0, "per-tenant request rate limit in req/s (0 = off)")
 		burst      = flag.Float64("burst", 0, "rate-limit burst depth (0 = max(2*rate, 1))")
 		peers      = flag.String("peers", "", "comma-separated replica base URLs the count-dist coordinator fans block triples across (empty = local fallback)")
-		distWindow = flag.Int("dist-window", 0, "in-flight triples per peer for count-dist (0 = 4)")
+		distWindow = flag.Int("dist-window", 0, "in-flight count requests per peer for count-dist, each a batch of triples (0 = 4)")
 		maxFrag    = flag.Int64("max-fragment-bytes", 0, "replica fragment cache byte bound (0 = 256 MiB)")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error (any case)")
 		slowMS     = flag.Int("slow-query-ms", 1000, "queries at or above this wall time log at warn with slow=true (0 = off)")
@@ -452,7 +452,8 @@ func runSmokeDist(base string) error {
 		res.DistTriples, res.DistPeers, res.DistRetries)
 
 	// One trace out of the whole job: coordinator spans plus a
-	// replica.count span per triple, tagged with the peer that ran it.
+	// replica.count span per count request, tagged with the peer that
+	// ran it.
 	if res.DistPeers > 0 {
 		tr, err := c.Trace(ctx, c.RequestID)
 		if err != nil {

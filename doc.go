@@ -28,8 +28,14 @@
 // path (triangle.CountParallel2D, after Tom & Karypis) tiles the rank
 // space into forward-volume-balanced blocks whose (i, j, k) triples
 // run as independent internal/par tasks — one task body, shared with
-// the multi-node count's replicas. Both are bit-identical to the
-// sequential BruteForce oracle for every worker count; the bench
+// the multi-node count's replicas. That task is the rank kernel's loop
+// restricted to one triple: it skips a row of block i in O(1) unless
+// its forward list can hold a middle in j and an apex in k, marks the
+// row's candidates in k once, and probes each middle's forward list
+// against the marks (cut to k when long, galloped past gallopRatio
+// skew). A multi-node job sends each replica its share as at most
+// DistWindow batched count requests. Both kernels are bit-identical to
+// the sequential BruteForce oracle for every worker count; the bench
 // baseline's enumerate-rank checksums, first recorded beside the
 // retired merge kernel's identical ones, re-prove that on every CI
 // run. Kernels are selectable per request via the service's "kernel"

@@ -230,38 +230,26 @@ func (c *Client) PutFragment(ctx context.Context, id string, p int, lo, hi int32
 	return c.do(ctx, http.MethodPut, path, "application/octet-stream", bytes.NewReader(data), nil)
 }
 
-// DistCount asks the server to count one block triple from its resident
-// fragments. Fleet-internal; a missing fragment reports
-// ErrFragmentMissing (push it with PutFragment and retry).
-func (c *Client) DistCount(ctx context.Context, id string, tl triangle.Tiling, t triangle.BlockTriple) (int, error) {
-	body, err := jsonBody(distCountRequest{Snapshot: id, Tiling: tl, Triple: t})
+// DistCount asks the server to count a batch of block triples from its
+// resident fragments and returns one count per triple, in order.
+// Fleet-internal; a missing fragment reports ErrFragmentMissing (push it
+// with PutFragment and retry). A non-nil trace makes the server run the
+// batch under a span of that trace, parented at trace.Parent, and return
+// its spans for the caller to merge — which is how one dist job becomes
+// a single cross-replica trace; with a nil trace the spans are nil.
+func (c *Client) DistCount(ctx context.Context, id string, tl triangle.Tiling, triples []triangle.BlockTriple, trace *TraceRef) ([]int, []obs.Span, error) {
+	body, err := jsonBody(distCountRequest{Snapshot: id, Tiling: tl, Triples: triples, Trace: trace})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	var res distCountResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/dist/count", "application/json", body, &res); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return res.Count, nil
-}
-
-// DistCountTraced is DistCount carrying a trace reference: the replica
-// runs the count under a span of trace traceID parented at parent and
-// returns its spans for the coordinator to merge, which is how one
-// dist job becomes a single cross-replica trace.
-func (c *Client) DistCountTraced(ctx context.Context, id string, tl triangle.Tiling, t triangle.BlockTriple, traceID string, parent uint64) (int, []obs.Span, error) {
-	body, err := jsonBody(distCountRequest{
-		Snapshot: id, Tiling: tl, Triple: t,
-		Trace: &traceRef{ID: traceID, Parent: parent},
-	})
-	if err != nil {
-		return 0, nil, err
+	if len(res.Counts) != len(triples) {
+		return nil, nil, fmt.Errorf("service: dist count answered %d counts for %d triples", len(res.Counts), len(triples))
 	}
-	var res distCountResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/dist/count", "application/json", body, &res); err != nil {
-		return 0, nil, err
-	}
-	return res.Count, res.Spans, nil
+	return res.Counts, res.Spans, nil
 }
 
 // Trace fetches one trace from the server's debug endpoint.

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +39,7 @@ type fragKey struct {
 }
 
 // fragEntry is one resident fragment. Fragments are immutable after
-// insertion, so DistCountTriple may read frag outside s.mu once looked
+// insertion, so DistCountTriples may read frag outside s.mu once looked
 // up — eviction only unlinks the entry, it never mutates the arrays.
 type fragEntry struct {
 	frag     *triangle.Fragment
@@ -140,31 +142,84 @@ func checkRankSpace(ranks int) error {
 	return nil
 }
 
-// DistCountTriple executes one block triple against resident fragments:
-// the replica half of the distributed count. Both row-block fragments
-// must already be resident under (snapID, tl.P, block range) — a miss
-// returns ErrFragmentMissing naming the absent block so the coordinator
-// re-pushes and retries. Each resident lookup counts as one FragmentHit;
-// together with FragmentStores this proves each key is transferred at
-// most once per replica while resident.
-func (s *Service) DistCountTriple(snapID string, tl triangle.Tiling, t triangle.BlockTriple) (int, error) {
+// DistCountTriples executes a batch of block triples against resident
+// fragments: the replica half of the distributed count. It returns one
+// count per triple, in order. Every row-block fragment the batch reads
+// must already be resident under (snapID, tl.P, block range), and all of
+// them are looked up before anything is counted: a miss returns
+// ErrFragmentMissing naming the lowest absent block, so the coordinator
+// re-pushes and retries. Once ctx is done no further triple starts and
+// ctx's error is returned. When ctx carries a span, each triple is
+// counted under a "triangle.triple" child of it (bi, bj, bk, count), and
+// the finished children are returned for the caller to ship with its
+// own span.
+func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triangle.Tiling, triples []triangle.BlockTriple) ([]int, []obs.Span, error) {
 	if err := checkRankSpace(tl.Ranks); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	if err := tl.Validate(); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	if t.I < 0 || t.I > t.J || t.J > t.K || t.K >= tl.P {
-		return 0, fmt.Errorf("service: block triple (%d,%d,%d) outside %d-grid", t.I, t.J, t.K, tl.P)
+	if limit := tl.P * (tl.P + 1) * (tl.P + 2) / 6; len(triples) > limit {
+		return nil, nil, fmt.Errorf("service: batch of %d triples exceeds the %d of a %d-grid", len(triples), limit, tl.P)
 	}
-	bi, bj := t.Blocks()
+	for _, t := range triples {
+		if t.I < 0 || t.I > t.J || t.J > t.K || t.K >= tl.P {
+			return nil, nil, fmt.Errorf("service: block triple (%d,%d,%d) outside %d-grid", t.I, t.J, t.K, tl.P)
+		}
+	}
+	frags, err := s.residentFragments(snapID, tl, triples)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp := obs.SpanFromContext(ctx)
+	counts := make([]int, len(triples))
+	var spans []obs.Span
+	for i, t := range triples {
+		if ctx.Err() != nil {
+			return nil, nil, ctxError(ctx)
+		}
+		child := sp.Child("triangle.triple")
+		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
+		n, err := triangle.CountFragments(tl, t, frags[t.I], frags[t.J])
+		if err != nil {
+			return nil, nil, err
+		}
+		counts[i] = n
+		child.AttrInt("count", n).End()
+		if child != nil {
+			spans = append(spans, child.Snapshot())
+		}
+	}
 	s.mu.Lock()
+	s.stats.DistTriples += uint64(len(triples))
+	s.mu.Unlock()
+	return counts, spans, nil
+}
+
+// residentFragments returns, indexed by block, the resident fragment of
+// every row block the triples read, all looked up in one critical
+// section, or reports the lowest absent block as ErrFragmentMissing.
+// FragmentHits counts one per block of a batch found fully resident;
+// together with FragmentStores it proves each key is transferred at
+// most once per replica while resident.
+func (s *Service) residentFragments(snapID string, tl triangle.Tiling, triples []triangle.BlockTriple) ([]*triangle.Fragment, error) {
+	need := make([]bool, tl.P)
+	for _, t := range triples {
+		need[t.I], need[t.J] = true, true
+	}
+	frags := make([]*triangle.Fragment, tl.P)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	s.fragTick++
-	lookup := func(b int) (*triangle.Fragment, error) {
+	hits := 0
+	for b, ok := range need {
+		if !ok {
+			continue
+		}
 		lo, hi := tl.Block(b)
 		e, ok := s.frags[fragKey{fingerprint: snapID, p: tl.P, lo: lo, hi: hi}]
 		if !ok {
@@ -172,36 +227,11 @@ func (s *Service) DistCountTriple(snapID string, tl triangle.Tiling, t triangle.
 				ErrFragmentMissing, b, lo, hi, snapID, tl.P)
 		}
 		e.lastUsed = s.fragTick
-		s.stats.FragmentHits++
-		return e.frag, nil
+		frags[b] = e.frag
+		hits++
 	}
-	fi, err := lookup(bi)
-	if err == nil && bj != bi {
-		var fj *triangle.Fragment
-		if fj, err = lookup(bj); err == nil {
-			s.mu.Unlock()
-			n, cerr := triangle.CountFragments(tl, t, fi, fj)
-			s.bumpDistTriples(cerr)
-			return n, cerr
-		}
-	}
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.mu.Unlock()
-	n, cerr := triangle.CountFragments(tl, t, fi, fi)
-	s.bumpDistTriples(cerr)
-	return n, cerr
-}
-
-func (s *Service) bumpDistTriples(err error) {
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	s.stats.DistTriples++
-	s.mu.Unlock()
+	s.stats.FragmentHits += uint64(hits)
+	return frags, nil
 }
 
 // distPeer is the coordinator's per-peer state for one job.
@@ -219,17 +249,12 @@ func (dp *distPeer) isDead() bool {
 	return dp.dead
 }
 
-func (dp *distPeer) markDead() {
-	dp.mu.Lock()
-	dp.dead = true
-	dp.mu.Unlock()
-}
-
 // distJob is the coordinator's state for one distributed count.
 type distJob struct {
-	snapID string
-	plan   *triangle.DistPlan
-	peers  []*distPeer
+	snapID  string
+	plan    *triangle.DistPlan
+	triples []triangle.BlockTriple // plan.Tiling.Triples(), in task order
+	peers   []*distPeer
 
 	// svc is the owning coordinator, for per-peer stats and the tracer;
 	// span is the job's "dist" span (nil when the request is untraced).
@@ -240,11 +265,21 @@ type distJob struct {
 	enc   map[int][]byte // block -> encoded fragment, rendered once per job
 }
 
-// peerFailed marks the peer dead for the rest of the job and accounts
-// the failure to its per-peer stats section.
-func (j *distJob) peerFailed(dp *distPeer) {
-	dp.markDead()
-	j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Failures++ })
+// peerFailed marks the peer dead for the rest of the job and, the first
+// time it does so in the job, accounts one failure to its per-peer stats
+// section — unless the job's own context is done, in which case the
+// error was the caller giving up, not the peer failing.
+func (j *distJob) peerFailed(ctx context.Context, dp *distPeer) {
+	if ctx.Err() != nil {
+		return
+	}
+	dp.mu.Lock()
+	first := !dp.dead
+	dp.dead = true
+	dp.mu.Unlock()
+	if first {
+		j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Failures++ })
+	}
 }
 
 // encoded returns block b's wire bytes, encoding at most once per job no
@@ -261,8 +296,8 @@ func (j *distJob) encoded(b int) []byte {
 }
 
 // ensureFragment pushes block b to the peer unless this job already
-// confirmed it resident there. The per-peer lock makes concurrent window
-// workers agree on one push per (peer, block) — the at-most-once
+// confirmed it resident there. The per-peer lock makes concurrent
+// batches agree on one push per (peer, block) — the at-most-once
 // transfer the replica's StoreFragment counter then witnesses.
 func (j *distJob) ensureFragment(ctx context.Context, dp *distPeer, b int) error {
 	dp.mu.Lock()
@@ -291,73 +326,87 @@ func (j *distJob) ensureFragment(ctx context.Context, dp *distPeer, b int) error
 }
 
 // forget drops the job's residency knowledge of block b on the peer (the
-// replica reported it missing — e.g. evicted between push and count).
+// replica reported a block missing — e.g. evicted between push and
+// count).
 func (dp *distPeer) forget(b int) {
 	dp.mu.Lock()
 	delete(dp.pushed, b)
 	dp.mu.Unlock()
 }
 
-// countOn runs one triple on one peer: ensure its two row-block
-// fragments are resident, then ask for the count. A fragment_missing
-// answer re-pushes and retries once; a transport error marks the peer
-// dead so queued work fails over immediately instead of timing out
-// triple by triple.
-func (j *distJob) countOn(ctx context.Context, dp *distPeer, t triangle.BlockTriple) (n int, err error) {
+// countBatch runs a batch of triples (indices into j.triples, in task
+// order) on one peer: push every row-block fragment the batch needs
+// that the peer does not hold yet, then ask for all the counts in one
+// request. A fragment_missing answer re-pushes and retries once; a
+// transport error marks the peer dead so its queued work fails over
+// immediately instead of timing out batch by batch.
+func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (counts []int, err error) {
+	triples := make([]triangle.BlockTriple, len(batch))
+	var blocks []int
+	for i, ti := range batch {
+		t := j.triples[ti]
+		triples[i] = t
+		blocks = append(blocks, t.I, t.J)
+	}
+	slices.Sort(blocks)
+	blocks = slices.Compact(blocks)
+
 	csp := j.span.Child("dist.count")
-	csp.Attr("peer", dp.client.Base)
-	csp.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
+	csp.Attr("peer", dp.client.Base).AttrInt("triples", len(batch))
 	defer func() {
 		if err != nil {
 			csp.Attr("outcome", "error")
 		} else {
-			csp.AttrInt("count", n)
+			total := 0
+			for _, n := range counts {
+				total += n
+			}
+			csp.AttrInt("count", total)
 		}
 		csp.End()
 	}()
-	bi, bj := t.Blocks()
 	for attempt := 0; ; attempt++ {
-		if err := j.ensureFragment(ctx, dp, bi); err != nil {
-			j.peerFailed(dp)
-			return 0, err
-		}
-		if bj != bi {
-			if err := j.ensureFragment(ctx, dp, bj); err != nil {
-				j.peerFailed(dp)
-				return 0, err
+		for _, b := range blocks {
+			if err = j.ensureFragment(ctx, dp, b); err != nil {
+				j.peerFailed(ctx, dp)
+				return nil, err
 			}
 		}
-		n, err := j.distCountRemote(ctx, dp, t, csp)
-		if err == nil {
-			j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Triples++ })
-			return n, nil
+		if counts, err = j.distCountRemote(ctx, dp, triples, csp); err == nil {
+			j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Triples += uint64(len(batch)) })
+			return counts, nil
 		}
-		if apiErr, ok := err.(*APIError); ok && apiErr.Code == CodeFragmentMissing && attempt == 0 {
-			dp.forget(bi)
-			dp.forget(bj)
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Code == CodeFragmentMissing && attempt == 0 {
+			for _, b := range blocks {
+				dp.forget(b)
+			}
 			continue
 		}
-		if _, ok := err.(*APIError); !ok {
-			// Transport-level failure (connection refused, reset, ctx
-			// cancel): assume the peer is gone for the rest of the job.
-			j.peerFailed(dp)
+		if apiErr == nil {
+			// Transport-level failure (connection refused or reset, a
+			// malformed answer): assume the peer is gone for the rest of
+			// the job.
+			j.peerFailed(ctx, dp)
 		}
-		return 0, err
+		return nil, err
 	}
 }
 
-// distCountRemote asks the peer for one triple's count. When the job is
-// traced, the request carries the trace reference so the replica opens
-// its own span and ships it back; the coordinator tags returned spans
-// with the peer's base URL and merges them into the local ring — that
-// merge is what makes one dist job a single cross-replica trace.
-func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, t triangle.BlockTriple, csp *obs.Span) (int, error) {
-	if csp == nil {
-		return dp.client.DistCount(ctx, j.snapID, j.plan.Tiling, t)
+// distCountRemote sends one count request for the batch. When the job
+// is traced, the request carries the trace reference so the replica
+// runs the batch under its own span and ships its spans back; the
+// coordinator tags them with the peer's base URL and merges them into
+// the local ring — that merge is what makes one dist job a single
+// cross-replica trace.
+func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, triples []triangle.BlockTriple, csp *obs.Span) ([]int, error) {
+	var ref *TraceRef
+	if csp != nil {
+		ref = &TraceRef{ID: csp.TraceID, Parent: csp.ID}
 	}
-	n, spans, err := dp.client.DistCountTraced(ctx, j.snapID, j.plan.Tiling, t, csp.TraceID, csp.ID)
+	counts, spans, err := dp.client.DistCount(ctx, j.snapID, j.plan.Tiling, triples, ref)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if csp.Sampled() {
 		for _, rs := range spans {
@@ -368,14 +417,15 @@ func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, t triangle.
 			j.svc.cfg.Tracer.Record(rs)
 		}
 	}
-	return n, nil
+	return counts, nil
 }
 
 // distCount is the coordinator: tile the view, schedule the block
 // triples across the fleet by a deterministic volume-balanced (greedy
-// LPT) assignment, run each peer's share through a bounded in-flight
-// window, fail triples over to the other replicas, and count the last
-// resort locally. Called from DistCountParams.run with len(peers) > 0.
+// LPT) assignment, split each peer's share into at most DistWindow
+// cost-balanced batches of one count request each, fail triples over to
+// the other replicas, and count the last resort locally. Called from
+// DistCountParams.run with len(peers) > 0.
 func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, grid int) (res *Result, err error) {
 	start := time.Now()
 	peers := s.cfg.Peers
@@ -399,7 +449,8 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 
 	// Deterministic volume-balanced schedule: triples in descending cost
 	// order (ties by task order) onto the least-loaded peer (ties by peer
-	// index). Deterministic in (snapshot, grid, peer list) alone.
+	// index), then each peer's share the same way onto its window's
+	// batches. Deterministic in (snapshot, grid, peer list, window).
 	order := make([]int, len(triples))
 	for i := range order {
 		order[i] = i
@@ -410,31 +461,25 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 	}
 	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
 	home := make([]int, len(triples))
-	assign := make([][]int, len(peers))
-	load := make([]int64, len(peers))
-	for _, ti := range order {
-		pick := 0
-		for pi := 1; pi < len(peers); pi++ {
-			if load[pi] < load[pick] {
-				pick = pi
-			}
+	assign := lptSplit(order, costs, len(peers))
+	for pi, share := range assign {
+		for _, ti := range share {
+			home[ti] = pi
 		}
-		home[ti] = pick
-		assign[pick] = append(assign[pick], ti)
-		load[pick] += costs[ti]
 	}
 
 	job := &distJob{
-		snapID: snapshotID(fp),
-		plan:   plan,
-		peers:  make([]*distPeer, len(peers)),
-		svc:    s,
-		span:   dsp,
-		enc:    make(map[int][]byte),
+		snapID:  snapshotID(fp),
+		plan:    plan,
+		triples: triples,
+		peers:   make([]*distPeer, len(peers)),
+		svc:     s,
+		span:    dsp,
+		enc:     make(map[int][]byte),
 	}
 	for pi, base := range peers {
 		job.peers[pi] = &distPeer{
-			client: &Client{Base: base},
+			client: &Client{Base: base, HTTP: s.peerHTTP},
 			pushed: make(map[int]bool),
 		}
 	}
@@ -443,73 +488,69 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 	var mu sync.Mutex
 	var failed []int
 	served := make([]bool, len(peers))
+	// run counts one batch on peer pi, storing its counts or queueing
+	// its triples for failover.
+	run := func(pi int, batch []int) {
+		dp := job.peers[pi]
+		var got []int
+		ok := !dp.isDead()
+		if ok {
+			var err error
+			got, err = job.countBatch(ctx, dp, batch)
+			ok = err == nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok {
+			failed = append(failed, batch...)
+			return
+		}
+		for i, ti := range batch {
+			counts[ti] = got[i]
+		}
+		served[pi] = true
+	}
 	var wg sync.WaitGroup
-	for pi := range peers {
-		if len(assign[pi]) == 0 {
-			continue
-		}
-		queue := make(chan int, len(assign[pi]))
-		for _, ti := range assign[pi] {
-			queue <- ti
-		}
-		close(queue)
-		workers := min(window, len(assign[pi]))
-		for w := 0; w < workers; w++ {
+	for pi, share := range assign {
+		for _, batch := range lptSplit(share, costs, window) {
+			if len(batch) == 0 {
+				continue
+			}
+			slices.Sort(batch)
 			wg.Add(1)
-			go func(pi int) {
+			go func() {
 				defer wg.Done()
-				dp := job.peers[pi]
-				for ti := range queue {
-					if dp.isDead() {
-						mu.Lock()
-						failed = append(failed, ti)
-						mu.Unlock()
-						continue
-					}
-					n, err := job.countOn(ctx, dp, triples[ti])
-					if err != nil {
-						mu.Lock()
-						failed = append(failed, ti)
-						mu.Unlock()
-						continue
-					}
-					counts[ti] = n
-					mu.Lock()
-					served[pi] = true
-					mu.Unlock()
-				}
-			}(pi)
+				run(pi, batch)
+			}()
 		}
 	}
 	wg.Wait()
 
-	// Failover pass, sequential and in task order: each failed triple
-	// tries the other live replicas starting after its home peer, then
-	// falls back to the coordinator's own CSR — the count is identical
-	// wherever it runs, so failover never perturbs the total.
-	sort.Ints(failed)
+	// Failover rounds, in task order: round off sends each failed
+	// triple to the peer off places after its home, one batch per live
+	// target; what no replica served falls back to the coordinator's own
+	// CSR. Per-triple counts are identical wherever they run, so failover
+	// never perturbs the total.
 	retries := len(failed)
+	for off := 1; off <= len(peers) && len(failed) > 0; off++ {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		slices.Sort(failed)
+		targets := make([][]int, len(peers))
+		for _, ti := range failed {
+			pi := (home[ti] + off) % len(peers)
+			targets[pi] = append(targets[pi], ti)
+		}
+		failed = nil
+		for pi, batch := range targets {
+			if len(batch) > 0 {
+				run(pi, batch)
+			}
+		}
+	}
 	for _, ti := range failed {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		done := false
-		for off := 1; off <= len(peers) && !done; off++ {
-			dp := job.peers[(home[ti]+off)%len(peers)]
-			if dp.isDead() {
-				continue
-			}
-			if n, err := job.countOn(ctx, dp, triples[ti]); err == nil {
-				counts[ti] = n
-				mu.Lock()
-				served[(home[ti]+off)%len(peers)] = true
-				mu.Unlock()
-				done = true
-			}
-		}
-		if !done {
-			counts[ti] = plan.CountTriple(triples[ti])
-		}
+		counts[ti] = plan.CountTriple(triples[ti])
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -533,4 +574,23 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 		DistTriples: len(triples),
 		DistRetries: retries,
 	}, nil
+}
+
+// lptSplit deals items (already in descending cost order) onto k bins,
+// each onto the least-loaded bin so far (ties by bin index): the greedy
+// longest-processing-time schedule. Bins left empty stay in place.
+func lptSplit(items []int, costs []int64, k int) [][]int {
+	bins := make([][]int, k)
+	load := make([]int64, k)
+	for _, it := range items {
+		pick := 0
+		for b := 1; b < k; b++ {
+			if load[b] < load[pick] {
+				pick = b
+			}
+		}
+		bins[pick] = append(bins[pick], it)
+		load[pick] += costs[it]
+	}
+	return bins
 }

@@ -3,11 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
@@ -49,17 +56,27 @@ func (fc *fragPutCounter) maxPuts() int {
 // startReplicas boots n loopback dexpanderd replicas with PUT counters.
 func startReplicas(t *testing.T, n int) (bases []string, svcs []*Service, counters []*fragPutCounter) {
 	t.Helper()
+	counters = make([]*fragPutCounter, n)
+	bases, svcs = startWrappedReplicas(t, n, func(i int, h http.Handler) http.Handler {
+		counters[i] = &fragPutCounter{next: h, puts: make(map[string]int)}
+		return counters[i]
+	})
+	return bases, svcs, counters
+}
+
+// startWrappedReplicas boots n loopback replicas, each behind the
+// handler wrap returns for it.
+func startWrappedReplicas(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) (bases []string, svcs []*Service) {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		svc := New(Config{Workers: 2})
-		fc := &fragPutCounter{next: svc.Handler(), puts: make(map[string]int)}
-		srv := httptest.NewServer(fc)
+		srv := httptest.NewServer(wrap(i, svc.Handler()))
 		t.Cleanup(srv.Close)
 		t.Cleanup(svc.Close)
 		bases = append(bases, srv.URL)
 		svcs = append(svcs, svc)
-		counters = append(counters, fc)
 	}
-	return bases, svcs, counters
+	return bases, svcs
 }
 
 // TestDistCountMatchesLocalKernel is the acceptance property: for every
@@ -178,33 +195,28 @@ func (fa *failAfter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestDistCountSurvivesReplicaFailure kills one of three replicas after
-// its first served triple: its remaining triples must fail over to the
-// survivors (or the coordinator itself) and the total must stay
-// bit-identical to the local kernel.
+// its first served count request: with a window of 2 its share is two
+// batches, so the second one's triples must fail over to the survivors
+// (or the coordinator itself) and the total must stay bit-identical to
+// the local kernel.
 func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 	g := gen.BarabasiAlbert(160, 6, 9)
 	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
 
-	var bases []string
-	for i := 0; i < 3; i++ {
-		svc := New(Config{Workers: 2})
-		var h http.Handler = svc.Handler()
+	bases, _ := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
 		if i == 1 {
-			h = &failAfter{next: h, healthy: 1}
+			return &failAfter{next: h, healthy: 1}
 		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		t.Cleanup(svc.Close)
-		bases = append(bases, srv.URL)
-	}
-	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 1})
+		return h
+	})
+	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 2})
 	defer coord.Close()
 	snap, err := coord.RegisterGraph("", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a grid with plenty of triples so the failing replica is
-	// guaranteed work after its first served count.
+	// Force a grid with plenty of triples so the failing replica's share
+	// fills both of its batches.
 	res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +271,7 @@ func TestFragmentCacheEviction(t *testing.T) {
 	if st.FragmentEvictions == 0 {
 		t.Fatalf("stores past the byte bound evicted nothing (resident %d bytes)", st.FragmentBytes)
 	}
-	if _, err := svc.DistCountTriple(id, plan.Tiling, triangle.BlockTriple{I: 0, J: 0, K: 0}); err == nil {
+	if _, _, err := svc.DistCountTriples(context.Background(), id, plan.Tiling, []triangle.BlockTriple{{I: 0, J: 0, K: 0}}); err == nil {
 		t.Fatal("count on the evicted fragment succeeded")
 	}
 }
@@ -288,7 +300,7 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("hostile fragment PUT answered %d, want 400", resp.StatusCode)
 	}
-	body := `{"snapshot": "x", "tiling": {"p": 2, "ranks": 2147483647, "cuts": [0, 0, 2147483647]}, "triple": {"i": 0, "j": 0, "k": 0}}`
+	body := `{"snapshot": "x", "tiling": {"p": 2, "ranks": 2147483647, "cuts": [0, 0, 2147483647]}, "triples": [{"i": 0, "j": 0, "k": 0}]}`
 	resp, err = srv.Client().Post(srv.URL+"/v1/dist/count", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("dist count: %v", err)
@@ -304,12 +316,329 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 		t.Fatal("StoreFragment accepted a 2^31-1 rank universe")
 	}
 	tl := triangle.Tiling{P: 2, Ranks: 1<<31 - 1, Cuts: []int32{0, 0, 1<<31 - 1}}
-	if _, err := svc.DistCountTriple("x", tl, triangle.BlockTriple{}); err == nil {
-		t.Fatal("DistCountTriple accepted a 2^31-1 rank universe")
+	if _, _, err := svc.DistCountTriples(context.Background(), "x", tl, []triangle.BlockTriple{{}}); err == nil {
+		t.Fatal("DistCountTriples accepted a 2^31-1 rank universe")
 	}
 	resp, err = srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz after hostile input: %v", err)
 	}
 	resp.Body.Close()
+}
+
+// countRequests wraps a replica handler and counts its dist-count
+// requests.
+type countRequests struct {
+	next http.Handler
+	n    atomic.Int64
+}
+
+func (cr *countRequests) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/dist/count" {
+		cr.n.Add(1)
+	}
+	cr.next.ServeHTTP(w, r)
+}
+
+// TestDistCountRequestsPerPeerBounded pins the batched protocol: with
+// healthy replicas a job sends each peer at most DistWindow count
+// requests, however many triples its grid has, and every triple is
+// still answered exactly once.
+func TestDistCountRequestsPerPeerBounded(t *testing.T) {
+	g := gen.ChungLu(300, 2.1, 10, 4)
+	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	for _, window := range []int{1, 2, 4} {
+		counters := make([]*countRequests, 3)
+		bases, svcs := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
+			counters[i] = &countRequests{next: h}
+			return counters[i]
+		})
+		coord := New(Config{Workers: 2, Peers: bases, DistWindow: window})
+		snap, err := coord.RegisterGraph("", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, grid := range []int{3, 8, 12} {
+			before := make([]int64, len(counters))
+			for i, c := range counters {
+				before[i] = c.n.Load()
+			}
+			res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid})
+			if err != nil {
+				t.Fatalf("window %d grid %d: %v", window, grid, err)
+			}
+			if res.Triangles != want || res.DistRetries != 0 {
+				t.Fatalf("window %d grid %d: counted %d with %d retries, local kernel %d",
+					window, grid, res.Triangles, res.DistRetries, want)
+			}
+			for i, c := range counters {
+				if sent := c.n.Load() - before[i]; sent > int64(window) {
+					t.Fatalf("window %d grid %d: peer %d got %d count requests for %d triples",
+						window, grid, i, sent, res.DistTriples)
+				}
+			}
+		}
+		served := uint64(0)
+		for _, svc := range svcs {
+			served += svc.Stats().DistTriples
+		}
+		if want := uint64(3*4*5/6 + 8*9*10/6 + 12*13*14/6); served != want {
+			t.Fatalf("window %d: replicas counted %d triples, the three grids have %d", window, served, want)
+		}
+		coord.Close()
+	}
+}
+
+// TestDistCountGrid64OneRequest sends the largest job the service
+// accepts — grid 64, C(66, 3) = 45,760 triples — to one peer with a
+// window of 1, so all of it travels in one count request. The replica
+// must serve it rather than refuse it for its body size.
+func TestDistCountGrid64OneRequest(t *testing.T) {
+	g := gen.GNP(200, 0.1, 3)
+	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	var cr *countRequests
+	bases, svcs := startWrappedReplicas(t, 1, func(_ int, h http.Handler) http.Handler {
+		cr = &countRequests{next: h}
+		return cr
+	})
+	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 1})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != want || res.DistRetries != 0 || res.DistTriples != 45760 {
+		t.Fatalf("grid 64: counted %d over %d triples with %d retries, local kernel %d",
+			res.Triangles, res.DistTriples, res.DistRetries, want)
+	}
+	if n := cr.n.Load(); n != 1 {
+		t.Fatalf("grid 64 on one peer with window 1 sent %d count requests, want 1", n)
+	}
+	if st := svcs[0].Stats(); st.DistTriples != 45760 {
+		t.Fatalf("replica counted %d triples, want 45760", st.DistTriples)
+	}
+}
+
+// slowCount wraps a replica so each count request waits perTriple for
+// every triple it carries before it is served, or until the request is
+// canceled.
+type slowCount struct {
+	next      http.Handler
+	perTriple time.Duration
+}
+
+func (sc *slowCount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/dist/count" {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		var req distCountRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		select {
+		case <-time.After(time.Duration(len(req.Triples)) * sc.perTriple):
+		case <-r.Context().Done():
+			return
+		}
+	}
+	sc.next.ServeHTTP(w, r)
+}
+
+// TestDistCountDeadlineIsNotPeerFailure runs a grid-8 job under a 60 ms
+// deadline over three replicas that each take 20 ms per triple. The
+// caller must get a deadline error, and no peer may be charged a
+// failure: the requests died of the caller's deadline, not of the
+// replicas.
+func TestDistCountDeadlineIsNotPeerFailure(t *testing.T) {
+	g := gen.ChungLu(300, 2.1, 10, 5)
+	bases, _ := startWrappedReplicas(t, 3, func(_ int, h http.Handler) http.Handler {
+		return &slowCount{next: h, perTriple: 20 * time.Millisecond}
+	})
+	// One worker: the query after the deadline runs only once the dist
+	// job has returned, so the stats read after it are final.
+	coord := New(Config{Workers: 1, Peers: bases})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if _, err := coord.Query(ctx, "", snap.ID, DistCountParams{Grid: 8}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("grid-8 job under a 60 ms deadline: err = %v, want ErrDeadline", err)
+	}
+	if _, err := coord.Query(context.Background(), "", snap.ID, CountParams{}); err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Stats()
+	for _, base := range bases {
+		if ps := st.DistPeers[base]; ps != nil && ps.Failures != 0 {
+			t.Fatalf("peer %s charged %d failures for the caller's deadline", base, ps.Failures)
+		}
+	}
+}
+
+// TestDistCountReusesPeerConnections pins the coordinator's keep-alive
+// pool: repeated jobs open at most DistWindow connections per replica,
+// the most a peer's batches hold at once.
+func TestDistCountReusesPeerConnections(t *testing.T) {
+	g := gen.ChungLu(300, 2.1, 10, 6)
+	const replicas = 3
+	var bases []string
+	dials := make([]atomic.Int64, replicas)
+	for i := 0; i < replicas; i++ {
+		svc := New(Config{Workers: 2})
+		srv := httptest.NewUnstartedServer(svc.Handler())
+		srv.Config.ConnState = func(_ net.Conn, cs http.ConnState) {
+			if cs == http.StateNew {
+				dials[i].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		t.Cleanup(svc.Close)
+		bases = append(bases, srv.URL)
+	}
+	coord := New(Config{Workers: 2, Peers: bases})
+	defer coord.Close()
+	window := coord.cfg.DistWindow
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for grid := 3; grid <= 8; grid++ {
+		if _, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid}); err != nil {
+			t.Fatalf("grid %d: %v", grid, err)
+		}
+	}
+	for i := range dials {
+		if n := dials[i].Load(); n > int64(window) {
+			t.Fatalf("replica %d accepted %d connections over six jobs, want at most %d", i, n, window)
+		}
+	}
+}
+
+// faultyReplica injects one fault of each kind into a replica, each on
+// the first request it fits: it truncates the first fragment PUT body,
+// flips a byte in the second, answers the first count request with
+// fragment_missing and the second with no counts at all.
+type faultyReplica struct {
+	next http.Handler
+
+	mu      sync.Mutex
+	puts    int
+	counts  int
+	pending []string // faults fired since the last take
+}
+
+func (fr *faultyReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	fr.mu.Lock()
+	fault := ""
+	switch {
+	case r.Method == http.MethodPut:
+		fr.puts++
+		fault = map[int]string{1: "truncate", 2: "flip"}[fr.puts]
+	case r.URL.Path == "/v1/dist/count":
+		fr.counts++
+		fault = map[int]string{1: "missing", 2: "short"}[fr.counts]
+	}
+	if fault != "" {
+		fr.pending = append(fr.pending, fault)
+	}
+	fr.mu.Unlock()
+	switch fault {
+	case "truncate", "flip":
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		if fault == "truncate" {
+			body = body[:len(body)/2]
+		} else {
+			body[len(body)/2] ^= 0x5a
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.ContentLength = int64(len(body))
+	case "missing":
+		writeError(w, fmt.Errorf("%w: injected fault", ErrFragmentMissing))
+		return
+	case "short":
+		writeJSON(w, http.StatusOK, distCountResponse{})
+		return
+	}
+	fr.next.ServeHTTP(w, r)
+}
+
+// take returns and clears the faults fired since the last call.
+func (fr *faultyReplica) take() []string {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	out := fr.pending
+	fr.pending = nil
+	return out
+}
+
+// TestDistCountFaultInjection drives jobs through a fleet whose second
+// replica truncates a fragment upload, corrupts another, answers a
+// count request with fragment_missing and another with no counts. Every
+// job must return CountParallel2D's total — a corrupt upload or a short
+// answer moves the peer's triples elsewhere, which DistRetries must
+// show — and never another number.
+func TestDistCountFaultInjection(t *testing.T) {
+	g := gen.BarabasiAlbert(200, 5, 8)
+	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	var faulty *faultyReplica
+	bases, _ := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		faulty = &faultyReplica{next: h}
+		return faulty
+	})
+	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 2})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := map[string]bool{}
+	cutJobs := uint64(0)
+	for grid := 2; grid <= 7; grid++ {
+		res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid})
+		if err != nil {
+			t.Fatalf("grid %d: %v", grid, err)
+		}
+		faults := faulty.take()
+		if res.Triangles != want {
+			t.Fatalf("grid %d with faults %v: counted %d, local kernel %d", grid, faults, res.Triangles, want)
+		}
+		cut := false
+		for _, f := range faults {
+			fired[f] = true
+			cut = cut || f != "missing"
+		}
+		if cut {
+			cutJobs++
+			if res.DistRetries == 0 {
+				t.Fatalf("grid %d: faults %v cut the peer off, yet no triple was retried", grid, faults)
+			}
+		}
+	}
+	for _, f := range []string{"truncate", "flip", "missing", "short"} {
+		if !fired[f] {
+			t.Fatalf("fault %q never fired (fired: %v)", f, fired)
+		}
+	}
+	// One failure per job that cut the peer off, however many of its
+	// batches then found the peer dead.
+	if ps := coord.Stats().DistPeers[bases[1]]; ps == nil || ps.Failures != cutJobs {
+		t.Fatalf("faulty peer's stats %+v, want %d failures", ps, cutJobs)
+	}
 }

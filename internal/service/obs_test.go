@@ -108,6 +108,11 @@ func TestTraceDistPropagation(t *testing.T) {
 	if byName["replica.count"] != byName["dist.count"] {
 		t.Fatalf("%d replica.count spans for %d dist.count spans", byName["replica.count"], byName["dist.count"])
 	}
+	// Each count request is a batch: the replicas ship back one
+	// triangle.triple span per triple, 20 in all.
+	if byName["triangle.triple"] != res.DistTriples || res.DistTriples != 20 {
+		t.Fatalf("%d triangle.triple spans for %d triples, want 20", byName["triangle.triple"], res.DistTriples)
+	}
 	if len(peers) != 3 {
 		t.Fatalf("replica.count spans name %d distinct peers, want 3: %v", len(peers), peers)
 	}

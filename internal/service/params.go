@@ -382,9 +382,13 @@ func (p DistCountParams) Algorithm() string { return "triangle-count-dist" }
 
 func (p DistCountParams) normalize() Params { return p }
 
+// maxDistGrid caps DistCountParams.Grid, and with it the
+// C(maxDistGrid+2, 3) = 45,760 triples of the largest job.
+const maxDistGrid = 64
+
 func (p DistCountParams) validate() error {
-	if p.Grid < 0 || p.Grid > 64 {
-		return fmt.Errorf("service: grid = %d out of [0,64]", p.Grid)
+	if p.Grid < 0 || p.Grid > maxDistGrid {
+		return fmt.Errorf("service: grid = %d out of [0,%d]", p.Grid, maxDistGrid)
 	}
 	return nil
 }

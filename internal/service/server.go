@@ -128,7 +128,7 @@ func codeOf(err error) (int, string, bool) {
 //	POST   /v1/graphs/{id}/triangles/enumerate  CONGEST enumeration (Theorem 2)
 //	POST   /v1/graphs/{id}/triangles/count-dist distributed 2D count (peer fleet)
 //	PUT    /v1/dist/fragments/{id}/{p}/{lo}/{hi} push one CSR fragment (fleet-internal)
-//	POST   /v1/dist/count                    count one block triple (fleet-internal)
+//	POST   /v1/dist/count                    count a batch of block triples (fleet-internal)
 //	GET    /v1/stats                         service counters (schema v3)
 //	GET    /v1/debug/traces/{id}             one trace's recorded spans
 //	GET    /metrics                          Prometheus text exposition
@@ -414,30 +414,37 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // distCountRequest is the JSON body of the fleet-internal POST
-// /v1/dist/count: one block triple against fragments resident under the
-// named snapshot and tiling.
+// /v1/dist/count: a batch of block triples against fragments resident
+// under the named snapshot and tiling.
 type distCountRequest struct {
-	Snapshot string               `json:"snapshot"`
-	Tiling   triangle.Tiling      `json:"tiling"`
-	Triple   triangle.BlockTriple `json:"triple"`
-	// Trace, when set, asks the replica to run the count under a span of
-	// the named trace and return it, so the coordinator merges one
-	// cross-replica trace out of the fan-out.
-	Trace *traceRef `json:"trace,omitempty"`
+	Snapshot string                 `json:"snapshot"`
+	Tiling   triangle.Tiling        `json:"tiling"`
+	Triples  []triangle.BlockTriple `json:"triples"`
+	// Trace, when set, asks the replica to run the batch under a span of
+	// the named trace and return its spans, so the coordinator merges
+	// one cross-replica trace out of the fan-out.
+	Trace *TraceRef `json:"trace,omitempty"`
 }
 
-// traceRef names the coordinator span a replica's work parents under.
-type traceRef struct {
+// TraceRef names the coordinator span a replica's work parents under.
+type TraceRef struct {
 	ID     string `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
 }
 
 type distCountResponse struct {
-	Count int `json:"count"`
+	// Counts holds one count per requested triple, in request order.
+	Counts []int `json:"counts"`
 	// Spans are the replica-side spans of the coordinator's trace
-	// (present only when the request carried a traceRef).
+	// (present only when the request carried a TraceRef).
 	Spans []obs.Span `json:"spans,omitempty"`
 }
+
+// maxDistCountBody bounds a dist-count request body. The largest batch
+// a coordinator sends is a whole grid-maxDistGrid job on one peer, at
+// most 32 JSON bytes per triple; the extra MiB covers the tiling and
+// the trace reference.
+const maxDistCountBody = 1<<20 + 32*maxDistGrid*(maxDistGrid+1)*(maxDistGrid+2)/6
 
 // handlePutFragment stores one encoded CSR fragment in the replica's
 // content-addressed cache. Idempotent: re-pushing a resident key answers
@@ -467,26 +474,33 @@ func (s *Service) handlePutFragment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"stored": stored})
 }
 
-// handleDistCount counts one block triple from resident fragments. Runs
-// on the handler goroutine, not the compute pool: one triple touches two
-// rank ranges, the fleet-internal unit of work the coordinator's window
-// already bounds.
+// handleDistCount counts a batch of block triples from resident
+// fragments. Runs on the handler goroutine, not the compute pool: the
+// coordinator's window already bounds a peer's in-flight batches, and
+// the request's context (shrunk by X-Timeout-Ms) stops the batch
+// between triples.
 func (s *Service) handleDistCount(w http.ResponseWriter, r *http.Request) {
 	var req distCountRequest
-	if err := decodeParams(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
+	if err := decodeParams(http.MaxBytesReader(w, r.Body, maxDistCountBody), &req); err != nil {
 		writeError(w, fmt.Errorf("parse dist count request: %w", err))
 		return
 	}
+	ctx, cancel, err := requestContext(r)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	defer cancel()
 	// Adopt the coordinator's trace so the replica's span carries the
 	// same trace ID and parents under the coordinator's dist.count
-	// span. The snapshot travels back in the response for the
-	// coordinator to merge (and stays in this replica's ring too).
+	// span. The spans travel back in the response for the coordinator
+	// to merge (and stay in this replica's ring too).
 	var sp *obs.Span
 	if req.Trace != nil && s.cfg.Tracer != nil && sanitizeRequestID(req.Trace.ID) != "" {
 		sp = s.cfg.Tracer.Adopt(req.Trace.ID, req.Trace.Parent, "replica.count")
-		sp.AttrInt("bi", req.Triple.I).AttrInt("bj", req.Triple.J).AttrInt("bk", req.Triple.K)
+		sp.AttrInt("triples", len(req.Triples))
 	}
-	n, err := s.DistCountTriple(req.Snapshot, req.Tiling, req.Triple)
+	counts, spans, err := s.DistCountTriples(obs.ContextWithSpan(ctx, sp), req.Snapshot, req.Tiling, req.Triples)
 	if err != nil {
 		if sp != nil {
 			sp.Attr("outcome", "error").End()
@@ -494,10 +508,14 @@ func (s *Service) handleDistCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := distCountResponse{Count: n}
+	resp := distCountResponse{Counts: counts}
 	if sp != nil {
-		sp.AttrInt("count", n).End()
-		resp.Spans = []obs.Span{sp.Snapshot()}
+		total := 0
+		for _, n := range counts {
+			total += n
+		}
+		sp.AttrInt("count", total).End()
+		resp.Spans = append([]obs.Span{sp.Snapshot()}, spans...)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -132,8 +133,8 @@ type Config struct {
 	// block triples across (base URLs, e.g. "http://10.0.0.2:8080").
 	// Empty means no fleet: count-dist falls back to the local 2D kernel.
 	Peers []string
-	// DistWindow bounds the coordinator's in-flight triples per peer;
-	// 0 means 4.
+	// DistWindow bounds the coordinator's in-flight count requests per
+	// peer, each one a batch of block triples; 0 means 4.
 	DistWindow int
 	// MaxFragmentBytes bounds this replica's content-addressed fragment
 	// cache (decoded CSR bytes); 0 means 256 MiB. Admitting a fragment
@@ -352,8 +353,9 @@ type Stats struct {
 
 	// v3 fields: the replica-side fragment cache and the coordinator.
 	// FragmentStores counts fragments admitted (each store is one decode +
-	// insert); FragmentHits counts dist-count requests served from
-	// resident fragments; together they prove each (fingerprint, tiling,
+	// insert); FragmentHits counts resident fragments dist-count requests
+	// read, one per distinct row block of a batch whose blocks were all
+	// resident; together they prove each (fingerprint, tiling,
 	// rank-range) key is fetched at most once per replica per job.
 	FragmentStores    uint64 `json:"fragment_stores"`
 	FragmentHits      uint64 `json:"fragment_hits"`
@@ -386,8 +388,10 @@ type PeerDistStats struct {
 	// their encoded sizes.
 	Pushes    uint64 `json:"pushes"`
 	PushBytes int64  `json:"push_bytes"`
-	// Failures counts transport errors that marked the peer dead for a
-	// job (its remaining triples failed over to the surviving peers).
+	// Failures counts the jobs in which a rejected push or a transport
+	// error marked the peer dead (its remaining triples failed over to
+	// the surviving peers). A request cut short by the job's own
+	// cancellation or deadline is not a failure.
 	Failures uint64 `json:"failures"`
 }
 
@@ -476,6 +480,12 @@ type Service struct {
 	fragBytes int64
 	fragTick  uint64 // LRU clock for fragment eviction
 
+	// peerHTTP carries every request the count-dist coordinator sends
+	// its peers. Its transport keeps DistWindow idle connections per
+	// host — the most a peer's batches hold at once — so repeated jobs
+	// reuse them instead of dialing anew.
+	peerHTTP *http.Client
+
 	work chan *entry
 	wg   sync.WaitGroup
 }
@@ -492,6 +502,10 @@ func New(cfg Config) *Service {
 		frags:   make(map[fragKey]*fragEntry),
 		work:    make(chan *entry, cfg.Queue),
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no fleet-wide cap: the per-host one governs
+	tr.MaxIdleConnsPerHost = cfg.DistWindow
+	s.peerHTTP = &http.Client{Transport: tr}
 	s.stats.Decompose = make(map[string]*BackendStats)
 	s.stats.DistPeers = make(map[string]*PeerDistStats)
 	s.stats.SchemaVersion = 3
@@ -520,6 +534,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	close(s.work)
 	s.wg.Wait()
+	s.peerHTTP.CloseIdleConnections()
 }
 
 // tenantOf resolves and (on first contact) creates the tenant's state.

@@ -127,3 +127,40 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkCountFragments times the block-triple task body alone, the
+// way a replica runs it: every triple of a p = 12 tiling counted in
+// turn from decoded fragments, on the three graph shapes count-dist
+// serves. Planning, encoding and decoding happen before the timer.
+func BenchmarkCountFragments(b *testing.B) {
+	const p = 12
+	shapes := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba", gen.BarabasiAlbert(1<<16, 8, 1)},
+		{"chung-lu", gen.ChungLu(1<<14, 2.1, 16, 1)},
+		{"gnp", gen.GNP(1<<13, 16.0/(1<<13), 1)},
+	}
+	for _, sh := range shapes {
+		pl := NewDistPlan(graph.WholeGraph(sh.g), p)
+		frags := make([]*Fragment, pl.Tiling.P)
+		for i := range frags {
+			f, err := DecodeFragment(pl.Fragment(i).Encode())
+			if err != nil {
+				b.Fatal(err)
+			}
+			frags[i] = f
+		}
+		triples := pl.Tiling.Triples()
+		b.Run(sh.name, func(b *testing.B) {
+			for b.Loop() {
+				for _, t := range triples {
+					if _, err := CountFragments(pl.Tiling, t, frags[t.I], frags[t.J]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

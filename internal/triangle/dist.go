@@ -20,7 +20,9 @@ import (
 
 // BlockTriple is one ordered (I <= J <= K) unit of distributed counting
 // work: triangles whose lowest-rank vertex falls in block I, middle
-// vertex in block J, and apex in block K.
+// vertex in block J, and apex in block K. Its task reads the forward
+// lists of blocks I (the outer rows) and J (the middle rows) only;
+// block K just bounds apex values, so no fragment is needed for it.
 type BlockTriple struct {
 	I int `json:"i"`
 	J int `json:"j"`
@@ -59,11 +61,6 @@ func (tl Tiling) Triples() []BlockTriple {
 	}
 	return out
 }
-
-// Blocks returns the pair of blocks whose forward lists the triple's
-// task reads: block I (the outer rows) and block J (the middle rows).
-// Block K only bounds apex values — no fragment is needed for it.
-func (t BlockTriple) Blocks() (int, int) { return t.I, t.J }
 
 // Validate checks the tiling's structural invariants (a replica must not
 // trust a coordinator-supplied tiling blindly).

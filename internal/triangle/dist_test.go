@@ -1,6 +1,8 @@
 package triangle
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -146,6 +148,106 @@ func TestCountFragmentsEqualsLocal(t *testing.T) {
 						tc.name, seed, p, total, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCountTripleOracle checks every block triple's task against the
+// brute-force oracle on its own, not only through the sum: a triple's
+// CountTriple and CountFragments must both equal the number of
+// BruteForce triangles whose lowest, middle and apex ranks fall in
+// blocks I, J and K. A task that counted a triangle under the wrong
+// triple would keep every total right and still fail here.
+func TestCountTripleOracle(t *testing.T) {
+	restricted := func() *graph.Sub {
+		g := gen.BarabasiAlbert(90, 5, 4)
+		members := graph.NewVSet(g.N())
+		for v := 0; v < g.N(); v++ {
+			if v%4 != 0 {
+				members.Add(v)
+			}
+		}
+		mask := make([]bool, g.M())
+		for e := range mask {
+			mask[e] = e%5 != 0
+		}
+		return graph.NewSub(g, members, mask)
+	}
+	multigraph := func() *graph.Sub {
+		b := graph.NewBuilder(6)
+		for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {0, 2}, {2, 2}, {3, 4}, {4, 5}, {3, 5}} {
+			b.AddEdge(e[0], e[1])
+		}
+		return graph.WholeGraph(b.Graph())
+	}
+	cases := []struct {
+		name string
+		view *graph.Sub
+	}{
+		{"ba", graph.WholeGraph(gen.BarabasiAlbert(200, 6, 3))},
+		{"chung-lu", graph.WholeGraph(gen.ChungLu(160, 2.1, 10, 2))},
+		{"gnp", graph.WholeGraph(gen.GNP(96, 0.2, 5))},
+		{"ring", graph.WholeGraph(gen.RingOfCliques(5, 6, 1))},
+		{"restricted", restricted()},
+		{"multigraph", multigraph()},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 2, 3, 5, 8, 12} {
+			checkTripleOracle(t, fmt.Sprintf("%s p=%d", tc.name, p), tc.view, NewDistPlan(tc.view, p))
+		}
+		// Volume-balanced cuts never leave a block empty, but a replica
+		// counts under whatever valid tiling it is sent: p = 8 made from
+		// the p = 5 cuts with empty blocks spliced in first, in the
+		// middle and last.
+		pl := NewDistPlan(tc.view, 5)
+		c := pl.Tiling.Cuts
+		cuts := []int32{c[0], c[0], c[1], c[2], c[2], c[3], c[4], c[5], c[5]}
+		spliced := &DistPlan{rc: pl.rc, Tiling: Tiling{P: len(cuts) - 1, Ranks: pl.Tiling.Ranks, Cuts: cuts}}
+		checkTripleOracle(t, tc.name+" spliced p=8", tc.view, spliced)
+	}
+}
+
+// checkTripleOracle runs the per-triple oracle comparison for one plan.
+func checkTripleOracle(t *testing.T, name string, view *graph.Sub, pl *DistPlan) {
+	t.Helper()
+	tl := pl.Tiling
+	if err := tl.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	block := make([]int, tl.Ranks) // rank -> block
+	for b := 0; b < tl.P; b++ {
+		lo, hi := tl.Block(b)
+		for r := lo; r < hi; r++ {
+			block[r] = b
+		}
+	}
+	rankOf := make(map[int]int32, len(pl.rc.order))
+	for r, v := range pl.rc.order {
+		rankOf[int(v)] = int32(r)
+	}
+	want := make(map[BlockTriple]int)
+	for _, tri := range BruteForce(view).Sorted() {
+		rs := []int32{rankOf[tri.A], rankOf[tri.B], rankOf[tri.C]}
+		slices.Sort(rs)
+		want[BlockTriple{block[rs[0]], block[rs[1]], block[rs[2]]}]++
+	}
+	frags := make([]*Fragment, tl.P)
+	for b := range frags {
+		f, err := DecodeFragment(pl.Fragment(b).Encode())
+		if err != nil {
+			t.Fatalf("%s block %d: %v", name, b, err)
+		}
+		frags[b] = f
+	}
+	for _, tr := range tl.Triples() {
+		local := pl.CountTriple(tr)
+		remote, err := CountFragments(tl, tr, frags[tr.I], frags[tr.J])
+		if err != nil {
+			t.Fatalf("%s triple %+v: %v", name, tr, err)
+		}
+		if local != want[tr] || remote != want[tr] {
+			t.Fatalf("%s triple %+v: CountTriple %d, CountFragments %d, oracle %d",
+				name, tr, local, remote, want[tr])
 		}
 	}
 }

@@ -22,20 +22,16 @@ package triangle
 // kernels' outputs are bit-identical regardless of which strategy the
 // chooser picks for a given pair.
 
-// Strategy selection thresholds, tuned with BenchmarkIntersectionStrategies
-// (hub-shaped list pairs): merge and probe trade blows up to ~4x length
-// skew (probe wins whenever its marks are amortized), and galloping only
-// pays past ~32x skew, where log(long) search steps undercut even one
-// linear pass over the longer list.
-const (
-	stampRatio  = 4
-	gallopRatio = 32
-)
+// gallopRatio is the length skew past which galloping pays, tuned with
+// BenchmarkIntersectionStrategies (hub-shaped list pairs): below it a
+// probe of amortized marks (or a merge) wins, and only past ~32x skew do
+// log(long) search steps undercut one linear pass over the longer list.
+const gallopRatio = 32
 
 // intersectScratch is the per-worker epoch-stamped mark array over the
 // rank (or vertex) universe. mark[x] == epoch means x is marked; bumping
-// epoch unmarks everything in O(1), so no clearing ever happens between
-// intersections.
+// epoch unmarks everything in O(1), so the array is cleared only when
+// the epoch wraps.
 type intersectScratch struct {
 	mark  []uint32
 	epoch uint32
@@ -49,6 +45,12 @@ func newIntersectScratch(universe int) *intersectScratch {
 // whatever was marked before. Elements must be < len(mark).
 func (sc *intersectScratch) markAll(s []int32) {
 	sc.epoch++
+	if sc.epoch == 0 {
+		// The epoch wrapped: stamps left 2^32 epochs ago would read as
+		// current, so this one time the array is cleared.
+		clear(sc.mark)
+		sc.epoch = 1
+	}
 	for _, x := range s {
 		sc.mark[x] = sc.epoch
 	}
@@ -146,76 +148,5 @@ func intersectAdaptive(a, b []int32, sc *intersectScratch, aMarked bool, dst []i
 		return intersectGallop(b, a, dst)
 	default:
 		return intersectMerge(a, b, dst)
-	}
-}
-
-// intersectCount returns |a ∩ b| without materializing the common
-// elements. Unlike intersectAdaptive there is no amortized mark here, so
-// the stamp strategy pays a fresh markAll of the shorter list per call
-// (snippet-1 style) and only engages past stampRatio skew where the
-// straight-line probe loop beats the branchy merge.
-func intersectCount(a, b []int32, sc *intersectScratch) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return 0
-	}
-	switch {
-	case lb >= la*gallopRatio:
-		n := 0
-		lo := 0
-		for _, x := range a {
-			step := 1
-			for lo+step < len(b) && b[lo+step] < x {
-				step <<= 1
-			}
-			hi := lo + step
-			if hi > len(b) {
-				hi = len(b)
-			}
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if b[mid] < x {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo == len(b) {
-				return n
-			}
-			if b[lo] == x {
-				n++
-				lo++
-			}
-		}
-		return n
-	case lb >= la*stampRatio:
-		sc.markAll(a)
-		n := 0
-		for _, x := range b {
-			if sc.marked(x) {
-				n++
-			}
-		}
-		return n
-	default:
-		n := 0
-		i, j := 0, 0
-		for i < la && j < lb {
-			switch {
-			case a[i] < b[j]:
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				n++
-				i++
-				j++
-			}
-		}
-		return n
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // BenchmarkIntersectionStrategies sweeps the length-ratio spectrum the
 // adaptive chooser is tuned on: a short list against a long one at 1x,
-// 4x (stampRatio), 32x (gallopRatio), and 256x skew, every strategy on
-// every ratio. This is the benchmark behind the stampRatio/gallopRatio
-// constants in intersect.go — rerun it before moving them.
+// 4x, 32x (gallopRatio), and 256x skew, every strategy on every ratio.
+// This is the benchmark behind the gallopRatio constant in intersect.go
+// — rerun it before moving it.
 func BenchmarkIntersectionStrategies(b *testing.B) {
 	const short = 256
 	for _, ratio := range []int{1, 4, 32, 256} {
@@ -43,11 +43,6 @@ func BenchmarkIntersectionStrategies(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dst = intersectStampProbe(bl, sc, dst[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("count/ratio=%d", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				intersectCount(a, bl, sc)
 			}
 		})
 	}

@@ -23,10 +23,25 @@ import (
 // replicas (dist.go), where a block pair is a shippable unit of work.
 // countTriple is the one task body every path runs: locally over
 // zero-copy views of the CSR, on a replica over decoded fragments.
+//
+// The task runs in the rank kernel's mark-once style. A row of block i
+// whose forward list cannot hold both a middle in j and an apex in k —
+// O(1) to tell from its two endpoints — is skipped. Otherwise the row's
+// apex candidates (its forward list cut to block k) are marked once,
+// and each middle's forward list is probed against the marks: a short
+// list whole, a long one cut to block k first, and one that is still
+// gallopRatio times longer than the candidates is galloped through
+// instead. So a row costs its middles' list lengths, not one merge of
+// the row's list per middle.
 
 // twoDScratchPool recycles the per-task stamp arrays; tasks are coarse,
 // so pool churn is negligible next to the intersection work.
 var twoDScratchPool sync.Pool
+
+// shortList is the forward-list length up to which countTriple probes a
+// middle's whole list against the marks instead of first cutting it to
+// the apex block with two binary searches (BenchmarkCountFragments).
+const shortList = 32
 
 func getTwoDScratch(universe int) *intersectScratch {
 	if sc, ok := twoDScratchPool.Get().(*intersectScratch); ok && len(sc.mark) >= universe {
@@ -114,9 +129,17 @@ func rankCuts(rc rankCSR, p int) []int32 {
 }
 
 // rangeOf returns the [lo, hi) index window of the ranks in s falling
-// inside [from, to). s is strictly ascending.
+// inside [from, to). s is strictly ascending; a window reaching either
+// end of s skips that end's binary search.
 func rangeOf(s []int32, from, to int32) (int, int) {
-	return lowerBound(s, from), lowerBound(s, to)
+	lo, hi := 0, len(s)
+	if lo < hi && s[0] < from {
+		lo = lowerBound(s, from)
+	}
+	if lo < hi && s[hi-1] >= to {
+		hi = lo + lowerBound(s[lo:], to)
+	}
+	return lo, hi
 }
 
 // lowerBound returns the index of the first element of s >= x.
@@ -137,29 +160,48 @@ func lowerBound(s []int32, x int32) int {
 // lowest-rank vertex lies in fi's rows (block t.I of tl), middle vertex
 // in block t.J — whose rows fj holds — and apex in block t.K. Callers
 // guarantee the fragments cover those blocks and that sc spans tl.Ranks.
+// A middle's list only holds ranks above the middle, so every marked
+// rank it contains is a valid apex: J == K needs no special case.
 func countTriple(tl Tiling, t BlockTriple, fi, fj *Fragment, sc *intersectScratch) int {
 	jLo, jHi := tl.Block(t.J)
 	kLo, kHi := tl.Block(t.K)
+	var buf []int32
 	n := 0
 	for r := fi.Lo; r < fi.Hi; r++ {
 		fv := fi.Fwd(r)
-		// Middle vertices: forward neighbors of r inside block j.
-		mLo, mHi := rangeOf(fv, jLo, jHi)
-		if mLo == mHi {
+		// The list is ascending, so its endpoints tell in O(1) whether
+		// it can hold a middle below jHi and a distinct apex from kLo.
+		if len(fv) < 2 || fv[0] >= jHi || fv[len(fv)-1] < kLo {
 			continue
 		}
-		// Apexes live in block k; slice v's forward list down to it
-		// once — per-u suffixes are then cheap re-slices.
-		aLo, aHi := rangeOf(fv, kLo, kHi)
-		for m := mLo; m < mHi; m++ {
-			va := fv[aLo:aHi]
-			if t.J == t.K {
-				// Apex must also be above the middle vertex.
-				va = fv[max(m+1, aLo):aHi]
+		mLo, mHi := rangeOf(fv, jLo, jHi)
+		aLo, aHi := rangeOf(fv[mLo:], kLo, kHi)
+		if mLo == mHi || aLo == aHi {
+			continue
+		}
+		apex := fv[mLo+aLo : mLo+aHi]
+		sc.markAll(apex)
+		for _, m := range fv[mLo:mHi] {
+			fu := fj.Fwd(m)
+			if len(fu) == 0 || fu[0] >= kHi || fu[len(fu)-1] < kLo {
+				continue
 			}
-			fu := fj.Fwd(fv[m])
-			uLo, uHi := rangeOf(fu, kLo, kHi)
-			n += intersectCount(va, fu[uLo:uHi], sc)
+			if len(fu) > shortList {
+				// Cutting a long list to block K costs two binary
+				// searches; a vastly longer cut is galloped through.
+				uLo, uHi := rangeOf(fu, kLo, kHi)
+				fu = fu[uLo:uHi]
+				if len(fu) >= len(apex)*gallopRatio {
+					buf = intersectGallop(apex, fu, buf[:0])
+					n += len(buf)
+					continue
+				}
+			}
+			for _, x := range fu {
+				if sc.marked(x) {
+					n++
+				}
+			}
 		}
 	}
 	return n
