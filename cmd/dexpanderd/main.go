@@ -59,7 +59,7 @@ func run() error {
 		burst      = flag.Float64("burst", 0, "rate-limit burst depth (0 = max(2*rate, 1))")
 		peers      = flag.String("peers", "", "comma-separated replica base URLs the count-dist coordinator fans block triples across (empty = local fallback)")
 		distWindow = flag.Int("dist-window", 0, "in-flight count requests per peer for count-dist, each a batch of triples (0 = 4)")
-		maxFrag    = flag.Int64("max-fragment-bytes", 0, "replica fragment cache byte bound (0 = 256 MiB)")
+		maxFrag    = flag.Int64("max-fragment-bytes", 0, "replica cache byte bound for the whole forward CSRs of the snapshots it serves; a larger CSR is refused and counted on the coordinator (0 = 256 MiB)")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error (any case)")
 		slowMS     = flag.Int("slow-query-ms", 1000, "queries at or above this wall time log at warn with slow=true (0 = off)")
 		traceSpans = flag.Int("trace-spans", 4096, "trace ring capacity in finished spans (0 = tracing off)")
@@ -412,7 +412,9 @@ func splitPeers(s string) []string {
 // runSmokeDist drives a coordinator with a configured peer fleet: it
 // registers a skewed graph, runs count-dist, and diffs the served total
 // and checksum against the in-process 2D kernel — the multi-replica
-// bit-identity check CI runs against a live loopback fleet.
+// bit-identity check CI runs against a live loopback fleet. A second
+// job at another grid on the same snapshot must be served from the
+// replicas' resident CSRs: no peer's push count may rise.
 func runSmokeDist(base string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -477,10 +479,52 @@ func runSmokeDist(base string) error {
 			tr.TraceID, len(peersSeen), replicaSpans)
 	}
 
+	if err := smokeDistResident(ctx, c, snap.ID, res, want); err != nil {
+		return err
+	}
+
 	if err := c.Release(ctx, snap.ID); err != nil {
 		return fmt.Errorf("release: %w", err)
 	}
 	fmt.Println("smoke-dist: PASS — distributed total bit-identical to the 2D kernel")
+	return nil
+}
+
+// smokeDistResident runs a second count-dist on the snapshot at a grid
+// other than the first job's and fails if its total differs from want or
+// if any peer's push count in the coordinator's stats rose across it:
+// the replicas must serve every grid from the CSR they already hold.
+func smokeDistResident(ctx context.Context, c *service.Client, id string, first *service.Result, want int) error {
+	grid := 1
+	for grid*(grid+1)*(grid+2)/6 < first.DistTriples {
+		grid++
+	}
+	grid++ // the first job's grid, plus one
+	before, err := c.ServerStats(ctx)
+	if err != nil {
+		return fmt.Errorf("smoke-dist: stats: %w", err)
+	}
+	res, err := c.TriangleCountDist(ctx, id, service.DistCountParams{Grid: grid})
+	if err != nil {
+		return fmt.Errorf("count-dist grid %d: %w", grid, err)
+	}
+	if res.Triangles != want {
+		return fmt.Errorf("smoke-dist: grid %d served %d triangles, library kernel %d", grid, res.Triangles, want)
+	}
+	after, err := c.ServerStats(ctx)
+	if err != nil {
+		return fmt.Errorf("smoke-dist: stats: %w", err)
+	}
+	for base, ps := range after.DistPeers {
+		var pushed uint64
+		if prev := before.DistPeers[base]; prev != nil {
+			pushed = prev.Pushes
+		}
+		if ps.Pushes != pushed {
+			return fmt.Errorf("smoke-dist: grid %d pushed to %s again (%d -> %d pushes)", grid, base, pushed, ps.Pushes)
+		}
+	}
+	fmt.Printf("smoke-dist: grid %d served from resident CSRs (%d triples, no pushes)\n", grid, res.DistTriples)
 	return nil
 }
 

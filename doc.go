@@ -33,14 +33,18 @@
 // its forward list can hold a middle in j and an apex in k, marks the
 // row's candidates in k once, and probes each middle's forward list
 // against the marks (cut to k when long, galloped past gallopRatio
-// skew). A multi-node job sends each replica its share as at most
-// DistWindow batched count requests. Both kernels are bit-identical to
-// the sequential BruteForce oracle for every worker count; the bench
-// baseline's enumerate-rank checksums, first recorded beside the
-// retired merge kernel's identical ones, re-prove that on every CI
-// run. Kernels are selectable per request via the service's "kernel"
-// query parameter and trianglebench's -kernel flag, where "merge"
-// remains accepted as an alias of rank.
+// skew). A multi-node count preprocesses each snapshot once, as Tom &
+// Karypis split preprocessing from counting: the coordinator builds the
+// snapshot's forward CSR on its first job and keeps it, each replica
+// receives it once as one whole-rank-space fragment and serves every
+// grid's row blocks as zero-copy views of it, and each job then sends a
+// replica only its share, as at most DistWindow batched count requests.
+// Both kernels are bit-identical to the sequential BruteForce oracle for
+// every worker count; the bench baseline's enumerate-rank checksums,
+// first recorded beside the retired merge kernel's identical ones,
+// re-prove that on every CI run. Kernels are selectable per request via
+// the service's "kernel" query parameter and trianglebench's -kernel
+// flag, where "merge" remains accepted as an alias of rank.
 //
 // The decomposition stack runs on a sparse local walk engine
 // (internal/spectral's WalkState): the truncated lazy walk at the heart

@@ -85,6 +85,8 @@ func (e *APIError) Unwrap() error {
 		return ErrCompute
 	case CodeFragmentMissing:
 		return ErrFragmentMissing
+	case CodeFragmentTooLarge:
+		return ErrFragmentTooLarge
 	}
 	return nil
 }
@@ -222,21 +224,22 @@ func (c *Client) TriangleCountDist(ctx context.Context, id string, p DistCountPa
 	return c.query(ctx, id, "/triangles/count-dist", p)
 }
 
-// PutFragment pushes one encoded CSR fragment (triangle.Fragment.Encode
-// bytes) into the server's content-addressed cache under (snapshot id,
-// tiling dimension, rank range). Fleet-internal; idempotent.
-func (c *Client) PutFragment(ctx context.Context, id string, p int, lo, hi int32, data []byte) error {
-	path := fmt.Sprintf("/v1/dist/fragments/%s/%d/%d/%d", id, p, lo, hi)
-	return c.do(ctx, http.MethodPut, path, "application/octet-stream", bytes.NewReader(data), nil)
+// PutFragment pushes a snapshot's whole encoded forward CSR
+// (triangle.Forward.Fragment().Encode() bytes) into the server's
+// fragment cache under the snapshot id. Fleet-internal; idempotent. A
+// CSR over the server's cache bound reports ErrFragmentTooLarge.
+func (c *Client) PutFragment(ctx context.Context, id string, data []byte) error {
+	return c.do(ctx, http.MethodPut, "/v1/dist/fragments/"+id, "application/octet-stream", bytes.NewReader(data), nil)
 }
 
-// DistCount asks the server to count a batch of block triples from its
-// resident fragments and returns one count per triple, in order.
-// Fleet-internal; a missing fragment reports ErrFragmentMissing (push it
-// with PutFragment and retry). A non-nil trace makes the server run the
-// batch under a span of that trace, parented at trace.Parent, and return
-// its spans for the caller to merge — which is how one dist job becomes
-// a single cross-replica trace; with a nil trace the spans are nil.
+// DistCount asks the server to count a batch of block triples from the
+// snapshot's resident CSR and returns one count per triple, in order.
+// Fleet-internal; a CSR the server does not hold reports
+// ErrFragmentMissing (push it with PutFragment and retry). A non-nil
+// trace makes the server run the batch under a span of that trace,
+// parented at trace.Parent, and return its spans for the caller to merge
+// — which is how one dist job becomes a single cross-replica trace; with
+// a nil trace the spans are nil.
 func (c *Client) DistCount(ctx context.Context, id string, tl triangle.Tiling, triples []triangle.BlockTriple, trace *TraceRef) ([]int, []obs.Span, error) {
 	body, err := jsonBody(distCountRequest{Snapshot: id, Tiling: tl, Triples: triples, Trace: trace})
 	if err != nil {

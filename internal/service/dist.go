@@ -7,18 +7,23 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dexpander/internal/graph"
 	"dexpander/internal/obs"
+	"dexpander/internal/par"
 	"dexpander/internal/triangle"
 )
 
 // This file is the service side of the distributed 2D triangle count:
-// the replica-side content-addressed fragment cache plus count endpoint
-// state, and the coordinator that fans a tiling's block triples across
-// the configured peer fleet. The protocol (fragment wire format, cache
-// keys, scheduling, failure handling) is documented in README.md.
+// the replica-side fragment cache (one whole forward CSR per snapshot)
+// plus count endpoint state, and the coordinator that keeps each
+// snapshot's CSR and the peers' residency of it across jobs and fans a
+// tiling's block triples across the configured peer fleet. Preprocessing
+// — rank order, forward CSR, shipping it — happens once per snapshot;
+// each job only tiles and counts. The protocol (fragment wire format,
+// cache keys, scheduling, failure handling) is documented in README.md.
 //
 // Correctness contract: the coordinator reduces per-triple counts in
 // task order, and every triple is counted exactly once — by a replica
@@ -27,42 +32,36 @@ import (
 // therefore bit-identical to triangle.CountParallel2D for every peer
 // count, window size, and failure pattern.
 
-// fragKey content-addresses one resident CSR fragment: the snapshot
-// fingerprint names the graph, the tiling dimension names the block
-// decomposition (cuts are deterministic in (graph, p)), and [lo, hi) is
-// the block's rank range. A replica stores each key at most once per
-// residency — re-pushing an already resident key is a no-op.
-type fragKey struct {
-	fingerprint string // snapshot id, "fnv64:" + 16 hex
-	p           int    // tiling dimension
-	lo, hi      int32  // block rank range
-}
-
-// fragEntry is one resident fragment. Fragments are immutable after
-// insertion, so DistCountTriples may read frag outside s.mu once looked
-// up — eviction only unlinks the entry, it never mutates the arrays.
+// fragEntry is one resident snapshot CSR: a DXFR1 fragment covering the
+// snapshot's whole rank space, keyed by snapshot id alone. It is
+// immutable after insertion, so DistCountTriples may read frag outside
+// s.mu once looked up — eviction only unlinks the entry, it never
+// mutates the arrays.
 type fragEntry struct {
 	frag     *triangle.Fragment
 	bytes    int64
 	lastUsed uint64
 }
 
-// StoreFragment decodes, validates, and admits one encoded fragment
-// under (snapshot, p, [lo, hi)). Storing an already resident key is an
-// idempotent no-op (returns stored == false); admitting a fresh key
-// evicts least-recently-used fragments until the cache fits
-// MaxFragmentBytes again. The declared range must match the fragment's
-// own header — a coordinator cannot alias one block's bytes under
-// another block's key — and its universe must stay within
-// checkRankSpace's cap.
-func (s *Service) StoreFragment(snapID string, p int, lo, hi int32, data []byte) (bool, error) {
-	if p < 1 {
-		return false, fmt.Errorf("service: fragment tiling dimension %d out of range", p)
-	}
+// StoreFragment admits one encoded snapshot CSR — a fragment covering
+// the whole rank space [0, Ranks) — under the snapshot id. A resident
+// key answers stored == false before anything is decoded, so a re-push
+// costs no decode. A fresh key is decoded and validated once, then
+// least-recently-used snapshots are evicted until the cache fits
+// MaxFragmentBytes again. A body over that bound is refused with
+// ErrFragmentTooLarge, and a universe beyond checkRankSpace's cap is
+// refused too.
+func (s *Service) StoreFragment(snapID string, data []byte) (bool, error) {
 	size := int64(len(data))
 	if size > s.cfg.MaxFragmentBytes {
-		return false, fmt.Errorf("service: fragment of %d bytes exceeds cache bound %d",
-			size, s.cfg.MaxFragmentBytes)
+		return false, fmt.Errorf("%w: %d bytes, cache bound %d",
+			ErrFragmentTooLarge, size, s.cfg.MaxFragmentBytes)
+	}
+	s.mu.Lock()
+	resident := s.touchFragmentLocked(snapID) != nil
+	s.mu.Unlock()
+	if resident {
+		return false, nil
 	}
 	f, err := triangle.DecodeFragment(data)
 	if err != nil {
@@ -71,39 +70,48 @@ func (s *Service) StoreFragment(snapID string, p int, lo, hi int32, data []byte)
 	if err := checkRankSpace(f.Ranks); err != nil {
 		return false, err
 	}
-	if f.Lo != lo || f.Hi != hi {
-		return false, fmt.Errorf("service: fragment covers [%d, %d), stored under [%d, %d)",
-			f.Lo, f.Hi, lo, hi)
+	if f.Lo != 0 || int(f.Hi) != f.Ranks {
+		return false, fmt.Errorf("service: fragment covers [%d, %d), not the whole rank space [0, %d)",
+			f.Lo, f.Hi, f.Ranks)
 	}
-	key := fragKey{fingerprint: snapID, p: p, lo: lo, hi: hi}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false, ErrClosed
 	}
-	s.fragTick++
-	if e, ok := s.frags[key]; ok {
-		e.lastUsed = s.fragTick
-		return false, nil
+	if s.touchFragmentLocked(snapID) != nil {
+		return false, nil // a concurrent push stored it first
 	}
 	for s.fragBytes+size > s.cfg.MaxFragmentBytes && len(s.frags) > 0 {
 		s.evictFragmentLocked()
 	}
-	s.frags[key] = &fragEntry{frag: f, bytes: size, lastUsed: s.fragTick}
+	s.fragTick++
+	s.frags[snapID] = &fragEntry{frag: f, bytes: size, lastUsed: s.fragTick}
 	s.fragBytes += size
 	s.stats.FragmentStores++
 	s.stats.FragmentBytes = s.fragBytes
 	return true, nil
 }
 
-// evictFragmentLocked drops the least-recently-used fragment
-// (deterministic tie-break by key order).
+// touchFragmentLocked returns snapID's resident entry, marked used, or
+// nil when it is not resident.
+func (s *Service) touchFragmentLocked(snapID string) *fragEntry {
+	e := s.frags[snapID]
+	if e != nil {
+		s.fragTick++
+		e.lastUsed = s.fragTick
+	}
+	return e
+}
+
+// evictFragmentLocked drops the least-recently-used snapshot CSR
+// (deterministic tie-break by snapshot id).
 func (s *Service) evictFragmentLocked() {
-	var victimKey fragKey
+	var victimKey string
 	var victim *fragEntry
 	for k, e := range s.frags {
 		if victim == nil || e.lastUsed < victim.lastUsed ||
-			(e.lastUsed == victim.lastUsed && lessFragKey(k, victimKey)) {
+			(e.lastUsed == victim.lastUsed && k < victimKey) {
 			victimKey, victim = k, e
 		}
 	}
@@ -113,19 +121,6 @@ func (s *Service) evictFragmentLocked() {
 		s.stats.FragmentEvictions++
 		s.stats.FragmentBytes = s.fragBytes
 	}
-}
-
-func lessFragKey(a, b fragKey) bool {
-	if a.fingerprint != b.fingerprint {
-		return a.fingerprint < b.fingerprint
-	}
-	if a.p != b.p {
-		return a.p < b.p
-	}
-	if a.lo != b.lo {
-		return a.lo < b.lo
-	}
-	return a.hi < b.hi
 }
 
 // checkRankSpace rejects a rank universe larger than uploads may build
@@ -142,17 +137,16 @@ func checkRankSpace(ranks int) error {
 	return nil
 }
 
-// DistCountTriples executes a batch of block triples against resident
-// fragments: the replica half of the distributed count. It returns one
-// count per triple, in order. Every row-block fragment the batch reads
-// must already be resident under (snapID, tl.P, block range), and all of
-// them are looked up before anything is counted: a miss returns
-// ErrFragmentMissing naming the lowest absent block, so the coordinator
-// re-pushes and retries. Once ctx is done no further triple starts and
-// ctx's error is returned. When ctx carries a span, each triple is
-// counted under a "triangle.triple" child of it (bi, bj, bk, count), and
-// the finished children are returned for the caller to ship with its
-// own span.
+// DistCountTriples executes a batch of block triples against the
+// snapshot's resident CSR: the replica half of the distributed count. It
+// returns one count per triple, in order. The CSR must already be
+// resident under snapID (else ErrFragmentMissing, so the coordinator
+// re-pushes and retries) and must span the tiling's rank space; every
+// row block is then a zero-copy view of it. Once ctx is done no further
+// triple starts and ctx's error is returned. When ctx carries a span,
+// each triple is counted under a "triangle.triple" child of it (bi, bj,
+// bk, count), and the finished children are returned for the caller to
+// ship with its own span.
 func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triangle.Tiling, triples []triangle.BlockTriple) ([]int, []obs.Span, error) {
 	if err := checkRankSpace(tl.Ranks); err != nil {
 		return nil, nil, err
@@ -168,9 +162,16 @@ func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triang
 			return nil, nil, fmt.Errorf("service: block triple (%d,%d,%d) outside %d-grid", t.I, t.J, t.K, tl.P)
 		}
 	}
-	frags, err := s.residentFragments(snapID, tl, triples)
+	csr, err := s.residentCSR(snapID)
 	if err != nil {
 		return nil, nil, err
+	}
+	if csr.Ranks != tl.Ranks {
+		return nil, nil, fmt.Errorf("service: resident CSR of %s has %d ranks, tiling %d", snapID, csr.Ranks, tl.Ranks)
+	}
+	blocks := make([]triangle.Fragment, tl.P)
+	for b := range blocks {
+		blocks[b] = csr.Slice(tl.Block(b))
 	}
 	sp := obs.SpanFromContext(ctx)
 	counts := make([]int, len(triples))
@@ -181,7 +182,7 @@ func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triang
 		}
 		child := sp.Child("triangle.triple")
 		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
-		n, err := triangle.CountFragments(tl, t, frags[t.I], frags[t.J])
+		n, err := triangle.CountFragments(tl, t, &blocks[t.I], &blocks[t.J])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -197,61 +198,118 @@ func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triang
 	return counts, spans, nil
 }
 
-// residentFragments returns, indexed by block, the resident fragment of
-// every row block the triples read, all looked up in one critical
-// section, or reports the lowest absent block as ErrFragmentMissing.
-// FragmentHits counts one per block of a batch found fully resident;
-// together with FragmentStores it proves each key is transferred at
-// most once per replica while resident.
-func (s *Service) residentFragments(snapID string, tl triangle.Tiling, triples []triangle.BlockTriple) ([]*triangle.Fragment, error) {
-	need := make([]bool, tl.P)
-	for _, t := range triples {
-		need[t.I], need[t.J] = true, true
-	}
-	frags := make([]*triangle.Fragment, tl.P)
+// residentCSR returns snapID's resident CSR, or ErrFragmentMissing.
+// FragmentHits counts one per count request it serves; together with
+// FragmentStores it shows each snapshot's CSR crossing the wire at most
+// once per replica while resident.
+func (s *Service) residentCSR(snapID string) (*triangle.Fragment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	s.fragTick++
-	hits := 0
-	for b, ok := range need {
-		if !ok {
-			continue
-		}
-		lo, hi := tl.Block(b)
-		e, ok := s.frags[fragKey{fingerprint: snapID, p: tl.P, lo: lo, hi: hi}]
-		if !ok {
-			return nil, fmt.Errorf("%w: block %d = [%d, %d) of %s/%d",
-				ErrFragmentMissing, b, lo, hi, snapID, tl.P)
-		}
-		e.lastUsed = s.fragTick
-		frags[b] = e.frag
-		hits++
+	e := s.touchFragmentLocked(snapID)
+	if e == nil {
+		return nil, fmt.Errorf("%w: snapshot %s", ErrFragmentMissing, snapID)
 	}
-	s.stats.FragmentHits += uint64(hits)
-	return frags, nil
+	s.stats.FragmentHits++
+	return e.frag, nil
 }
 
-// distPeer is the coordinator's per-peer state for one job.
+// snapDist is a snapshot's count-dist state on the coordinator: its
+// forward CSR, built by the snapshot's first job and shared by every
+// later one at any grid, and what each peer holds of it. It hangs off
+// the Snapshot by pointer (snapshot values are copied out of the
+// registry). Evicting the snapshot frees the CSR; a re-registered
+// snapshot starts from a fresh snapDist, so no residency outlives its
+// snapshot.
+type snapDist struct {
+	once  sync.Once
+	mu    sync.Mutex
+	fw    *triangle.Forward // nil until built, and again once freed
+	freed bool
+
+	peers []residency // indexed like Config.Peers
+}
+
+func newSnapDist(peers int) *snapDist { return &snapDist{peers: make([]residency, peers)} }
+
+// forward returns the snapshot's forward CSR, building it on first use;
+// concurrent first jobs wait for the one build.
+func (sd *snapDist) forward(view *graph.Sub) *triangle.Forward {
+	var built *triangle.Forward
+	sd.once.Do(func() {
+		built = triangle.NewForward(view)
+		sd.mu.Lock()
+		if !sd.freed {
+			sd.fw = built
+		}
+		sd.mu.Unlock()
+	})
+	if built != nil {
+		return built
+	}
+	sd.mu.Lock()
+	fw := sd.fw
+	sd.mu.Unlock()
+	if fw == nil {
+		// The snapshot was evicted: serve this job, cache nothing.
+		fw = triangle.NewForward(view)
+	}
+	return fw
+}
+
+// free drops the CSR; jobs already holding it keep their reference.
+func (sd *snapDist) free() {
+	sd.mu.Lock()
+	sd.fw, sd.freed = nil, true
+	sd.mu.Unlock()
+}
+
+// residency is what the coordinator knows about one snapshot's CSR on
+// one peer, across jobs. mu serializes the pushes of that snapshot to
+// that peer, so concurrent batches and jobs share one push.
+type residency struct {
+	mu   sync.Mutex
+	gen  uint64 // successful pushes so far; names the latest copy
+	held bool   // the peer holds copy gen
+	// refused is set once the peer refuses the CSR as too large for its
+	// cache; the snapshot is never offered to it again.
+	refused atomic.Bool
+}
+
+// forget records that the peer no longer holds copy gen: it answered
+// fragment_missing (evicted or restarted). A newer copy, pushed by a
+// concurrent batch since, stays recorded.
+func (r *residency) forget(gen uint64) {
+	r.mu.Lock()
+	if r.gen == gen {
+		r.held = false
+	}
+	r.mu.Unlock()
+}
+
+// distPeer is the coordinator's per-job state for one peer that has not
+// refused the snapshot.
 type distPeer struct {
 	client *Client
+	res    *residency // the snapshot's residency on this peer
 
-	mu     sync.Mutex
-	pushed map[int]bool // blocks confirmed resident on the peer this job
-	dead   bool         // transport-level failure: stop sending it work
+	mu   sync.Mutex
+	dead bool // transport-level failure: stop sending it work this job
 }
 
-func (dp *distPeer) isDead() bool {
+// usable reports whether the peer may still take this job's work.
+func (dp *distPeer) usable() bool {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
-	return dp.dead
+	return !dp.dead && !dp.res.refused.Load()
 }
 
 // distJob is the coordinator's state for one distributed count.
 type distJob struct {
 	snapID  string
+	fw      *triangle.Forward // the snapshot's CSR, pushed whole
 	plan    *triangle.DistPlan
 	triples []triangle.BlockTriple // plan.Tiling.Triples(), in task order
 	peers   []*distPeer
@@ -261,8 +319,15 @@ type distJob struct {
 	svc  *Service
 	span *obs.Span
 
-	encMu sync.Mutex
-	enc   map[int][]byte // block -> encoded fragment, rendered once per job
+	encOnce sync.Once
+	enc     []byte // fw's DXFR1 encoding, rendered by the job's first push
+}
+
+// encoded returns the CSR's wire bytes, encoding them at most once per
+// job however many peers the job pushes to.
+func (j *distJob) encoded() []byte {
+	j.encOnce.Do(func() { j.enc = j.fw.Fragment().Encode() })
+	return j.enc
 }
 
 // peerFailed marks the peer dead for the rest of the job and, the first
@@ -282,74 +347,55 @@ func (j *distJob) peerFailed(ctx context.Context, dp *distPeer) {
 	}
 }
 
-// encoded returns block b's wire bytes, encoding at most once per job no
-// matter how many peers need it.
-func (j *distJob) encoded(b int) []byte {
-	j.encMu.Lock()
-	defer j.encMu.Unlock()
-	if data, ok := j.enc[b]; ok {
-		return data
+// ensureResident makes sure the peer holds the snapshot's CSR — pushing
+// it, encoded whole, unless the coordinator already knows the peer holds
+// it — and returns the copy's generation for a later forget. The
+// residency lock makes concurrent batches and jobs share one push per
+// (peer, snapshot). A push refused as too large marks the snapshot
+// refused on that peer; any other failed push marks the peer dead.
+func (j *distJob) ensureResident(ctx context.Context, dp *distPeer) (uint64, error) {
+	r := dp.res
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !dp.usable() {
+		return 0, fmt.Errorf("service: peer %s marked failed or refusing %s", dp.client.Base, j.snapID)
 	}
-	data := j.plan.Fragment(b).Encode()
-	j.enc[b] = data
-	return data
-}
-
-// ensureFragment pushes block b to the peer unless this job already
-// confirmed it resident there. The per-peer lock makes concurrent
-// batches agree on one push per (peer, block) — the at-most-once
-// transfer the replica's StoreFragment counter then witnesses.
-func (j *distJob) ensureFragment(ctx context.Context, dp *distPeer, b int) error {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	if dp.dead {
-		return fmt.Errorf("service: peer %s marked failed", dp.client.Base)
+	if r.held {
+		return r.gen, nil
 	}
-	if dp.pushed[b] {
-		return nil
-	}
-	lo, hi := j.plan.Tiling.Block(b)
-	data := j.encoded(b)
+	data := j.encoded()
 	psp := j.span.Child("dist.push")
-	psp.Attr("peer", dp.client.Base).AttrInt("block", b).AttrInt("bytes", len(data))
-	err := dp.client.PutFragment(ctx, j.snapID, j.plan.Tiling.P, lo, hi, data)
+	psp.Attr("peer", dp.client.Base).AttrInt("bytes", len(data))
+	err := dp.client.PutFragment(ctx, j.snapID, data)
 	psp.End()
-	if err != nil {
-		return err
+	switch {
+	case errors.Is(err, ErrFragmentTooLarge):
+		r.refused.Store(true)
+		return 0, err
+	case err != nil:
+		j.peerFailed(ctx, dp)
+		return 0, err
 	}
-	dp.pushed[b] = true
+	r.gen++
+	r.held = true
 	j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) {
 		ps.Pushes++
 		ps.PushBytes += int64(len(data))
 	})
-	return nil
-}
-
-// forget drops the job's residency knowledge of block b on the peer (the
-// replica reported a block missing — e.g. evicted between push and
-// count).
-func (dp *distPeer) forget(b int) {
-	dp.mu.Lock()
-	delete(dp.pushed, b)
-	dp.mu.Unlock()
+	return r.gen, nil
 }
 
 // countBatch runs a batch of triples (indices into j.triples, in task
-// order) on one peer: push every row-block fragment the batch needs
-// that the peer does not hold yet, then ask for all the counts in one
-// request. A fragment_missing answer re-pushes and retries once; a
-// transport error marks the peer dead so its queued work fails over
-// immediately instead of timing out batch by batch.
+// order) on one peer: make sure it holds the snapshot's CSR, then ask
+// for all the counts in one request. A fragment_missing answer forgets
+// the peer's copy, re-pushes and retries once; a transport error marks
+// the peer dead so its queued work fails over immediately instead of
+// timing out batch by batch.
 func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (counts []int, err error) {
 	triples := make([]triangle.BlockTriple, len(batch))
-	var blocks []int
 	for i, ti := range batch {
-		t := j.triples[ti]
-		triples[i] = t
-		blocks = append(blocks, t.I, t.J)
+		triples[i] = j.triples[ti]
 	}
-	slices.Sort(blocks)
-	blocks = slices.Compact(blocks)
 
 	csp := j.span.Child("dist.count")
 	csp.Attr("peer", dp.client.Base).AttrInt("triples", len(batch))
@@ -366,28 +412,23 @@ func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (co
 		csp.End()
 	}()
 	for attempt := 0; ; attempt++ {
-		for _, b := range blocks {
-			if err = j.ensureFragment(ctx, dp, b); err != nil {
-				j.peerFailed(ctx, dp)
-				return nil, err
-			}
+		gen, err := j.ensureResident(ctx, dp)
+		if err != nil {
+			return nil, err
 		}
 		if counts, err = j.distCountRemote(ctx, dp, triples, csp); err == nil {
 			j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Triples += uint64(len(batch)) })
 			return counts, nil
 		}
 		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Code == CodeFragmentMissing && attempt == 0 {
-			for _, b := range blocks {
-				dp.forget(b)
-			}
-			continue
-		}
-		if apiErr == nil {
+		if !errors.As(err, &apiErr) {
 			// Transport-level failure (connection refused or reset, a
 			// malformed answer): assume the peer is gone for the rest of
 			// the job.
 			j.peerFailed(ctx, dp)
+		} else if apiErr.Code == CodeFragmentMissing && attempt == 0 {
+			dp.res.forget(gen)
+			continue
 		}
 		return nil, err
 	}
@@ -420,21 +461,29 @@ func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, triples []t
 	return counts, nil
 }
 
-// distCount is the coordinator: tile the view, schedule the block
-// triples across the fleet by a deterministic volume-balanced (greedy
-// LPT) assignment, split each peer's share into at most DistWindow
-// cost-balanced batches of one count request each, fail triples over to
-// the other replicas, and count the last resort locally. Called from
-// DistCountParams.run with len(peers) > 0.
-func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, grid int) (res *Result, err error) {
+// distCount is the coordinator: tile the snapshot's cached forward CSR,
+// schedule the block triples across the peers that have not refused the
+// snapshot by a deterministic volume-balanced (greedy LPT) assignment,
+// split each peer's share into at most DistWindow cost-balanced batches
+// of one count request each, fail triples over to the other replicas,
+// and count the last resort locally. Called from DistCountParams.run
+// with len(Config.Peers) > 0.
+func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot, grid int) (res *Result, err error) {
 	start := time.Now()
-	peers := s.cfg.Peers
 	window := s.cfg.DistWindow
 	p := grid
 	if p == 0 {
-		p = triangle.AutoGrid(len(peers)*window, len(view.MemberList()))
+		p = triangle.AutoGrid(len(s.cfg.Peers)*window, len(view.MemberList()))
 	}
-	plan := triangle.NewDistPlan(view, p)
+	var peers []*distPeer
+	for pi, base := range s.cfg.Peers {
+		// A peer that refused the snapshot's CSR is not offered it again.
+		if r := &snap.dist.peers[pi]; !r.refused.Load() {
+			peers = append(peers, &distPeer{client: &Client{Base: base, HTTP: s.peerHTTP}, res: r})
+		}
+	}
+	fw := snap.dist.forward(view)
+	plan := fw.Plan(p)
 	triples := plan.Tiling.Triples()
 	dsp := obs.SpanFromContext(ctx).Child("dist")
 	dsp.AttrInt("grid", p).AttrInt("peers", len(peers)).AttrInt("triples", len(triples))
@@ -446,43 +495,7 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 		}
 		dsp.End()
 	}()
-
-	// Deterministic volume-balanced schedule: triples in descending cost
-	// order (ties by task order) onto the least-loaded peer (ties by peer
-	// index), then each peer's share the same way onto its window's
-	// batches. Deterministic in (snapshot, grid, peer list, window).
-	order := make([]int, len(triples))
-	for i := range order {
-		order[i] = i
-	}
-	costs := make([]int64, len(triples))
-	for i, t := range triples {
-		costs[i] = plan.TripleCost(t)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	home := make([]int, len(triples))
-	assign := lptSplit(order, costs, len(peers))
-	for pi, share := range assign {
-		for _, ti := range share {
-			home[ti] = pi
-		}
-	}
-
-	job := &distJob{
-		snapID:  snapshotID(fp),
-		plan:    plan,
-		triples: triples,
-		peers:   make([]*distPeer, len(peers)),
-		svc:     s,
-		span:    dsp,
-		enc:     make(map[int][]byte),
-	}
-	for pi, base := range peers {
-		job.peers[pi] = &distPeer{
-			client: &Client{Base: base, HTTP: s.peerHTTP},
-			pushed: make(map[int]bool),
-		}
-	}
+	job := &distJob{snapID: snap.ID, fw: fw, plan: plan, triples: triples, peers: peers, svc: s, span: dsp}
 
 	counts := make([]int, len(triples))
 	var mu sync.Mutex
@@ -491,9 +504,9 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 	// run counts one batch on peer pi, storing its counts or queueing
 	// its triples for failover.
 	run := func(pi int, batch []int) {
-		dp := job.peers[pi]
+		dp := peers[pi]
 		var got []int
-		ok := !dp.isDead()
+		ok := dp.usable()
 		if ok {
 			var err error
 			got, err = job.countBatch(ctx, dp, batch)
@@ -510,48 +523,78 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, fp uint64, gri
 		}
 		served[pi] = true
 	}
-	var wg sync.WaitGroup
-	for pi, share := range assign {
-		for _, batch := range lptSplit(share, costs, window) {
-			if len(batch) == 0 {
-				continue
-			}
-			slices.Sort(batch)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(pi, batch)
-			}()
-		}
-	}
-	wg.Wait()
 
-	// Failover rounds, in task order: round off sends each failed
-	// triple to the peer off places after its home, one batch per live
-	// target; what no replica served falls back to the coordinator's own
-	// CSR. Per-triple counts are identical wherever they run, so failover
-	// never perturbs the total.
-	retries := len(failed)
-	for off := 1; off <= len(peers) && len(failed) > 0; off++ {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	retries := 0
+	if len(peers) == 0 {
+		// Every peer refused the snapshot: count all of it locally.
+		for ti := range triples {
+			failed = append(failed, ti)
 		}
-		slices.Sort(failed)
-		targets := make([][]int, len(peers))
-		for _, ti := range failed {
-			pi := (home[ti] + off) % len(peers)
-			targets[pi] = append(targets[pi], ti)
+	} else {
+		// Deterministic volume-balanced schedule: triples in descending
+		// cost order (ties by task order) onto the least-loaded peer
+		// (ties by peer index), then each peer's share the same way onto
+		// its window's batches. Deterministic in (snapshot, grid, peer
+		// list, window).
+		order := make([]int, len(triples))
+		for i := range order {
+			order[i] = i
 		}
-		failed = nil
-		for pi, batch := range targets {
-			if len(batch) > 0 {
-				run(pi, batch)
+		costs := make([]int64, len(triples))
+		for i, t := range triples {
+			costs[i] = plan.TripleCost(t)
+		}
+		sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
+		home := make([]int, len(triples))
+		assign := lptSplit(order, costs, len(peers))
+		for pi, share := range assign {
+			for _, ti := range share {
+				home[ti] = pi
+			}
+		}
+		var wg sync.WaitGroup
+		for pi, share := range assign {
+			for _, batch := range lptSplit(share, costs, window) {
+				if len(batch) == 0 {
+					continue
+				}
+				slices.Sort(batch)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run(pi, batch)
+				}()
+			}
+		}
+		wg.Wait()
+
+		// Failover rounds, in task order: round off sends each failed
+		// triple to the peer off places after its home, one batch per
+		// live target; what no replica served falls back to the
+		// coordinator's own CSR below. Per-triple counts are identical
+		// wherever they run, so failover never perturbs the total.
+		retries = len(failed)
+		for off := 1; off <= len(peers) && len(failed) > 0; off++ {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			slices.Sort(failed)
+			targets := make([][]int, len(peers))
+			for _, ti := range failed {
+				pi := (home[ti] + off) % len(peers)
+				targets[pi] = append(targets[pi], ti)
+			}
+			failed = nil
+			for pi, batch := range targets {
+				if len(batch) > 0 {
+					run(pi, batch)
+				}
 			}
 		}
 	}
-	for _, ti := range failed {
-		counts[ti] = plan.CountTriple(triples[ti])
-	}
+	par.ForEach(par.Workers(s.cfg.AlgoWorkers), len(failed), func(i int) {
+		counts[failed[i]] = plan.CountTriple(triples[failed[i]])
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,9 +24,8 @@ import (
 )
 
 // fragPutCounter wraps a replica handler and counts fragment PUTs by
-// full key path — the direct witness that the coordinator transfers each
-// (fingerprint, tiling, rank-range) to each replica at most once per
-// job.
+// path — the direct witness that the coordinator transfers each
+// snapshot's CSR to each replica at most once per residency.
 type fragPutCounter struct {
 	next http.Handler
 
@@ -39,6 +40,17 @@ func (fc *fragPutCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fc.mu.Unlock()
 	}
 	fc.next.ServeHTTP(w, r)
+}
+
+// total returns the number of PUTs received.
+func (fc *fragPutCounter) total() int {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	n := 0
+	for _, c := range fc.puts {
+		n += c
+	}
+	return n
 }
 
 func (fc *fragPutCounter) maxPuts() int {
@@ -82,7 +94,7 @@ func startWrappedReplicas(t *testing.T, n int, wrap func(i int, h http.Handler) 
 // TestDistCountMatchesLocalKernel is the acceptance property: for every
 // generator family, seed, and replica count (0 = local fallback), the
 // distributed total and checksum are bit-identical to CountParallel2D —
-// and no replica receives any fragment key twice.
+// and no replica receives the snapshot's CSR twice.
 func TestDistCountMatchesLocalKernel(t *testing.T) {
 	families := []struct {
 		name  string
@@ -140,11 +152,15 @@ func TestDistCountMatchesLocalKernel(t *testing.T) {
 }
 
 // TestDistCountGridSweep pins p-independence through the service: every
-// forced grid dimension yields the same count and checksum.
+// forced grid dimension yields the same count and checksum. It also pins
+// residency across jobs: over the whole sweep each replica receives the
+// snapshot's CSR in exactly one PUT and stores it once, and the
+// coordinator records one push per peer — later grids send count
+// requests only.
 func TestDistCountGridSweep(t *testing.T) {
 	g := gen.ChungLu(96, 2.2, 8, 3)
 	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
-	bases, _, _ := startReplicas(t, 2)
+	bases, svcs, counters := startReplicas(t, 2)
 	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 3})
 	defer coord.Close()
 	snap, err := coord.RegisterGraph("", g)
@@ -158,6 +174,18 @@ func TestDistCountGridSweep(t *testing.T) {
 		}
 		if res.Triangles != want {
 			t.Fatalf("grid %d: counted %d, local kernel %d", grid, res.Triangles, want)
+		}
+	}
+	st := coord.Stats()
+	for ri, svc := range svcs {
+		if n := counters[ri].total(); n != 1 {
+			t.Fatalf("replica %d received %d fragment PUTs over the sweep, want 1", ri, n)
+		}
+		if stores := svc.Stats().FragmentStores; stores != 1 {
+			t.Fatalf("replica %d stored %d fragments over the sweep, want 1", ri, stores)
+		}
+		if ps := st.DistPeers[bases[ri]]; ps == nil || ps.Pushes != 1 {
+			t.Fatalf("coordinator's stats for replica %d: %+v, want 1 push", ri, ps)
 		}
 	}
 }
@@ -230,33 +258,26 @@ func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 }
 
 // TestFragmentCacheEviction pins the replica cache's byte bound: storing
-// past MaxFragmentBytes evicts the least-recently-used fragment, and a
-// subsequent count on the evicted key reports ErrFragmentMissing rather
-// than a wrong answer.
+// a snapshot's CSR past MaxFragmentBytes evicts the least-recently-used
+// snapshot, and a subsequent count on the evicted snapshot reports
+// ErrFragmentMissing rather than a wrong answer.
 func TestFragmentCacheEviction(t *testing.T) {
-	g := gen.GNP(64, 0.3, 7)
-	view := graph.WholeGraph(g)
-	plan := triangle.NewDistPlan(view, 3)
-	enc := make([][]byte, plan.Tiling.P)
-	for b := range enc {
-		enc[b] = plan.Fragment(b).Encode()
-	}
-	// Budget for roughly one fragment at a time (blocks differ in size;
-	// bound by the largest so every single store fits but no pair does).
+	graphs := []*graph.Graph{gen.GNP(64, 0.3, 7), gen.GNP(64, 0.3, 8)}
+	enc := make([][]byte, len(graphs))
+	ids := make([]string, len(graphs))
 	maxEnc := 0
-	for _, data := range enc {
-		if len(data) > maxEnc {
-			maxEnc = len(data)
-		}
+	for i, g := range graphs {
+		enc[i] = triangle.NewForward(graph.WholeGraph(g)).Fragment().Encode()
+		ids[i] = snapshotID(g.Fingerprint())
+		maxEnc = max(maxEnc, len(enc[i]))
 	}
+	// Budget for one CSR at a time: every single store fits, no pair does.
 	svc := New(Config{Workers: 1, MaxFragmentBytes: int64(maxEnc + 8)})
 	defer svc.Close()
-	id := snapshotID(g.Fingerprint())
-	put := func(b int) bool {
-		lo, hi := plan.Tiling.Block(b)
-		stored, err := svc.StoreFragment(id, plan.Tiling.P, lo, hi, enc[b])
+	put := func(i int) bool {
+		stored, err := svc.StoreFragment(ids[i], enc[i])
 		if err != nil {
-			t.Fatalf("store block %d: %v", b, err)
+			t.Fatalf("store snapshot %d: %v", i, err)
 		}
 		return stored
 	}
@@ -266,13 +287,15 @@ func TestFragmentCacheEviction(t *testing.T) {
 	if put(0) {
 		t.Fatal("idempotent re-store reported stored")
 	}
-	put(1) // must evict block 0
+	put(1) // must evict snapshot 0
 	st := svc.Stats()
 	if st.FragmentEvictions == 0 {
 		t.Fatalf("stores past the byte bound evicted nothing (resident %d bytes)", st.FragmentBytes)
 	}
-	if _, _, err := svc.DistCountTriples(context.Background(), id, plan.Tiling, []triangle.BlockTriple{{I: 0, J: 0, K: 0}}); err == nil {
-		t.Fatal("count on the evicted fragment succeeded")
+	tl := triangle.NewDistPlan(graph.WholeGraph(graphs[0]), 3).Tiling
+	_, _, err := svc.DistCountTriples(context.Background(), ids[0], tl, []triangle.BlockTriple{{I: 0, J: 0, K: 0}})
+	if !errors.Is(err, ErrFragmentMissing) {
+		t.Fatalf("count on the evicted snapshot: err = %v, want ErrFragmentMissing", err)
 	}
 }
 
@@ -291,7 +314,7 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 	if len(frag) != 42 {
 		t.Fatalf("hostile fragment is %d bytes, want 42", len(frag))
 	}
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/dist/fragments/x/2/0/0", bytes.NewReader(frag))
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/dist/fragments/x", bytes.NewReader(frag))
 	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatalf("put fragment: %v", err)
@@ -312,7 +335,7 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 
 	// The same input straight through the Service methods, as the
 	// in-process reproduction drove it.
-	if _, err := svc.StoreFragment("x", 2, 0, 0, frag); err == nil {
+	if _, err := svc.StoreFragment("x", frag); err == nil {
 		t.Fatal("StoreFragment accepted a 2^31-1 rank universe")
 	}
 	tl := triangle.Tiling{P: 2, Ranks: 1<<31 - 1, Cuts: []int32{0, 0, 1<<31 - 1}}
@@ -640,5 +663,474 @@ func TestDistCountFaultInjection(t *testing.T) {
 	// batches then found the peer dead.
 	if ps := coord.Stats().DistPeers[bases[1]]; ps == nil || ps.Failures != cutJobs {
 		t.Fatalf("faulty peer's stats %+v, want %d failures", ps, cutJobs)
+	}
+}
+
+// startReplica boots one loopback replica with cfg behind the handler
+// wrap returns for it.
+func startReplica(t *testing.T, cfg Config, wrap func(h http.Handler) http.Handler) (string, *Service) {
+	t.Helper()
+	svc := New(cfg)
+	srv := httptest.NewServer(wrap(svc.Handler()))
+	t.Cleanup(srv.Close)
+	t.Cleanup(svc.Close)
+	return srv.URL, svc
+}
+
+// restartable serves whichever replica process is current behind one
+// address, so swapping in a fresh one looks like a restart to the
+// coordinator.
+type restartable struct {
+	t *testing.T
+
+	mu sync.Mutex
+	h  http.Handler
+}
+
+func (rs *restartable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rs.mu.Lock()
+	h := rs.h
+	rs.mu.Unlock()
+	h.ServeHTTP(w, r)
+}
+
+// restart replaces the replica with a fresh process holding nothing.
+func (rs *restartable) restart() {
+	svc := New(Config{Workers: 2})
+	rs.t.Cleanup(svc.Close)
+	rs.mu.Lock()
+	rs.h = svc.Handler()
+	rs.mu.Unlock()
+}
+
+// TestDistCountReplicaLosesResidency runs a snapshot's jobs while one
+// replica restarts and another evicts the snapshot's CSR between jobs.
+// Their next count requests answer fragment_missing; the coordinator
+// must re-push to each of them exactly once — however many of its
+// batches learn of the loss at once — and no peer may be charged a
+// failure. Every total must equal the local kernel's.
+func TestDistCountReplicaLosesResidency(t *testing.T) {
+	g := gen.ChungLu(300, 2.1, 10, 7)
+	view := graph.WholeGraph(g)
+	want := triangle.CountParallel2D(view, 0)
+	csr := triangle.NewForward(view).Fragment().Encode()
+	other := gen.ChungLu(300, 2.1, 10, 8)
+	otherCSR := triangle.NewForward(graph.WholeGraph(other)).Fragment().Encode()
+
+	rs := &restartable{t: t}
+	base0, _ := startReplica(t, Config{Workers: 2}, func(h http.Handler) http.Handler {
+		rs.h = h
+		return rs
+	})
+	// Replica 1's cache fits one of the two CSRs, not both.
+	bound := int64(max(len(csr), len(otherCSR)) + 8)
+	base1, evicting := startReplica(t, Config{Workers: 2, MaxFragmentBytes: bound}, func(h http.Handler) http.Handler { return h })
+	base2, _ := startReplica(t, Config{Workers: 2}, func(h http.Handler) http.Handler { return h })
+	bases := []string{base0, base1, base2}
+	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 4})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(grid int) {
+		t.Helper()
+		res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid})
+		if err != nil {
+			t.Fatalf("grid %d: %v", grid, err)
+		}
+		if res.Triangles != want || res.DistRetries != 0 || res.DistPeers != len(bases) {
+			t.Fatalf("grid %d: counted %d on %d peers with %d retries, local kernel %d",
+				grid, res.Triangles, res.DistPeers, res.DistRetries, want)
+		}
+	}
+	pushes := func() []uint64 {
+		st := coord.Stats()
+		out := make([]uint64, len(bases))
+		for i, b := range bases {
+			if ps := st.DistPeers[b]; ps != nil {
+				out[i] = ps.Pushes
+				if ps.Failures != 0 {
+					t.Fatalf("peer %d charged %d failures", i, ps.Failures)
+				}
+			}
+		}
+		return out
+	}
+
+	count(6)
+	if got := pushes(); !slices.Equal(got, []uint64{1, 1, 1}) {
+		t.Fatalf("pushes after the first job %v, want one per peer", got)
+	}
+	rs.restart()
+	if stored, err := evicting.StoreFragment(snapshotID(other.Fingerprint()), otherCSR); err != nil || !stored {
+		t.Fatalf("store another snapshot on replica 1: stored %v, %v", stored, err)
+	}
+	if st := evicting.Stats(); st.FragmentEvictions != 1 {
+		t.Fatalf("replica 1 evicted %d CSRs, want 1", st.FragmentEvictions)
+	}
+	count(8)
+	if got := pushes(); !slices.Equal(got, []uint64{2, 2, 1}) {
+		t.Fatalf("pushes after the restart and the eviction %v, want one re-push to each of peers 0 and 1", got)
+	}
+	count(4)
+	if got := pushes(); !slices.Equal(got, []uint64{2, 2, 1}) {
+		t.Fatalf("pushes after a third job %v, want no more", got)
+	}
+}
+
+// putStatuses wraps a replica handler and records the status of every
+// fragment PUT it answers.
+type putStatuses struct {
+	next http.Handler
+
+	mu       sync.Mutex
+	statuses []int
+}
+
+func (ps *putStatuses) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPut {
+		ps.next.ServeHTTP(w, r)
+		return
+	}
+	sw := &statusWriter{ResponseWriter: w}
+	ps.next.ServeHTTP(sw, r)
+	ps.mu.Lock()
+	ps.statuses = append(ps.statuses, sw.status)
+	ps.mu.Unlock()
+}
+
+func (ps *putStatuses) get() []int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return slices.Clone(ps.statuses)
+}
+
+// TestDistCountOversizeSnapshotRefused gives one of three replicas a
+// fragment cache smaller than a snapshot's CSR. It must refuse that one
+// push as too large, never be offered the snapshot again, and never be
+// charged a failure; every job's total must still be the local
+// kernel's. A smaller snapshot that fits is still offered to it. With
+// every replica refusing, the coordinator counts the whole job itself.
+func TestDistCountOversizeSnapshotRefused(t *testing.T) {
+	big := gen.ChungLu(300, 2.1, 10, 9)
+	small := gen.GNP(40, 0.2, 2)
+	bigCSR := len(triangle.NewForward(graph.WholeGraph(big)).Fragment().Encode())
+	smallCSR := len(triangle.NewForward(graph.WholeGraph(small)).Fragment().Encode())
+	if smallCSR >= bigCSR-1 {
+		t.Fatalf("small CSR %d bytes does not fit under the big one's %d", smallCSR, bigCSR)
+	}
+	for _, refusing := range []int{1, 3} {
+		puts := make([]*putStatuses, 3)
+		var bases []string
+		for i := range puts {
+			cfg := Config{Workers: 2}
+			if i < refusing {
+				cfg.MaxFragmentBytes = int64(bigCSR - 1)
+			}
+			base, _ := startReplica(t, cfg, func(h http.Handler) http.Handler {
+				puts[i] = &putStatuses{next: h}
+				return puts[i]
+			})
+			bases = append(bases, base)
+		}
+		coord := New(Config{Workers: 2, Peers: bases, DistWindow: 2})
+		for _, g := range []*graph.Graph{big, small} {
+			want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+			snap, err := coord.RegisterGraph("", g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for grid := 3; grid <= 6; grid++ {
+				res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid})
+				if err != nil {
+					t.Fatalf("%d refusing, grid %d: %v", refusing, grid, err)
+				}
+				if res.Triangles != want {
+					t.Fatalf("%d refusing, grid %d: counted %d, local kernel %d", refusing, grid, res.Triangles, want)
+				}
+				if g == small && res.DistPeers != len(bases) {
+					t.Fatalf("%d refusing, grid %d: the small snapshot ran on %d peers, want %d",
+						refusing, grid, res.DistPeers, len(bases))
+				}
+				if g == big && grid > 3 && (res.DistPeers != len(bases)-refusing || res.DistRetries != 0) {
+					t.Fatalf("%d refusing, grid %d: the big snapshot ran on %d peers with %d retries, want %d peers and none",
+						refusing, grid, res.DistPeers, res.DistRetries, len(bases)-refusing)
+				}
+			}
+		}
+		st := coord.Stats()
+		for i, base := range bases {
+			want := []int{http.StatusOK, http.StatusOK}
+			if i < refusing {
+				want = []int{http.StatusRequestEntityTooLarge, http.StatusOK}
+			}
+			if got := puts[i].get(); !slices.Equal(got, want) {
+				t.Fatalf("%d refusing: replica %d answered PUTs %v, want %v", refusing, i, got, want)
+			}
+			if ps := st.DistPeers[base]; ps == nil || ps.Failures != 0 {
+				t.Fatalf("%d refusing: replica %d stats %+v, want no failures", refusing, i, ps)
+			}
+		}
+		coord.Close()
+	}
+}
+
+// TestStoreFragmentResidentSkipsDecode pins that a re-push of a resident
+// snapshot is answered from the residency lookup alone: a second PUT
+// whose body would fail decoding answers stored == false, and the
+// resident CSR still serves counts.
+func TestStoreFragmentResidentSkipsDecode(t *testing.T) {
+	g := gen.GNP(64, 0.3, 7)
+	view := graph.WholeGraph(g)
+	data := triangle.NewForward(view).Fragment().Encode()
+	id := snapshotID(g.Fingerprint())
+	svc := New(Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	put := func(body []byte) (int, map[string]bool) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/dist/fragments/"+id, bytes.NewReader(body))
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		defer resp.Body.Close()
+		var out map[string]bool
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	if code, out := put(data); code != http.StatusOK || !out["stored"] {
+		t.Fatalf("first push answered %d %v, want 200 stored", code, out)
+	}
+	corrupt := slices.Clone(data)
+	corrupt[len(corrupt)/2] ^= 0x5a
+	if _, err := triangle.DecodeFragment(corrupt); err == nil {
+		t.Fatal("the corrupted body decodes")
+	}
+	if code, out := put(corrupt); code != http.StatusOK || out["stored"] {
+		t.Fatalf("re-push of a resident snapshot answered %d %v, want 200 not stored", code, out)
+	}
+	if st := svc.Stats(); st.FragmentStores != 1 {
+		t.Fatalf("%d stores, want 1", st.FragmentStores)
+	}
+	pl := triangle.NewDistPlan(view, 3)
+	counts, _, err := svc.DistCountTriples(context.Background(), id, pl.Tiling, pl.Tiling.Triples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if want := triangle.CountParallel2D(view, 0); total != want {
+		t.Fatalf("resident CSR counted %d, local kernel %d", total, want)
+	}
+	// A tiling of another rank space is refused, not sliced out of range.
+	other := triangle.NewDistPlan(graph.WholeGraph(gen.GNP(80, 0.3, 7)), 3).Tiling
+	if _, _, err := svc.DistCountTriples(context.Background(), id, other, other.Triples()); err == nil {
+		t.Fatalf("a %d-rank tiling counted against a %d-rank CSR", other.Ranks, pl.Tiling.Ranks)
+	}
+}
+
+// TestPutFragmentBodyLength pins how a pushed CSR's body is read: a
+// declared length past what arrives allocates in proportion to the bytes
+// read, not to the declaration; a body cut short of its declared length
+// is refused and nothing is stored; and a body without a declared length
+// is stored like one with it.
+func TestPutFragmentBodyLength(t *testing.T) {
+	g := gen.GNP(64, 0.3, 7)
+	data := triangle.NewForward(graph.WholeGraph(g)).Fragment().Encode()
+	id := snapshotID(g.Fingerprint())
+	svc := New(Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readBody(bytes.NewReader(data), 64<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a %d-byte body declared as 64 MiB read with %v, want %v", len(data), err, io.ErrUnexpectedEOF)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte body declared as 64 MiB allocated %d bytes", len(data), grew)
+	}
+	h := svc.Handler()
+	put := func(body io.Reader, declared int64) int {
+		r := httptest.NewRequest(http.MethodPut, "/v1/dist/fragments/"+id, body)
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w.Code
+	}
+	if code := put(bytes.NewReader(data[:len(data)/2]), int64(len(data))); code != http.StatusBadRequest {
+		t.Fatalf("a body cut short of its declared length answered %d, want 400", code)
+	}
+	if st := svc.Stats(); st.FragmentStores != 0 {
+		t.Fatalf("%d stores after a cut-short body, want 0", st.FragmentStores)
+	}
+	if code := put(bytes.NewReader(data), -1); code != http.StatusOK {
+		t.Fatalf("a body without a declared length answered %d, want 200", code)
+	}
+	if st := svc.Stats(); st.FragmentStores != 1 {
+		t.Fatalf("%d stores, want 1", st.FragmentStores)
+	}
+}
+
+// midBodyDrop wraps a replica so its first count reply is cut off: the
+// status line and headers promise the whole body, half of it is
+// written, and the connection is closed.
+type midBodyDrop struct {
+	next http.Handler
+
+	mu      sync.Mutex
+	counts  int
+	pending int // drops since the last take
+}
+
+func (md *midBodyDrop) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/dist/count" {
+		md.next.ServeHTTP(w, r)
+		return
+	}
+	md.mu.Lock()
+	md.counts++
+	drop := md.counts == 1
+	if drop {
+		md.pending++
+	}
+	md.mu.Unlock()
+	if !drop {
+		md.next.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	md.next.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	conn, buf, err := w.(http.Hijacker).Hijack()
+	if err != nil {
+		panic(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	buf.Write(body[:len(body)/2])
+	buf.Flush()
+}
+
+// take returns and clears the number of drops since the last call.
+func (md *midBodyDrop) take() int {
+	md.mu.Lock()
+	defer md.mu.Unlock()
+	n := md.pending
+	md.pending = 0
+	return n
+}
+
+// TestDistCountReplyCutMidBody has a replica close the connection
+// partway through its first count reply. That job must still return
+// the local kernel's total, with the peer's triples failed over and one
+// failure charged to it; every later job too, with no further failure.
+func TestDistCountReplyCutMidBody(t *testing.T) {
+	g := gen.BarabasiAlbert(200, 5, 4)
+	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	var drop *midBodyDrop
+	bases, _ := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		drop = &midBodyDrop{next: h}
+		return drop
+	})
+	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 2})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for grid := 3; grid <= 6; grid++ {
+		res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: grid})
+		if err != nil {
+			t.Fatalf("grid %d: %v", grid, err)
+		}
+		if res.Triangles != want {
+			t.Fatalf("grid %d: counted %d, local kernel %d", grid, res.Triangles, want)
+		}
+		if dropped := drop.take(); (dropped > 0) != (res.DistRetries > 0) {
+			t.Fatalf("grid %d: %d replies cut, %d triples retried", grid, dropped, res.DistRetries)
+		}
+	}
+	if ps := coord.Stats().DistPeers[bases[1]]; ps == nil || ps.Failures != 1 {
+		t.Fatalf("peer that cut a reply: stats %+v, want 1 failure", ps)
+	}
+}
+
+// lateReply wraps a replica so every count request is answered only
+// after delay, whether or not the coordinator is still waiting for it:
+// the replica counts on regardless of the request's cancellation and
+// X-Timeout-Ms.
+type lateReply struct {
+	next   http.Handler
+	delay  time.Duration
+	active atomic.Int64 // count requests not yet answered
+}
+
+func (lr *lateReply) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/dist/count" {
+		lr.active.Add(1)
+		defer lr.active.Add(-1)
+		time.Sleep(lr.delay)
+		r = r.WithContext(context.WithoutCancel(r.Context()))
+		r.Header.Del(TimeoutHeader)
+	}
+	lr.next.ServeHTTP(w, r)
+}
+
+// TestDistCountReplyAfterDeadline has every replica answer 150 ms late.
+// A job under a 40 ms deadline must fail with ErrDeadline, charge no
+// peer a failure, and leave nothing behind: once the late replies have
+// landed, a job with room for them returns the local kernel's total.
+func TestDistCountReplyAfterDeadline(t *testing.T) {
+	g := gen.ChungLu(300, 2.1, 10, 5)
+	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	late := make([]*lateReply, 3)
+	bases, _ := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
+		late[i] = &lateReply{next: h, delay: 150 * time.Millisecond}
+		return late[i]
+	})
+	coord := New(Config{Workers: 1, Peers: bases})
+	defer coord.Close()
+	snap, err := coord.RegisterGraph("", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	if res, err := coord.Query(ctx, "", snap.ID, DistCountParams{Grid: 5}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("grid-5 job under a 40 ms deadline: %+v, err = %v, want ErrDeadline", res, err)
+	}
+	for wait := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		active := int64(0)
+		for _, lr := range late {
+			active += lr.active.Load()
+		}
+		if active == 0 {
+			break
+		}
+		if time.Now().After(wait) {
+			t.Fatalf("%d late replies still pending", active)
+		}
+	}
+	res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != want || res.DistRetries != 0 {
+		t.Fatalf("job after the late replies: counted %d with %d retries, local kernel %d",
+			res.Triangles, res.DistRetries, want)
+	}
+	st := coord.Stats()
+	for _, base := range bases {
+		if ps := st.DistPeers[base]; ps != nil && ps.Failures != 0 {
+			t.Fatalf("peer %s charged %d failures for replies after the deadline", base, ps.Failures)
+		}
 	}
 }

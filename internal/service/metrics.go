@@ -79,8 +79,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// v3 fragment cache and replica-side dist counters.
-	p.Counter("dexpander_fragment_stores_total", "CSR fragments admitted to the replica cache.", float64(st.FragmentStores))
-	p.Counter("dexpander_fragment_hits_total", "Resident fragments read by dist-count requests, one per distinct row block of a batch.", float64(st.FragmentHits))
+	p.Counter("dexpander_fragment_stores_total", "Snapshot CSRs admitted to the replica fragment cache.", float64(st.FragmentStores))
+	p.Counter("dexpander_fragment_hits_total", "Dist-count requests served from a resident snapshot CSR.", float64(st.FragmentHits))
 	p.Gauge("dexpander_fragment_bytes", "Resident fragment cache bytes.", float64(st.FragmentBytes))
 	p.Counter("dexpander_fragment_evictions_total", "Fragment cache evictions.", float64(st.FragmentEvictions))
 	p.Counter("dexpander_dist_triples_total", "Block triples this replica counted for remote coordinators.", float64(st.DistTriples))
@@ -127,8 +127,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	emitPeer("dexpander_peer_triples_total", "Block triples the peer answered for this coordinator.", func(d *PeerDistStats) float64 { return float64(d.Triples) })
-	emitPeer("dexpander_peer_pushes_total", "Fragment uploads to the peer.", func(d *PeerDistStats) float64 { return float64(d.Pushes) })
-	emitPeer("dexpander_peer_push_bytes_total", "Encoded bytes of fragments pushed to the peer.", func(d *PeerDistStats) float64 { return float64(d.PushBytes) })
+	emitPeer("dexpander_peer_pushes_total", "Snapshot CSR uploads to the peer.", func(d *PeerDistStats) float64 { return float64(d.Pushes) })
+	emitPeer("dexpander_peer_push_bytes_total", "Encoded bytes of snapshot CSRs pushed to the peer.", func(d *PeerDistStats) float64 { return float64(d.PushBytes) })
 	emitPeer("dexpander_peer_failures_total", "Jobs in which a rejected push or a transport failure marked the peer dead.", func(d *PeerDistStats) float64 { return float64(d.Failures) })
 
 	// Tracer ring and always-on phase aggregates.

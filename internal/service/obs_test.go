@@ -136,6 +136,25 @@ func TestTraceDistPropagation(t *testing.T) {
 			t.Fatalf("span %q (id %d) has dangling parent %d", sp.Name, sp.ID, sp.Parent)
 		}
 	}
+	// The first job pushed the snapshot's CSR once per peer. A second job
+	// at another grid finds it resident: count requests only, no push.
+	if byName["dist.push"] != 3 {
+		t.Fatalf("%d dist.push spans in the snapshot's first job, want one per peer", byName["dist.push"])
+	}
+	cl.RequestID = "trace-dist-test-002"
+	if _, err := cl.TriangleCountDist(ctx, snap.ID, DistCountParams{Grid: 6}); err != nil {
+		t.Fatalf("second count-dist: %v", err)
+	}
+	if tr, err = cl.Trace(ctx, cl.RequestID); err != nil {
+		t.Fatalf("fetch second trace: %v", err)
+	}
+	clear(byName)
+	for _, sp := range tr.Spans {
+		byName[sp.Name]++
+	}
+	if byName["dist.push"] != 0 || byName["dist.count"] == 0 || byName["replica.count"] != byName["dist.count"] {
+		t.Fatalf("second job's trace spans %v, want dist.count and replica.count only", byName)
+	}
 }
 
 // TestTraceCount2DTriples pins the per-triple spans of a traced

@@ -58,8 +58,10 @@ type Params interface {
 type runEnv struct {
 	// workers bounds host parallelism inside the computation.
 	workers int
-	// fingerprint is the snapshot's graph fingerprint.
-	fingerprint uint64
+	// snap is the registry's snapshot the computation runs on; count-dist
+	// reads its id and its cached CSR. Only its immutable fields may be
+	// read.
+	snap *Snapshot
 	// svc is the owning service: the coordinator reads the peer fleet
 	// and dist tuning from svc.cfg and reports fleet counters through
 	// it. Implementations must not touch svc.mu-guarded state directly.
@@ -404,7 +406,7 @@ func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	if len(env.svc.cfg.Peers) == 0 {
 		return count2D(ctx, view, env, "2d-local")
 	}
-	return env.svc.distCount(ctx, view, env.fingerprint, p.Grid)
+	return env.svc.distCount(ctx, view, env.snap, p.Grid)
 }
 
 // count2D runs the local 2D kernel under a "count" span tagged with

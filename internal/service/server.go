@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -83,10 +84,13 @@ const (
 	CodeRegistryFull = "registry_full" // 507: snapshot registry at capacity
 	CodeInternal     = "internal"      // 500: computation failed server-side
 	CodeBadRequest   = "bad_request"   // 400: malformed params/spec/upload
-	// CodeFragmentMissing (412) answers a dist-count naming a CSR
-	// fragment this replica does not hold; the coordinator re-pushes the
-	// fragment and retries, so it is not "retryable" as-is.
+	// CodeFragmentMissing (412) answers a dist-count naming a snapshot
+	// whose CSR this replica does not hold; the coordinator re-pushes it
+	// and retries, so it is not "retryable" as-is.
 	CodeFragmentMissing = "fragment_missing"
+	// CodeFragmentTooLarge (413) refuses a pushed snapshot CSR larger
+	// than the replica's fragment cache bound.
+	CodeFragmentTooLarge = "fragment_too_large"
 )
 
 // codeOf maps a service error onto (status, code, retryable). Order
@@ -109,6 +113,8 @@ func codeOf(err error) (int, string, bool) {
 		return http.StatusInsufficientStorage, CodeRegistryFull, false
 	case errors.Is(err, ErrFragmentMissing):
 		return http.StatusPreconditionFailed, CodeFragmentMissing, false
+	case errors.Is(err, ErrFragmentTooLarge):
+		return http.StatusRequestEntityTooLarge, CodeFragmentTooLarge, false
 	case errors.Is(err, ErrCompute):
 		// The request was valid; the kernel failed. Server fault.
 		return http.StatusInternalServerError, CodeInternal, false
@@ -127,7 +133,7 @@ func codeOf(err error) (int, string, bool) {
 //	POST   /v1/graphs/{id}/triangles/count   triangle count (parallel kernel)
 //	POST   /v1/graphs/{id}/triangles/enumerate  CONGEST enumeration (Theorem 2)
 //	POST   /v1/graphs/{id}/triangles/count-dist distributed 2D count (peer fleet)
-//	PUT    /v1/dist/fragments/{id}/{p}/{lo}/{hi} push one CSR fragment (fleet-internal)
+//	PUT    /v1/dist/fragments/{id}           push a snapshot's whole CSR (fleet-internal)
 //	POST   /v1/dist/count                    count a batch of block triples (fleet-internal)
 //	GET    /v1/stats                         service counters (schema v3)
 //	GET    /v1/debug/traces/{id}             one trace's recorded spans
@@ -148,7 +154,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/graphs/{id}/triangles/count", queryHandler[CountParams](s))
 	mux.HandleFunc("POST /v1/graphs/{id}/triangles/enumerate", queryHandler[EnumerateParams](s))
 	mux.HandleFunc("POST /v1/graphs/{id}/triangles/count-dist", queryHandler[DistCountParams](s))
-	mux.HandleFunc("PUT /v1/dist/fragments/{id}/{p}/{lo}/{hi}", s.handlePutFragment)
+	mux.HandleFunc("PUT /v1/dist/fragments/{id}", s.handlePutFragment)
 	mux.HandleFunc("POST /v1/dist/count", s.handleDistCount)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/debug/traces/{id}", s.handleTrace)
@@ -446,32 +452,60 @@ type distCountResponse struct {
 // the trace reference.
 const maxDistCountBody = 1<<20 + 32*maxDistGrid*(maxDistGrid+1)*(maxDistGrid+2)/6
 
-// handlePutFragment stores one encoded CSR fragment in the replica's
-// content-addressed cache. Idempotent: re-pushing a resident key answers
-// stored == false without decoding twice the cache's bytes.
+// handlePutFragment stores a snapshot's whole encoded CSR in the
+// replica's fragment cache. Idempotent: re-pushing a resident snapshot
+// answers stored == false without decoding the body. A body over
+// MaxFragmentBytes is refused with fragment_too_large.
 func (s *Service) handlePutFragment(w http.ResponseWriter, r *http.Request) {
-	p, err := strconv.Atoi(r.PathValue("p"))
-	if err != nil {
-		writeError(w, fmt.Errorf("service: bad tiling dimension %q", r.PathValue("p")))
+	// A declared length over the bound is refused before any of the body
+	// is read; MaxBytesReader catches a body without one.
+	if r.ContentLength > s.cfg.MaxFragmentBytes {
+		writeError(w, fmt.Errorf("%w: body of %d bytes, cache bound %d",
+			ErrFragmentTooLarge, r.ContentLength, s.cfg.MaxFragmentBytes))
 		return
 	}
-	lo, err1 := strconv.ParseInt(r.PathValue("lo"), 10, 32)
-	hi, err2 := strconv.ParseInt(r.PathValue("hi"), 10, 32)
-	if err1 != nil || err2 != nil || lo < 0 || hi < lo {
-		writeError(w, fmt.Errorf("service: bad fragment range %q..%q", r.PathValue("lo"), r.PathValue("hi")))
-		return
+	data, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxFragmentBytes), r.ContentLength)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		err = fmt.Errorf("%w: body over %d bytes", ErrFragmentTooLarge, tooLarge.Limit)
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxFragmentBytes))
 	if err != nil {
 		writeError(w, fmt.Errorf("read fragment body: %w", err))
 		return
 	}
-	stored, err := s.StoreFragment(r.PathValue("id"), p, int32(lo), int32(hi), data)
+	stored, err := s.StoreFragment(r.PathValue("id"), data)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"stored": stored})
+}
+
+// readBody reads a request body whose declared length is n (-1 when
+// unknown). With a declared length the buffer starts at 64 KiB and
+// doubles as bytes arrive, up to exactly n: a whole snapshot CSR costs a
+// few copies where io.ReadAll's small growth steps cost dozens, and a
+// client that declares more than it sends cannot make the server
+// allocate the declared size up front.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(body)
+	}
+	data := make([]byte, 0, min(n, 64<<10))
+	for int64(len(data)) < n {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, int(min(n-int64(len(data)), int64(len(data)))))
+		}
+		m, err := body.Read(data[len(data):cap(data)])
+		data = data[:len(data)+m]
+		if err != nil && int64(len(data)) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
 // handleDistCount counts a batch of block triples from resident

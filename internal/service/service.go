@@ -77,10 +77,14 @@ var (
 	// ErrCompute wraps a failed computation — a server-side fault, not a
 	// request problem (the HTTP layer maps it to 500).
 	ErrCompute = errors.New("service: computation failed")
-	// ErrFragmentMissing means a distributed-count request named a CSR
-	// fragment this replica has not been sent; the coordinator re-pushes
-	// the fragment and retries.
+	// ErrFragmentMissing means a distributed-count request named a
+	// snapshot whose CSR this replica does not hold (never sent, evicted,
+	// or lost in a restart); the coordinator re-pushes it and retries.
 	ErrFragmentMissing = errors.New("service: fragment not resident")
+	// ErrFragmentTooLarge means a pushed snapshot CSR exceeds this
+	// replica's MaxFragmentBytes; the coordinator stops offering that
+	// snapshot to the replica and counts its share locally.
+	ErrFragmentTooLarge = errors.New("service: fragment exceeds the replica cache bound")
 )
 
 // Config sizes the service.
@@ -134,11 +138,13 @@ type Config struct {
 	// Empty means no fleet: count-dist falls back to the local 2D kernel.
 	Peers []string
 	// DistWindow bounds the coordinator's in-flight count requests per
-	// peer, each one a batch of block triples; 0 means 4.
+	// peer, each one a batch of block triples, and its connections to
+	// each peer, which concurrent jobs share; 0 means 4.
 	DistWindow int
-	// MaxFragmentBytes bounds this replica's content-addressed fragment
-	// cache (decoded CSR bytes); 0 means 256 MiB. Admitting a fragment
-	// over the bound evicts least-recently-used fragments first.
+	// MaxFragmentBytes bounds this replica's fragment cache, which holds
+	// one whole forward CSR per snapshot (encoded bytes); 0 means 256
+	// MiB. Admitting a CSR evicts least-recently-used snapshots first; a
+	// CSR larger than the bound is refused with ErrFragmentTooLarge.
 	MaxFragmentBytes int64
 
 	// Tracer records request/compute spans (nil disables tracing: every
@@ -218,6 +224,7 @@ type Snapshot struct {
 	seq         uint64         // registration order; Snapshots() lists in it
 	refsBy      map[string]int // per-tenant share of Refs
 	view        *graph.Sub
+	dist        *snapDist // count-dist's cached CSR and peer residency
 }
 
 // cacheKey identifies one cached computation.
@@ -352,11 +359,12 @@ type Stats struct {
 	QueueDepthHist   *Hist `json:"queue_depth_hist"`
 
 	// v3 fields: the replica-side fragment cache and the coordinator.
-	// FragmentStores counts fragments admitted (each store is one decode +
-	// insert); FragmentHits counts resident fragments dist-count requests
-	// read, one per distinct row block of a batch whose blocks were all
-	// resident; together they prove each (fingerprint, tiling,
-	// rank-range) key is fetched at most once per replica per job.
+	// The cache holds one whole forward CSR per snapshot. FragmentStores
+	// counts CSRs admitted (each store is one decode + insert; a re-push
+	// of a resident snapshot stores nothing); FragmentHits counts
+	// dist-count requests served from a resident CSR, one per request;
+	// together they show each snapshot's CSR is fetched at most once per
+	// replica per residency.
 	FragmentStores    uint64 `json:"fragment_stores"`
 	FragmentHits      uint64 `json:"fragment_hits"`
 	FragmentBytes     int64  `json:"fragment_bytes"`
@@ -384,14 +392,16 @@ type Stats struct {
 type PeerDistStats struct {
 	// Triples counts block-triple tasks this peer answered.
 	Triples uint64 `json:"triples"`
-	// Pushes counts fragment uploads to this peer; PushBytes totals
-	// their encoded sizes.
+	// Pushes counts snapshot CSR uploads to this peer — one per snapshot
+	// while it stays resident, plus a re-push after each fragment_missing;
+	// PushBytes totals their encoded sizes.
 	Pushes    uint64 `json:"pushes"`
 	PushBytes int64  `json:"push_bytes"`
 	// Failures counts the jobs in which a rejected push or a transport
 	// error marked the peer dead (its remaining triples failed over to
 	// the surviving peers). A request cut short by the job's own
-	// cancellation or deadline is not a failure.
+	// cancellation or deadline is not a failure, and neither is a CSR
+	// the peer refuses as too large for its cache.
 	Failures uint64 `json:"failures"`
 }
 
@@ -475,15 +485,17 @@ type Service struct {
 	tenants map[string]*tenant
 	stats   Stats
 
-	// Replica-side content-addressed fragment cache; see dist.go.
-	frags     map[fragKey]*fragEntry
+	// Replica-side fragment cache, one snapshot CSR per id; see dist.go.
+	frags     map[string]*fragEntry
 	fragBytes int64
 	fragTick  uint64 // LRU clock for fragment eviction
 
 	// peerHTTP carries every request the count-dist coordinator sends
-	// its peers. Its transport keeps DistWindow idle connections per
-	// host — the most a peer's batches hold at once — so repeated jobs
-	// reuse them instead of dialing anew.
+	// its peers. Its transport holds at most DistWindow connections per
+	// host — the most a peer's batches use at once — and keeps them idle
+	// between jobs, so repeated jobs reuse them instead of dialing anew.
+	// The cap also stops a request that finds no idle connection from
+	// dialing one more while another is about to come free.
 	peerHTTP *http.Client
 
 	work chan *entry
@@ -499,12 +511,13 @@ func New(cfg Config) *Service {
 		snaps:   make(map[string]*Snapshot),
 		cache:   make(map[cacheKey]*entry),
 		tenants: make(map[string]*tenant),
-		frags:   make(map[fragKey]*fragEntry),
+		frags:   make(map[string]*fragEntry),
 		work:    make(chan *entry, cfg.Queue),
 	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 0 // no fleet-wide cap: the per-host one governs
 	tr.MaxIdleConnsPerHost = cfg.DistWindow
+	tr.MaxConnsPerHost = cfg.DistWindow
 	s.peerHTTP = &http.Client{Transport: tr}
 	s.stats.Decompose = make(map[string]*BackendStats)
 	s.stats.DistPeers = make(map[string]*PeerDistStats)
@@ -677,6 +690,7 @@ func (s *Service) register(tn string, g *graph.Graph, spec *gen.Spec) (*Snapshot
 		seq:         s.nextSeq,
 		refsBy:      map[string]int{tn: 1},
 		view:        graph.WholeGraph(g),
+		dist:        newSnapDist(len(s.cfg.Peers)),
 	}
 	t.snapRefs++
 	s.nextSeq++
@@ -686,10 +700,11 @@ func (s *Service) register(tn string, g *graph.Graph, spec *gen.Spec) (*Snapshot
 }
 
 // evictLocked removes the snapshot and every cached result keyed to its
-// fingerprint. In-flight entries stay reachable by their waiters but are
-// unlinked from the cache.
+// fingerprint, and frees its count-dist CSR. In-flight entries stay
+// reachable by their waiters but are unlinked from the cache.
 func (s *Service) evictLocked(snap *Snapshot) {
 	delete(s.snaps, snap.ID)
+	snap.dist.free()
 	for k := range s.cache {
 		if k.fingerprint == snap.fingerprint {
 			delete(s.cache, k)
@@ -929,7 +944,7 @@ func (s *Service) Query(ctx context.Context, tn, id string, p Params) (res *Resu
 		return nil, fmt.Errorf("%w: in-flight computations (%d admitted, max %d)",
 			ErrQuota, held, s.cfg.TenantMaxInFlight)
 	}
-	env.fingerprint = snap.fingerprint
+	env.snap = snap
 	csp := q.computeSpan()
 	fctx, fcancel := context.WithCancel(obs.ContextWithSpan(context.Background(), csp))
 	e := &entry{

@@ -8,15 +8,17 @@ import (
 )
 
 // This file is the distribution seam of the 2D edge-partitioned counting
-// path (twod.go): it exports the deterministic tiling — block boundaries,
-// block-triple enumeration, the per-triple pair of rank ranges a task
-// touches — and a compact versioned serialization of a rank-range slice
-// of the forward CSR, so a block triple becomes a shippable unit of work
-// a dexpanderd replica can execute from two fragments without ever
-// holding the graph. CountFragments, DistPlan.CountTriple, and
-// CountParallel2D all run the same task body (countTriple), so the sum
-// of per-triple counts over any tiling equals CountParallel2D's total
-// exactly.
+// path (twod.go): it exports the forward CSR as a reusable
+// preprocessing artifact (Forward), the deterministic tiling cut from it
+// — block boundaries, block-triple enumeration, the per-triple pair of
+// rank ranges a task touches — and a compact versioned serialization of
+// a rank-range slice of the CSR, so a block triple becomes a shippable
+// unit of work a dexpanderd replica can execute from two fragments
+// without ever holding the graph. A replica holds one fragment covering
+// the whole rank space and slices any tiling's blocks out of it.
+// CountFragments, DistPlan.CountTriple, and CountParallel2D all run the
+// same task body (countTriple), so the sum of per-triple counts over any
+// tiling equals CountParallel2D's total exactly.
 
 // BlockTriple is one ordered (I <= J <= K) unit of distributed counting
 // work: triangles whose lowest-rank vertex falls in block I, middle
@@ -79,35 +81,53 @@ func (tl Tiling) Validate() error {
 	return nil
 }
 
+// Forward is a view's rank-permuted forward CSR: the O(n + m)
+// preprocessing every 2D count starts from (Tom & Karypis's
+// preprocessing phase). It is immutable once built, so one Forward
+// serves every grid of its graph (Plan) and ships whole as one fragment
+// (Fragment).
+type Forward struct{ rc rankCSR }
+
+// NewForward builds the view's forward CSR.
+func NewForward(view *graph.Sub) *Forward { return &Forward{rc: buildRankCSR(view)} }
+
+// Plan cuts the p x p tiling of the CSR into a DistPlan that shares
+// fw's arrays. p < 1 is clamped to 1; p beyond the rank-space size is
+// clamped down. The block boundaries are deterministic in (graph, p).
+func (fw *Forward) Plan(p int) *DistPlan {
+	ranks := fw.rc.ranks()
+	if p < 1 {
+		p = 1
+	}
+	if p > ranks && ranks > 0 {
+		p = ranks
+	}
+	return &DistPlan{
+		rc:     fw.rc,
+		Tiling: Tiling{P: p, Ranks: ranks, Cuts: rankCuts(fw.rc, p)},
+	}
+}
+
+// Fragment returns the whole CSR as one fragment covering [0, Ranks), a
+// zero-copy view of fw's arrays. Its encoding is the one DXFR1 body a
+// replica keeps resident for the graph; Fragment.Slice cuts any tiling's
+// row blocks out of it.
+func (fw *Forward) Fragment() *Fragment {
+	f := fw.rc.whole()
+	return &f
+}
+
 // DistPlan is the coordinator-side state for distributing one 2D count:
-// the rank-permuted forward CSR plus its tiling. Building it is the same
-// O(n + m) preprocessing CountParallel2D pays; fragments are then cheap
-// slices of it.
+// the rank-permuted forward CSR plus its tiling. Fragments are cheap
+// slices of the CSR.
 type DistPlan struct {
 	rc     rankCSR
 	Tiling Tiling
 }
 
-// NewDistPlan builds the rank CSR and the p x p tiling for the view.
-// p < 1 is clamped to 1; p beyond the rank-space size is clamped down.
-// The resulting block boundaries are deterministic in (view, p) alone.
-func NewDistPlan(view *graph.Sub, p int) *DistPlan {
-	rc := buildRankCSR(view)
-	if p < 1 {
-		p = 1
-	}
-	if p > rc.ranks() && rc.ranks() > 0 {
-		p = rc.ranks()
-	}
-	return &DistPlan{
-		rc: rc,
-		Tiling: Tiling{
-			P:     p,
-			Ranks: rc.ranks(),
-			Cuts:  rankCuts(rc, p),
-		},
-	}
-}
+// NewDistPlan builds the rank CSR and the p x p tiling for the view:
+// NewForward(view).Plan(p).
+func NewDistPlan(view *graph.Sub, p int) *DistPlan { return NewForward(view).Plan(p) }
 
 // Fragment extracts block b's rank-range slice of the forward CSR as a
 // self-contained Fragment: its arcs are copied out and its offsets
@@ -152,8 +172,9 @@ func (pl *DistPlan) blockVolume(b int) int64 {
 // every replica has failed a triple, and the oracle the distributed path
 // is tested against.
 func (pl *DistPlan) CountTriple(t BlockTriple) int {
-	fi := pl.rc.block(pl.Tiling.Block(t.I))
-	fj := pl.rc.block(pl.Tiling.Block(t.J))
+	whole := pl.rc.whole()
+	fi := whole.Slice(pl.Tiling.Block(t.I))
+	fj := whole.Slice(pl.Tiling.Block(t.J))
 	sc := getTwoDScratch(pl.rc.ranks())
 	defer twoDScratchPool.Put(sc)
 	return countTriple(pl.Tiling, t, &fi, &fj, sc)
@@ -165,7 +186,8 @@ func (pl *DistPlan) CountTriple(t BlockTriple) int {
 // Ranks carries the full rank-space size so a replica can size its stamp
 // scratch without the graph. Encoded and decoded fragments are rebased
 // (Off[0] == 0, Nbr holds only the slice's arcs); the local counting
-// path also runs on unrebased views into the whole CSR.
+// path and replicas also run on unrebased views (Slice) into a whole
+// CSR.
 type Fragment struct {
 	Ranks  int
 	Lo, Hi int32
@@ -177,6 +199,13 @@ type Fragment struct {
 // must lie in [Lo, Hi).
 func (f *Fragment) Fwd(r int32) []int32 {
 	return f.Nbr[f.Off[r-f.Lo]:f.Off[r-f.Lo+1]]
+}
+
+// Slice returns f's rows [lo, hi) as a zero-copy view: its offsets index
+// f's own arc array, which Fwd handles as it does a rebased fragment.
+// f.Lo <= lo <= hi <= f.Hi must hold.
+func (f *Fragment) Slice(lo, hi int32) Fragment {
+	return Fragment{Ranks: f.Ranks, Lo: lo, Hi: hi, Off: f.Off[lo-f.Lo : hi-f.Lo+1], Nbr: f.Nbr}
 }
 
 // fragmentMagic is the versioned wire header of an encoded fragment;

@@ -192,8 +192,10 @@ func TestCountTripleOracle(t *testing.T) {
 		{"multigraph", multigraph()},
 	}
 	for _, tc := range cases {
+		// One Forward serves every grid, as a coordinator's cached CSR does.
+		fw := NewForward(tc.view)
 		for _, p := range []int{1, 2, 3, 5, 8, 12} {
-			checkTripleOracle(t, fmt.Sprintf("%s p=%d", tc.name, p), tc.view, NewDistPlan(tc.view, p))
+			checkTripleOracle(t, fmt.Sprintf("%s p=%d", tc.name, p), tc.view, fw.Plan(p))
 		}
 		// Volume-balanced cuts never leave a block empty, but a replica
 		// counts under whatever valid tiling it is sent: p = 8 made from
@@ -239,15 +241,25 @@ func checkTripleOracle(t *testing.T, name string, view *graph.Sub, pl *DistPlan)
 		}
 		frags[b] = f
 	}
+	// A replica's way: one decoded fragment of the whole CSR, sliced.
+	whole, err := DecodeFragment((&Forward{rc: pl.rc}).Fragment().Encode())
+	if err != nil {
+		t.Fatalf("%s whole CSR: %v", name, err)
+	}
 	for _, tr := range tl.Triples() {
 		local := pl.CountTriple(tr)
 		remote, err := CountFragments(tl, tr, frags[tr.I], frags[tr.J])
 		if err != nil {
 			t.Fatalf("%s triple %+v: %v", name, tr, err)
 		}
-		if local != want[tr] || remote != want[tr] {
-			t.Fatalf("%s triple %+v: CountTriple %d, CountFragments %d, oracle %d",
-				name, tr, local, remote, want[tr])
+		fi, fj := whole.Slice(tl.Block(tr.I)), whole.Slice(tl.Block(tr.J))
+		resident, err := CountFragments(tl, tr, &fi, &fj)
+		if err != nil {
+			t.Fatalf("%s triple %+v on the whole CSR: %v", name, tr, err)
+		}
+		if local != want[tr] || remote != want[tr] || resident != want[tr] {
+			t.Fatalf("%s triple %+v: CountTriple %d, CountFragments %d, on the whole CSR %d, oracle %d",
+				name, tr, local, remote, resident, want[tr])
 		}
 	}
 }

@@ -93,11 +93,10 @@ func (rc rankCSR) fwd(r int) []int32 { return rc.nbr[rc.off[r]:rc.off[r+1]] }
 // ranks returns the size of the rank space.
 func (rc rankCSR) ranks() int { return len(rc.order) }
 
-// block returns the rank range [lo, hi) as a zero-copy Fragment view:
-// its offsets index the CSR's own arc array rather than a rebased copy,
-// which Fragment.Fwd handles transparently.
-func (rc rankCSR) block(lo, hi int32) Fragment {
-	return Fragment{Ranks: rc.ranks(), Lo: lo, Hi: hi, Off: rc.off[lo : hi+1], Nbr: rc.nbr}
+// whole returns the CSR as one zero-copy Fragment covering [0, ranks):
+// off[0] is 0 and off[ranks] is len(nbr), so it is rebased as it stands.
+func (rc rankCSR) whole() Fragment {
+	return Fragment{Ranks: rc.ranks(), Lo: 0, Hi: int32(rc.ranks()), Off: rc.off, Nbr: rc.nbr}
 }
 
 // buildRankCSR derives the rank permutation and forward CSR straight
