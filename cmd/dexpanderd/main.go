@@ -57,8 +57,8 @@ func run() error {
 		tenFlight  = flag.Int("tenant-inflight", 0, "per-tenant admitted-computation quota (0 = unlimited)")
 		rate       = flag.Float64("rate", 0, "per-tenant request rate limit in req/s (0 = off)")
 		burst      = flag.Float64("burst", 0, "rate-limit burst depth (0 = max(2*rate, 1))")
-		peers      = flag.String("peers", "", "comma-separated replica base URLs the count-dist coordinator fans block triples across (empty = local fallback)")
-		distWindow = flag.Int("dist-window", 0, "in-flight count requests per peer for count-dist, each a batch of triples (0 = 4)")
+		peers      = flag.String("peers", "", "comma-separated replica base URLs the count-dist coordinator deals row ranges across (empty = local fallback)")
+		distWindow = flag.Int("dist-window", 0, "in-flight count requests per peer for count-dist, each a batch of row ranges (0 = 4)")
 		maxFrag    = flag.Int64("max-fragment-bytes", 0, "replica cache byte bound for the whole forward CSRs of the snapshots it serves; a larger CSR is refused and counted on the coordinator (0 = 256 MiB)")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error (any case)")
 		slowMS     = flag.Int("slow-query-ms", 1000, "queries at or above this wall time log at warn with slow=true (0 = off)")
@@ -450,7 +450,7 @@ func runSmokeDist(base string) error {
 	if err := diff("count-dist", res.Checksum, checksum(triangle.HashWords(uint64(want)))); err != nil {
 		return err
 	}
-	fmt.Printf("smoke-dist: %d triples over %d peers (%d retries)\n",
+	fmt.Printf("smoke-dist: %d row ranges over %d peers (%d retries)\n",
 		res.DistTriples, res.DistPeers, res.DistRetries)
 
 	// One trace out of the whole job: coordinator spans plus a
@@ -494,12 +494,14 @@ func runSmokeDist(base string) error {
 // other than the first job's and fails if its total differs from want or
 // if any peer's push count in the coordinator's stats rose across it:
 // the replicas must serve every grid from the CSR they already hold.
+// The first job's DistTriples is its number of row ranges, which is its
+// grid; the second job runs one range fewer (two after a one-range job),
+// which keeps it within the service's grid cap.
 func smokeDistResident(ctx context.Context, c *service.Client, id string, first *service.Result, want int) error {
-	grid := 1
-	for grid*(grid+1)*(grid+2)/6 < first.DistTriples {
-		grid++
+	grid := first.DistTriples - 1
+	if grid < 1 {
+		grid = 2
 	}
-	grid++ // the first job's grid, plus one
 	before, err := c.ServerStats(ctx)
 	if err != nil {
 		return fmt.Errorf("smoke-dist: stats: %w", err)
@@ -524,7 +526,7 @@ func smokeDistResident(ctx context.Context, c *service.Client, id string, first 
 			return fmt.Errorf("smoke-dist: grid %d pushed to %s again (%d -> %d pushes)", grid, base, pushed, ps.Pushes)
 		}
 	}
-	fmt.Printf("smoke-dist: grid %d served from resident CSRs (%d triples, no pushes)\n", grid, res.DistTriples)
+	fmt.Printf("smoke-dist: grid %d served from resident CSRs (%d row ranges, no pushes)\n", grid, res.DistTriples)
 	return nil
 }
 

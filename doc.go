@@ -24,21 +24,21 @@
 // and per-pair intersections pick between a two-pointer merge, an
 // epoch-stamped mark array probed with no clearing, and galloping binary
 // search by length ratio (tuned via
-// BenchmarkIntersectionStrategies). A 2D edge-partitioned counting
-// path (triangle.CountParallel2D, after Tom & Karypis) tiles the rank
-// space into forward-volume-balanced blocks whose (i, j, k) triples
-// run as independent internal/par tasks — one task body, shared with
-// the multi-node count's replicas. That task is the rank kernel's loop
-// restricted to one triple: it skips a row of block i in O(1) unless
-// its forward list can hold a middle in j and an apex in k, marks the
-// row's candidates in k once, and probes each middle's forward list
-// against the marks (cut to k when long, galloped past gallopRatio
-// skew). A multi-node count preprocesses each snapshot once, as Tom &
-// Karypis split preprocessing from counting: the coordinator builds the
-// snapshot's forward CSR on its first job and keeps it, each replica
-// receives it once as one whole-rank-space fragment and serves every
-// grid's row blocks as zero-copy views of it, and each job then sends a
-// replica only its share, as at most DistWindow batched count requests.
+// BenchmarkIntersectionStrategies). The counting path
+// (triangle.CountParallel2D) charges each triangle to its lowest-rank
+// vertex and cuts the rank space into contiguous row ranges balanced by
+// wedge work, which run as independent internal/par tasks — one task
+// body, shared with the multi-node count's replicas. A range's task is
+// the rank kernel's loop over its rows against the whole forward CSR:
+// it marks a row's forward list once and probes each middle's list
+// against the marks (galloped past gallopRatio skew), so a count does
+// one pass of wedge work however many ranges it is cut into. A
+// multi-node count preprocesses each snapshot once, as Tom & Karypis
+// split preprocessing from counting: the coordinator builds the
+// snapshot's forward CSR on its first count and keeps it, each replica
+// receives it once as one whole-rank-space fragment and counts any row
+// range straight from it, and each job then sends a replica only its
+// share of the ranges, as at most DistWindow batched count requests.
 // Both kernels are bit-identical to the sequential BruteForce oracle for
 // every worker count; the bench baseline's enumerate-rank checksums,
 // first recorded beside the retired merge kernel's identical ones,

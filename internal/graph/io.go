@@ -132,9 +132,10 @@ func snapHeader(line string) (n, m int, ok bool) {
 }
 
 // edgeCapHint bounds the slice capacity pre-allocated from an untrusted
-// "Edges:" count, so a lying header cannot demand the allocation its
-// edge lines never justify.
-const edgeCapHint = 1 << 20
+// SNAP "Edges:" count (64 KiB of edges), so a lying header cannot demand
+// an allocation its edge lines never justify; an honest larger graph
+// grows the slice by append.
+const edgeCapHint = 1 << 12
 
 // maxLineBytes bounds a single edge-list line, matching the old
 // bufio.Scanner token limit.
@@ -316,7 +317,11 @@ func readEdgeList(r io.Reader, lim ReadLimits) (*Graph, error) {
 					}
 					b = NewBuilder(n)
 					if m > 0 {
-						b.edges = make([]Edge, 0, min(m, edgeCapHint))
+						hint := min(m, edgeCapHint)
+						if lim.MaxEdges > 0 {
+							hint = min(hint, lim.MaxEdges)
+						}
+						b.edges = make([]Edge, 0, hint)
 					}
 				}
 			}

@@ -12,7 +12,6 @@ import (
 
 	"dexpander/internal/gen"
 	"dexpander/internal/obs"
-	"dexpander/internal/triangle"
 )
 
 // Client is the thin Go binding of the dexpanderd HTTP API. The zero
@@ -216,9 +215,9 @@ func (c *Client) Enumerate(ctx context.Context, id string, p EnumerateParams) (*
 	return c.query(ctx, id, "/triangles/enumerate", p)
 }
 
-// TriangleCountDist runs (or fetches) the distributed 2D triangle count:
-// the server fans block triples across its configured peer fleet, or
-// runs the local 2D kernel when it has none. The count and checksum are
+// TriangleCountDist runs (or fetches) the distributed triangle count:
+// the server deals row ranges across its configured peer fleet, or runs
+// the local 2D kernel when it has none. The count and checksum are
 // bit-identical either way.
 func (c *Client) TriangleCountDist(ctx context.Context, id string, p DistCountParams) (*Result, error) {
 	return c.query(ctx, id, "/triangles/count-dist", p)
@@ -232,16 +231,17 @@ func (c *Client) PutFragment(ctx context.Context, id string, data []byte) error 
 	return c.do(ctx, http.MethodPut, "/v1/dist/fragments/"+id, "application/octet-stream", bytes.NewReader(data), nil)
 }
 
-// DistCount asks the server to count a batch of block triples from the
-// snapshot's resident CSR and returns one count per triple, in order.
-// Fleet-internal; a CSR the server does not hold reports
-// ErrFragmentMissing (push it with PutFragment and retry). A non-nil
-// trace makes the server run the batch under a span of that trace,
-// parented at trace.Parent, and return its spans for the caller to merge
-// — which is how one dist job becomes a single cross-replica trace; with
-// a nil trace the spans are nil.
-func (c *Client) DistCount(ctx context.Context, id string, tl triangle.Tiling, triples []triangle.BlockTriple, trace *TraceRef) ([]int, []obs.Span, error) {
-	body, err := jsonBody(distCountRequest{Snapshot: id, Tiling: tl, Triples: triples, Trace: trace})
+// DistCount asks the server to count a batch of row ranges of the
+// snapshot's resident CSR, whose rank space has ranks ranks, and returns
+// one count per range, in order: the triangles whose lowest-rank vertex
+// lies in that range. Fleet-internal; a CSR the server does not hold
+// reports ErrFragmentMissing (push it with PutFragment and retry). A
+// non-nil trace makes the server run the batch under a span of that
+// trace, parented at trace.Parent, and return its spans for the caller
+// to merge — which is how one dist job becomes a single cross-replica
+// trace; with a nil trace the spans are nil.
+func (c *Client) DistCount(ctx context.Context, id string, ranks int, ranges [][2]int32, trace *TraceRef) ([]int, []obs.Span, error) {
+	body, err := jsonBody(distCountRequest{Snapshot: id, Ranks: ranks, Ranges: ranges, Trace: trace})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,8 +249,8 @@ func (c *Client) DistCount(ctx context.Context, id string, tl triangle.Tiling, t
 	if err := c.do(ctx, http.MethodPost, "/v1/dist/count", "application/json", body, &res); err != nil {
 		return nil, nil, err
 	}
-	if len(res.Counts) != len(triples) {
-		return nil, nil, fmt.Errorf("service: dist count answered %d counts for %d triples", len(res.Counts), len(triples))
+	if len(res.Counts) != len(ranges) {
+		return nil, nil, fmt.Errorf("service: dist count answered %d counts for %d ranges", len(res.Counts), len(ranges))
 	}
 	return res.Counts, res.Spans, nil
 }

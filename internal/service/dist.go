@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,25 +15,25 @@ import (
 	"dexpander/internal/triangle"
 )
 
-// This file is the service side of the distributed 2D triangle count:
-// the replica-side fragment cache (one whole forward CSR per snapshot)
-// plus count endpoint state, and the coordinator that keeps each
-// snapshot's CSR and the peers' residency of it across jobs and fans a
-// tiling's block triples across the configured peer fleet. Preprocessing
-// — rank order, forward CSR, shipping it — happens once per snapshot;
-// each job only tiles and counts. The protocol (fragment wire format,
+// This file is the service side of the distributed triangle count: the
+// replica-side fragment cache (one whole forward CSR per snapshot) plus
+// count endpoint state, and the coordinator that keeps each snapshot's
+// CSR and the peers' residency of it across jobs and deals a job's row
+// ranges across the configured peer fleet. Preprocessing — rank order,
+// forward CSR, shipping it — happens once per snapshot; each job only
+// cuts row ranges and counts them. The protocol (fragment wire format,
 // cache keys, scheduling, failure handling) is documented in README.md.
 //
-// Correctness contract: the coordinator reduces per-triple counts in
-// task order, and every triple is counted exactly once — by a replica
-// via triangle.CountFragments or locally via DistPlan.CountTriple, both
-// of which run the 2D kernel's one task body. The total is
-// therefore bit-identical to triangle.CountParallel2D for every peer
-// count, window size, and failure pattern.
+// Correctness contract: the coordinator reduces per-range counts in
+// range order, and every range is counted exactly once — by a replica
+// via triangle.CountRows or locally via Forward.CountRows, both of which
+// run the one row-range task. The total is therefore bit-identical to
+// triangle.CountParallel2D for every peer count, grid, window size, and
+// failure pattern.
 
 // fragEntry is one resident snapshot CSR: a DXFR1 fragment covering the
 // snapshot's whole rank space, keyed by snapshot id alone. It is
-// immutable after insertion, so DistCountTriples may read frag outside
+// immutable after insertion, so DistCountRanges may read frag outside
 // s.mu once looked up — eviction only unlinks the entry, it never
 // mutates the arrays.
 type fragEntry struct {
@@ -128,7 +127,7 @@ func (s *Service) evictFragmentLocked() {
 // universe, so an unchecked header would let a tiny request demand
 // gigabytes, and an out-of-memory failure kills the whole process. A
 // coordinator whose own graph is larger still gets the right total —
-// its replicas refuse the triples, and they fall back to its local
+// its replicas refuse the ranges, and they fall back to its local
 // count.
 func checkRankSpace(ranks int) error {
 	if ranks > uploadLimits.MaxVertices {
@@ -137,63 +136,57 @@ func checkRankSpace(ranks int) error {
 	return nil
 }
 
-// DistCountTriples executes a batch of block triples against the
-// snapshot's resident CSR: the replica half of the distributed count. It
-// returns one count per triple, in order. The CSR must already be
-// resident under snapID (else ErrFragmentMissing, so the coordinator
-// re-pushes and retries) and must span the tiling's rank space; every
-// row block is then a zero-copy view of it. Once ctx is done no further
-// triple starts and ctx's error is returned. When ctx carries a span,
-// each triple is counted under a "triangle.triple" child of it (bi, bj,
-// bk, count), and the finished children are returned for the caller to
-// ship with its own span.
-func (s *Service) DistCountTriples(ctx context.Context, snapID string, tl triangle.Tiling, triples []triangle.BlockTriple) ([]int, []obs.Span, error) {
-	if err := checkRankSpace(tl.Ranks); err != nil {
+// DistCountRanges counts a batch of row ranges against the snapshot's
+// resident CSR: the replica half of the distributed count. It returns
+// one count per range, in order: the triangles whose lowest-rank vertex
+// lies in that range. Before anything is counted, the batch is checked:
+// at most maxDistGrid ranges, each inside [0, ranks), and a rank space
+// within checkRankSpace's cap that equals the resident CSR's. The CSR
+// must already be resident under snapID (else ErrFragmentMissing, so the
+// coordinator re-pushes and retries). Once ctx is done no further range
+// starts and ctx's error is returned. When ctx carries a span, each
+// range is counted under a "triangle.rows" child of it (lo, hi, count),
+// and the finished children are returned for the caller to ship with
+// its own span.
+func (s *Service) DistCountRanges(ctx context.Context, snapID string, ranks int, ranges [][2]int32) ([]int, []obs.Span, error) {
+	if err := checkRankSpace(ranks); err != nil {
 		return nil, nil, err
 	}
-	if err := tl.Validate(); err != nil {
-		return nil, nil, err
+	if len(ranges) > maxDistGrid {
+		return nil, nil, fmt.Errorf("service: batch of %d row ranges exceeds the %d of the largest job", len(ranges), maxDistGrid)
 	}
-	if limit := tl.P * (tl.P + 1) * (tl.P + 2) / 6; len(triples) > limit {
-		return nil, nil, fmt.Errorf("service: batch of %d triples exceeds the %d of a %d-grid", len(triples), limit, tl.P)
-	}
-	for _, t := range triples {
-		if t.I < 0 || t.I > t.J || t.J > t.K || t.K >= tl.P {
-			return nil, nil, fmt.Errorf("service: block triple (%d,%d,%d) outside %d-grid", t.I, t.J, t.K, tl.P)
+	for _, rg := range ranges {
+		if rg[0] < 0 || rg[0] > rg[1] || int(rg[1]) > ranks {
+			return nil, nil, fmt.Errorf("service: row range [%d, %d) outside [0, %d)", rg[0], rg[1], ranks)
 		}
 	}
 	csr, err := s.residentCSR(snapID)
 	if err != nil {
 		return nil, nil, err
 	}
-	if csr.Ranks != tl.Ranks {
-		return nil, nil, fmt.Errorf("service: resident CSR of %s has %d ranks, tiling %d", snapID, csr.Ranks, tl.Ranks)
-	}
-	blocks := make([]triangle.Fragment, tl.P)
-	for b := range blocks {
-		blocks[b] = csr.Slice(tl.Block(b))
+	if csr.Ranks != ranks {
+		return nil, nil, fmt.Errorf("service: resident CSR of %s has %d ranks, request %d", snapID, csr.Ranks, ranks)
 	}
 	sp := obs.SpanFromContext(ctx)
-	counts := make([]int, len(triples))
+	counts := make([]int, len(ranges))
 	var spans []obs.Span
-	for i, t := range triples {
+	for i, rg := range ranges {
 		if ctx.Err() != nil {
 			return nil, nil, ctxError(ctx)
 		}
-		child := sp.Child("triangle.triple")
-		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
-		n, err := triangle.CountFragments(tl, t, &blocks[t.I], &blocks[t.J])
+		child := sp.Child("triangle.rows")
+		n, err := triangle.CountRows(csr, rg[0], rg[1])
 		if err != nil {
 			return nil, nil, err
 		}
 		counts[i] = n
-		child.AttrInt("count", n).End()
+		child.AttrInt("lo", int(rg[0])).AttrInt("hi", int(rg[1])).AttrInt("count", n).End()
 		if child != nil {
 			spans = append(spans, child.Snapshot())
 		}
 	}
 	s.mu.Lock()
-	s.stats.DistTriples += uint64(len(triples))
+	s.stats.DistTriples += uint64(len(ranges))
 	s.mu.Unlock()
 	return counts, spans, nil
 }
@@ -216,13 +209,13 @@ func (s *Service) residentCSR(snapID string) (*triangle.Fragment, error) {
 	return e.frag, nil
 }
 
-// snapDist is a snapshot's count-dist state on the coordinator: its
-// forward CSR, built by the snapshot's first job and shared by every
-// later one at any grid, and what each peer holds of it. It hangs off
-// the Snapshot by pointer (snapshot values are copied out of the
-// registry). Evicting the snapshot frees the CSR; a re-registered
-// snapshot starts from a fresh snapDist, so no residency outlives its
-// snapshot.
+// snapDist is a snapshot's counting state: its forward CSR, built by
+// the snapshot's first count on the 2D path (count-dist, kernel=2d) and
+// shared by every later one at any grid, and what each count-dist peer
+// holds of it. It hangs off the Snapshot by pointer (snapshot values are
+// copied out of the registry). Evicting the snapshot frees the CSR; a
+// re-registered snapshot starts from a fresh snapDist, so no residency
+// outlives its snapshot.
 type snapDist struct {
 	once  sync.Once
 	mu    sync.Mutex
@@ -235,7 +228,7 @@ type snapDist struct {
 func newSnapDist(peers int) *snapDist { return &snapDist{peers: make([]residency, peers)} }
 
 // forward returns the snapshot's forward CSR, building it on first use;
-// concurrent first jobs wait for the one build.
+// concurrent first counts wait for the one build.
 func (sd *snapDist) forward(view *graph.Sub) *triangle.Forward {
 	var built *triangle.Forward
 	sd.once.Do(func() {
@@ -308,11 +301,9 @@ func (dp *distPeer) usable() bool {
 
 // distJob is the coordinator's state for one distributed count.
 type distJob struct {
-	snapID  string
-	fw      *triangle.Forward // the snapshot's CSR, pushed whole
-	plan    *triangle.DistPlan
-	triples []triangle.BlockTriple // plan.Tiling.Triples(), in task order
-	peers   []*distPeer
+	snapID string
+	fw     *triangle.Forward // the snapshot's CSR, pushed whole
+	ranges [][2]int32        // the job's row ranges, in range order
 
 	// svc is the owning coordinator, for per-peer stats and the tracer;
 	// span is the job's "dist" span (nil when the request is untraced).
@@ -385,20 +376,20 @@ func (j *distJob) ensureResident(ctx context.Context, dp *distPeer) (uint64, err
 	return r.gen, nil
 }
 
-// countBatch runs a batch of triples (indices into j.triples, in task
-// order) on one peer: make sure it holds the snapshot's CSR, then ask
-// for all the counts in one request. A fragment_missing answer forgets
-// the peer's copy, re-pushes and retries once; a transport error marks
-// the peer dead so its queued work fails over immediately instead of
-// timing out batch by batch.
+// countBatch runs a batch of row ranges (indices into j.ranges, in
+// range order) on one peer: make sure it holds the snapshot's CSR, then
+// ask for all the counts in one request. A fragment_missing answer
+// forgets the peer's copy, re-pushes and retries once; a transport error
+// marks the peer dead so its queued work fails over immediately instead
+// of timing out batch by batch.
 func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (counts []int, err error) {
-	triples := make([]triangle.BlockTriple, len(batch))
-	for i, ti := range batch {
-		triples[i] = j.triples[ti]
+	ranges := make([][2]int32, len(batch))
+	for i, ri := range batch {
+		ranges[i] = j.ranges[ri]
 	}
 
 	csp := j.span.Child("dist.count")
-	csp.Attr("peer", dp.client.Base).AttrInt("triples", len(batch))
+	csp.Attr("peer", dp.client.Base).AttrInt("ranges", len(batch))
 	defer func() {
 		if err != nil {
 			csp.Attr("outcome", "error")
@@ -416,7 +407,7 @@ func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (co
 		if err != nil {
 			return nil, err
 		}
-		if counts, err = j.distCountRemote(ctx, dp, triples, csp); err == nil {
+		if counts, err = j.distCountRemote(ctx, dp, ranges, csp); err == nil {
 			j.svc.recordDistPeer(dp.client.Base, func(ps *PeerDistStats) { ps.Triples += uint64(len(batch)) })
 			return counts, nil
 		}
@@ -440,12 +431,12 @@ func (j *distJob) countBatch(ctx context.Context, dp *distPeer, batch []int) (co
 // coordinator tags them with the peer's base URL and merges them into
 // the local ring — that merge is what makes one dist job a single
 // cross-replica trace.
-func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, triples []triangle.BlockTriple, csp *obs.Span) ([]int, error) {
+func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, ranges [][2]int32, csp *obs.Span) ([]int, error) {
 	var ref *TraceRef
 	if csp != nil {
 		ref = &TraceRef{ID: csp.TraceID, Parent: csp.ID}
 	}
-	counts, spans, err := dp.client.DistCount(ctx, j.snapID, j.plan.Tiling, triples, ref)
+	counts, spans, err := dp.client.DistCount(ctx, j.snapID, j.fw.Ranks(), ranges, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -461,20 +452,15 @@ func (j *distJob) distCountRemote(ctx context.Context, dp *distPeer, triples []t
 	return counts, nil
 }
 
-// distCount is the coordinator: tile the snapshot's cached forward CSR,
-// schedule the block triples across the peers that have not refused the
-// snapshot by a deterministic volume-balanced (greedy LPT) assignment,
-// split each peer's share into at most DistWindow cost-balanced batches
-// of one count request each, fail triples over to the other replicas,
-// and count the last resort locally. Called from DistCountParams.run
-// with len(Config.Peers) > 0.
+// distCount is the coordinator: cut the snapshot's cached forward CSR
+// into row ranges balanced by wedge work, deal them round-robin across
+// the peers that have not refused the snapshot, send each peer's share
+// in at most DistWindow batches of one count request each, fail ranges
+// over to the other replicas, and count the last resort locally. Called
+// from DistCountParams.run with len(Config.Peers) > 0.
 func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot, grid int) (res *Result, err error) {
 	start := time.Now()
 	window := s.cfg.DistWindow
-	p := grid
-	if p == 0 {
-		p = triangle.AutoGrid(len(s.cfg.Peers)*window, len(view.MemberList()))
-	}
 	var peers []*distPeer
 	for pi, base := range s.cfg.Peers {
 		// A peer that refused the snapshot's CSR is not offered it again.
@@ -482,11 +468,7 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 			peers = append(peers, &distPeer{client: &Client{Base: base, HTTP: s.peerHTTP}, res: r})
 		}
 	}
-	fw := snap.dist.forward(view)
-	plan := fw.Plan(p)
-	triples := plan.Tiling.Triples()
 	dsp := obs.SpanFromContext(ctx).Child("dist")
-	dsp.AttrInt("grid", p).AttrInt("peers", len(peers)).AttrInt("triples", len(triples))
 	defer func() {
 		if err != nil {
 			dsp.Attr("outcome", "error")
@@ -495,14 +477,29 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 		}
 		dsp.End()
 	}()
-	job := &distJob{snapID: snap.ID, fw: fw, plan: plan, triples: triples, peers: peers, svc: s, span: dsp}
+	// The plan: the snapshot's CSR (built here by its first count) and
+	// the job's cut of it.
+	psp := dsp.Child("dist.plan")
+	fw := snap.dist.forward(view)
+	p := grid
+	if p == 0 {
+		p = min(triangle.AutoGrid(len(s.cfg.Peers)*window, fw.Ranks()), maxDistGrid)
+	}
+	cuts := fw.RowCuts(p)
+	ranges := make([][2]int32, len(cuts)-1)
+	for i := range ranges {
+		ranges[i] = [2]int32{cuts[i], cuts[i+1]}
+	}
+	psp.AttrInt("grid", p).AttrInt("ranges", len(ranges)).End()
+	dsp.AttrInt("grid", p).AttrInt("peers", len(peers)).AttrInt("ranges", len(ranges))
+	job := &distJob{snapID: snap.ID, fw: fw, ranges: ranges, svc: s, span: dsp}
 
-	counts := make([]int, len(triples))
+	counts := make([]int, len(ranges))
 	var mu sync.Mutex
 	var failed []int
 	served := make([]bool, len(peers))
 	// run counts one batch on peer pi, storing its counts or queueing
-	// its triples for failover.
+	// its ranges for failover.
 	run := func(pi int, batch []int) {
 		dp := peers[pi]
 		var got []int
@@ -518,8 +515,8 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 			failed = append(failed, batch...)
 			return
 		}
-		for i, ti := range batch {
-			counts[ti] = got[i]
+		for i, ri := range batch {
+			counts[ri] = got[i]
 		}
 		served[pi] = true
 	}
@@ -527,51 +524,37 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 	retries := 0
 	if len(peers) == 0 {
 		// Every peer refused the snapshot: count all of it locally.
-		for ti := range triples {
-			failed = append(failed, ti)
+		for ri := range ranges {
+			failed = append(failed, ri)
 		}
 	} else {
-		// Deterministic volume-balanced schedule: triples in descending
-		// cost order (ties by task order) onto the least-loaded peer
-		// (ties by peer index), then each peer's share the same way onto
-		// its window's batches. Deterministic in (snapshot, grid, peer
-		// list, window).
-		order := make([]int, len(triples))
-		for i := range order {
-			order[i] = i
-		}
-		costs := make([]int64, len(triples))
-		for i, t := range triples {
-			costs[i] = plan.TripleCost(t)
-		}
-		sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-		home := make([]int, len(triples))
-		assign := lptSplit(order, costs, len(peers))
-		for pi, share := range assign {
-			for _, ti := range share {
-				home[ti] = pi
-			}
+		// Deterministic schedule: range ri rides in batch ri mod
+		// (peers x DistWindow), and batch b goes to peer b mod peers, so
+		// range ri's home is peer ri mod peers and each peer gets at most
+		// DistWindow batches. Ranges carry near-equal wedge work, so
+		// dealing them evenly balances the peers. Deterministic in
+		// (snapshot, grid, peer list, window).
+		batches := make([][]int, len(peers)*window)
+		for ri := range ranges {
+			b := ri % len(batches)
+			batches[b] = append(batches[b], ri)
 		}
 		var wg sync.WaitGroup
-		for pi, share := range assign {
-			for _, batch := range lptSplit(share, costs, window) {
-				if len(batch) == 0 {
-					continue
-				}
-				slices.Sort(batch)
+		for b, batch := range batches {
+			if len(batch) > 0 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					run(pi, batch)
+					run(b%len(peers), batch)
 				}()
 			}
 		}
 		wg.Wait()
 
-		// Failover rounds, in task order: round off sends each failed
-		// triple to the peer off places after its home, one batch per
+		// Failover rounds, in range order: round off sends each failed
+		// range to the peer off places after its home, one batch per
 		// live target; what no replica served falls back to the
-		// coordinator's own CSR below. Per-triple counts are identical
+		// coordinator's own CSR below. Per-range counts are identical
 		// wherever they run, so failover never perturbs the total.
 		retries = len(failed)
 		for off := 1; off <= len(peers) && len(failed) > 0; off++ {
@@ -580,9 +563,9 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 			}
 			slices.Sort(failed)
 			targets := make([][]int, len(peers))
-			for _, ti := range failed {
-				pi := (home[ti] + off) % len(peers)
-				targets[pi] = append(targets[pi], ti)
+			for _, ri := range failed {
+				pi := (ri%len(peers) + off) % len(peers)
+				targets[pi] = append(targets[pi], ri)
 			}
 			failed = nil
 			for pi, batch := range targets {
@@ -593,7 +576,8 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 		}
 	}
 	par.ForEach(par.Workers(s.cfg.AlgoWorkers), len(failed), func(i int) {
-		counts[failed[i]] = plan.CountTriple(triples[failed[i]])
+		rg := ranges[failed[i]]
+		counts[failed[i]] = fw.CountRows(rg[0], rg[1])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -614,26 +598,7 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 		ComputeNS:   time.Since(start).Nanoseconds(),
 		Triangles:   total,
 		DistPeers:   distPeers,
-		DistTriples: len(triples),
+		DistTriples: len(ranges),
 		DistRetries: retries,
 	}, nil
-}
-
-// lptSplit deals items (already in descending cost order) onto k bins,
-// each onto the least-loaded bin so far (ties by bin index): the greedy
-// longest-processing-time schedule. Bins left empty stay in place.
-func lptSplit(items []int, costs []int64, k int) [][]int {
-	bins := make([][]int, k)
-	load := make([]int64, k)
-	for _, it := range items {
-		pick := 0
-		for b := 1; b < k; b++ {
-			if load[b] < load[pick] {
-				pick = b
-			}
-		}
-		bins[pick] = append(bins[pick], it)
-		load[pick] += costs[it]
-	}
-	return bins
 }

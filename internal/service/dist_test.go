@@ -20,6 +20,7 @@ import (
 
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
+	"dexpander/internal/obs"
 	"dexpander/internal/triangle"
 )
 
@@ -126,12 +127,12 @@ func TestDistCountMatchesLocalKernel(t *testing.T) {
 						fam.name, seed, replicas, res.Triangles, res.Checksum, want, wantSum)
 				}
 				if replicas > 0 && res.DistTriples == 0 {
-					t.Fatalf("%s seed %d replicas %d: schedule reported no triples", fam.name, seed, replicas)
+					t.Fatalf("%s seed %d replicas %d: schedule reported no row ranges", fam.name, seed, replicas)
 				}
-				servedTriples := uint64(0)
+				servedRanges := uint64(0)
 				for ri, svc := range svcs {
 					st := svc.Stats()
-					servedTriples += st.DistTriples
+					servedRanges += st.DistTriples
 					if m := counters[ri].maxPuts(); m > 1 {
 						t.Fatalf("%s seed %d replicas %d: replica %d received a fragment key %d times",
 							fam.name, seed, replicas, ri, m)
@@ -141,9 +142,9 @@ func TestDistCountMatchesLocalKernel(t *testing.T) {
 							fam.name, seed, replicas, ri, st.FragmentStores, len(counters[ri].puts))
 					}
 				}
-				if replicas > 0 && servedTriples != uint64(res.DistTriples) {
-					t.Fatalf("%s seed %d replicas %d: replicas served %d triples, schedule had %d",
-						fam.name, seed, replicas, servedTriples, res.DistTriples)
+				if replicas > 0 && servedRanges != uint64(res.DistTriples) {
+					t.Fatalf("%s seed %d replicas %d: replicas served %d row ranges, schedule had %d",
+						fam.name, seed, replicas, servedRanges, res.DistTriples)
 				}
 				coord.Close()
 			}
@@ -223,15 +224,15 @@ func (fa *failAfter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestDistCountSurvivesReplicaFailure kills one of three replicas after
-// its first served count request: with a window of 2 its share is two
-// batches, so the second one's triples must fail over to the survivors
-// (or the coordinator itself) and the total must stay bit-identical to
-// the local kernel.
+// its first served count request: at grid 12 with a window of 2 its
+// share is four row ranges in two batches, so the second batch's ranges
+// must fail over to a surviving replica, and the total must stay
+// bit-identical to the local kernel.
 func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 	g := gen.BarabasiAlbert(160, 6, 9)
 	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
 
-	bases, _ := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
+	bases, svcs := startWrappedReplicas(t, 3, func(i int, h http.Handler) http.Handler {
 		if i == 1 {
 			return &failAfter{next: h, healthy: 1}
 		}
@@ -243,9 +244,9 @@ func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a grid with plenty of triples so the failing replica's share
+	// Force a grid with enough ranges that the failing replica's share
 	// fills both of its batches.
-	res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: 4})
+	res, err := coord.Query(context.Background(), "", snap.ID, DistCountParams{Grid: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +255,14 @@ func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 	}
 	if res.DistRetries == 0 {
 		t.Fatal("failing replica produced no retries — the failure never happened")
+	}
+	served := uint64(0)
+	for _, svc := range svcs {
+		served += svc.Stats().DistTriples
+	}
+	if served != uint64(res.DistTriples) {
+		t.Fatalf("replicas counted %d of %d row ranges; the failed batch was not failed over to a survivor",
+			served, res.DistTriples)
 	}
 }
 
@@ -292,16 +301,16 @@ func TestFragmentCacheEviction(t *testing.T) {
 	if st.FragmentEvictions == 0 {
 		t.Fatalf("stores past the byte bound evicted nothing (resident %d bytes)", st.FragmentBytes)
 	}
-	tl := triangle.NewDistPlan(graph.WholeGraph(graphs[0]), 3).Tiling
-	_, _, err := svc.DistCountTriples(context.Background(), ids[0], tl, []triangle.BlockTriple{{I: 0, J: 0, K: 0}})
+	ranks := graphs[0].N()
+	_, _, err := svc.DistCountRanges(context.Background(), ids[0], ranks, [][2]int32{{0, int32(ranks)}})
 	if !errors.Is(err, ErrFragmentMissing) {
 		t.Fatalf("count on the evicted snapshot: err = %v, want ErrFragmentMissing", err)
 	}
 }
 
 // TestHostileFragmentRankSpaceRejected replays a 42-byte fragment whose
-// header claims a 2^31-1 rank universe, then a count request on a tiling
-// of that universe. Sizing the replica's stamp scratch by the claim
+// header claims a 2^31-1 rank universe, then a count request on a row
+// range of that universe. Sizing the replica's stamp scratch by the claim
 // would demand 8 GiB and kill the process; both requests must instead
 // fail as caller errors (400) with the replica still serving.
 func TestHostileFragmentRankSpaceRejected(t *testing.T) {
@@ -323,14 +332,14 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("hostile fragment PUT answered %d, want 400", resp.StatusCode)
 	}
-	body := `{"snapshot": "x", "tiling": {"p": 2, "ranks": 2147483647, "cuts": [0, 0, 2147483647]}, "triples": [{"i": 0, "j": 0, "k": 0}]}`
+	body := `{"snapshot": "x", "ranks": 2147483647, "ranges": [[0, 2147483647]]}`
 	resp, err = srv.Client().Post(srv.URL+"/v1/dist/count", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("dist count: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("hostile tiling count answered %d, want 400", resp.StatusCode)
+		t.Fatalf("hostile rank-space count answered %d, want 400", resp.StatusCode)
 	}
 
 	// The same input straight through the Service methods, as the
@@ -338,15 +347,92 @@ func TestHostileFragmentRankSpaceRejected(t *testing.T) {
 	if _, err := svc.StoreFragment("x", frag); err == nil {
 		t.Fatal("StoreFragment accepted a 2^31-1 rank universe")
 	}
-	tl := triangle.Tiling{P: 2, Ranks: 1<<31 - 1, Cuts: []int32{0, 0, 1<<31 - 1}}
-	if _, _, err := svc.DistCountTriples(context.Background(), "x", tl, []triangle.BlockTriple{{}}); err == nil {
-		t.Fatal("DistCountTriples accepted a 2^31-1 rank universe")
+	if _, _, err := svc.DistCountRanges(context.Background(), "x", 1<<31-1, [][2]int32{{0, 1<<31 - 1}}); err == nil {
+		t.Fatal("DistCountRanges accepted a 2^31-1 rank universe")
 	}
 	resp, err = srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz after hostile input: %v", err)
 	}
 	resp.Body.Close()
+}
+
+// TestDistCountRejectsHostileRanges sends a replica holding a
+// snapshot's CSR count requests whose ranges are reversed, negative or
+// past the rank space, whose rank space differs from the resident CSR's,
+// or which carry more than maxDistGrid ranges. Each batch leads with a
+// valid range, and each must be answered 400 before anything is
+// counted: the replica's trace of it holds no triangle.rows span. The
+// replica must still serve a valid request afterwards.
+func TestDistCountRejectsHostileRanges(t *testing.T) {
+	g := gen.GNP(64, 0.3, 7)
+	view := graph.WholeGraph(g)
+	id := snapshotID(g.Fingerprint())
+	tracer := obs.NewTracer(1024, 1)
+	svc := New(Config{Workers: 1, Tracer: tracer})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/dist/fragments/"+id,
+		bytes.NewReader(triangle.NewForward(view).Fragment().Encode()))
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("put fragment: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fragment PUT answered %d, want 200", resp.StatusCode)
+	}
+	post := func(trace string, ranks int, ranges [][2]int32) (int, distCountResponse) {
+		t.Helper()
+		body, _ := json.Marshal(distCountRequest{Snapshot: id, Ranks: ranks, Ranges: ranges, Trace: &TraceRef{ID: trace}})
+		resp, err := srv.Client().Post(srv.URL+"/v1/dist/count", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("dist count: %v", err)
+		}
+		defer resp.Body.Close()
+		var out distCountResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	n := int32(g.N())
+	tooMany := make([][2]int32, maxDistGrid+1)
+	for i := range tooMany {
+		tooMany[i] = [2]int32{0, 1}
+	}
+	for i, c := range []struct {
+		name   string
+		ranks  int
+		ranges [][2]int32
+	}{
+		{"lo > hi", g.N(), [][2]int32{{0, 10}, {12, 11}}},
+		{"negative lo", g.N(), [][2]int32{{0, 10}, {-1, 10}}},
+		{"negative hi", g.N(), [][2]int32{{0, 10}, {-3, -1}}},
+		{"hi > ranks", g.N(), [][2]int32{{0, 10}, {10, n + 1}}},
+		{"ranks above the CSR's", g.N() + 1, [][2]int32{{0, n}}},
+		{"ranks below the CSR's", g.N() - 1, [][2]int32{{0, n - 1}}},
+		{"too many ranges", g.N(), tooMany},
+	} {
+		trace := fmt.Sprintf("hostile-ranges-%d", i)
+		if code, _ := post(trace, c.ranks, c.ranges); code != http.StatusBadRequest {
+			t.Fatalf("%s: answered %d, want 400", c.name, code)
+		}
+		for _, sp := range tracer.Trace(trace) {
+			if sp.Name == "triangle.rows" {
+				t.Fatalf("%s: counted range [%s, %s) before answering 400", c.name, sp.Attrs["lo"], sp.Attrs["hi"])
+			}
+		}
+	}
+	if st := svc.Stats(); st.DistTriples != 0 {
+		t.Fatalf("hostile requests counted %d row ranges, want none", st.DistTriples)
+	}
+	code, out := post("hostile-ranges-valid", g.N(), [][2]int32{{0, 30}, {30, 30}, {30, n}})
+	if code != http.StatusOK || len(out.Counts) != 3 {
+		t.Fatalf("valid request after hostile ones answered %d with %d counts", code, len(out.Counts))
+	}
+	if total, want := out.Counts[0]+out.Counts[1]+out.Counts[2], triangle.CountParallel2D(view, 0); total != want || out.Counts[1] != 0 {
+		t.Fatalf("valid request counted %v (total %d), local kernel %d", out.Counts, total, want)
+	}
 }
 
 // countRequests wraps a replica handler and counts its dist-count
@@ -365,7 +451,7 @@ func (cr *countRequests) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestDistCountRequestsPerPeerBounded pins the batched protocol: with
 // healthy replicas a job sends each peer at most DistWindow count
-// requests, however many triples its grid has, and every triple is
+// requests, however many row ranges its grid has, and every range is
 // still answered exactly once.
 func TestDistCountRequestsPerPeerBounded(t *testing.T) {
 	g := gen.ChungLu(300, 2.1, 10, 4)
@@ -396,7 +482,7 @@ func TestDistCountRequestsPerPeerBounded(t *testing.T) {
 			}
 			for i, c := range counters {
 				if sent := c.n.Load() - before[i]; sent > int64(window) {
-					t.Fatalf("window %d grid %d: peer %d got %d count requests for %d triples",
+					t.Fatalf("window %d grid %d: peer %d got %d count requests for %d row ranges",
 						window, grid, i, sent, res.DistTriples)
 				}
 			}
@@ -405,17 +491,17 @@ func TestDistCountRequestsPerPeerBounded(t *testing.T) {
 		for _, svc := range svcs {
 			served += svc.Stats().DistTriples
 		}
-		if want := uint64(3*4*5/6 + 8*9*10/6 + 12*13*14/6); served != want {
-			t.Fatalf("window %d: replicas counted %d triples, the three grids have %d", window, served, want)
+		if want := uint64(3 + 8 + 12); served != want {
+			t.Fatalf("window %d: replicas counted %d row ranges, the three grids have %d", window, served, want)
 		}
 		coord.Close()
 	}
 }
 
 // TestDistCountGrid64OneRequest sends the largest job the service
-// accepts — grid 64, C(66, 3) = 45,760 triples — to one peer with a
-// window of 1, so all of it travels in one count request. The replica
-// must serve it rather than refuse it for its body size.
+// accepts — grid 64, so 64 row ranges — to one peer with a window of 1,
+// so all of it travels in one count request. The replica must serve it
+// rather than refuse it for its body size or its number of ranges.
 func TestDistCountGrid64OneRequest(t *testing.T) {
 	g := gen.GNP(200, 0.1, 3)
 	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
@@ -434,24 +520,24 @@ func TestDistCountGrid64OneRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Triangles != want || res.DistRetries != 0 || res.DistTriples != 45760 {
-		t.Fatalf("grid 64: counted %d over %d triples with %d retries, local kernel %d",
+	if res.Triangles != want || res.DistRetries != 0 || res.DistTriples != 64 {
+		t.Fatalf("grid 64: counted %d over %d row ranges with %d retries, local kernel %d",
 			res.Triangles, res.DistTriples, res.DistRetries, want)
 	}
 	if n := cr.n.Load(); n != 1 {
 		t.Fatalf("grid 64 on one peer with window 1 sent %d count requests, want 1", n)
 	}
-	if st := svcs[0].Stats(); st.DistTriples != 45760 {
-		t.Fatalf("replica counted %d triples, want 45760", st.DistTriples)
+	if st := svcs[0].Stats(); st.DistTriples != 64 {
+		t.Fatalf("replica counted %d row ranges, want 64", st.DistTriples)
 	}
 }
 
-// slowCount wraps a replica so each count request waits perTriple for
-// every triple it carries before it is served, or until the request is
-// canceled.
+// slowCount wraps a replica so each count request waits perRange for
+// every row range it carries before it is served, or until the request
+// is canceled.
 type slowCount struct {
-	next      http.Handler
-	perTriple time.Duration
+	next     http.Handler
+	perRange time.Duration
 }
 
 func (sc *slowCount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -466,7 +552,7 @@ func (sc *slowCount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		select {
-		case <-time.After(time.Duration(len(req.Triples)) * sc.perTriple):
+		case <-time.After(time.Duration(len(req.Ranges)) * sc.perRange):
 		case <-r.Context().Done():
 			return
 		}
@@ -475,14 +561,14 @@ func (sc *slowCount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestDistCountDeadlineIsNotPeerFailure runs a grid-8 job under a 60 ms
-// deadline over three replicas that each take 20 ms per triple. The
-// caller must get a deadline error, and no peer may be charged a
-// failure: the requests died of the caller's deadline, not of the
-// replicas.
+// deadline over three replicas that each take 200 ms per row range, so
+// that even a batch of one range outlasts the deadline. The caller must
+// get a deadline error, and no peer may be charged a failure: the
+// requests died of the caller's deadline, not of the replicas.
 func TestDistCountDeadlineIsNotPeerFailure(t *testing.T) {
 	g := gen.ChungLu(300, 2.1, 10, 5)
 	bases, _ := startWrappedReplicas(t, 3, func(_ int, h http.Handler) http.Handler {
-		return &slowCount{next: h, perTriple: 20 * time.Millisecond}
+		return &slowCount{next: h, perRange: 200 * time.Millisecond}
 	})
 	// One worker: the query after the deadline runs only once the dist
 	// job has returned, so the stats read after it are final.
@@ -612,7 +698,7 @@ func (fr *faultyReplica) take() []string {
 // replica truncates a fragment upload, corrupts another, answers a
 // count request with fragment_missing and another with no counts. Every
 // job must return CountParallel2D's total — a corrupt upload or a short
-// answer moves the peer's triples elsewhere, which DistRetries must
+// answer moves the peer's row ranges elsewhere, which DistRetries must
 // show — and never another number.
 func TestDistCountFaultInjection(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 5, 8)
@@ -650,7 +736,7 @@ func TestDistCountFaultInjection(t *testing.T) {
 		if cut {
 			cutJobs++
 			if res.DistRetries == 0 {
-				t.Fatalf("grid %d: faults %v cut the peer off, yet no triple was retried", grid, faults)
+				t.Fatalf("grid %d: faults %v cut the peer off, yet no row range was retried", grid, faults)
 			}
 		}
 	}
@@ -915,8 +1001,8 @@ func TestStoreFragmentResidentSkipsDecode(t *testing.T) {
 	if st := svc.Stats(); st.FragmentStores != 1 {
 		t.Fatalf("%d stores, want 1", st.FragmentStores)
 	}
-	pl := triangle.NewDistPlan(view, 3)
-	counts, _, err := svc.DistCountTriples(context.Background(), id, pl.Tiling, pl.Tiling.Triples())
+	ranks := g.N()
+	counts, _, err := svc.DistCountRanges(context.Background(), id, ranks, [][2]int32{{0, 20}, {20, int32(ranks)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -927,10 +1013,10 @@ func TestStoreFragmentResidentSkipsDecode(t *testing.T) {
 	if want := triangle.CountParallel2D(view, 0); total != want {
 		t.Fatalf("resident CSR counted %d, local kernel %d", total, want)
 	}
-	// A tiling of another rank space is refused, not sliced out of range.
-	other := triangle.NewDistPlan(graph.WholeGraph(gen.GNP(80, 0.3, 7)), 3).Tiling
-	if _, _, err := svc.DistCountTriples(context.Background(), id, other, other.Triples()); err == nil {
-		t.Fatalf("a %d-rank tiling counted against a %d-rank CSR", other.Ranks, pl.Tiling.Ranks)
+	// A request on another rank space is refused, not counted out of
+	// range.
+	if _, _, err := svc.DistCountRanges(context.Background(), id, 80, [][2]int32{{0, 80}}); err == nil {
+		t.Fatalf("an 80-rank request counted against a %d-rank CSR", ranks)
 	}
 }
 
@@ -1027,7 +1113,7 @@ func (md *midBodyDrop) take() int {
 
 // TestDistCountReplyCutMidBody has a replica close the connection
 // partway through its first count reply. That job must still return
-// the local kernel's total, with the peer's triples failed over and one
+// the local kernel's total, with the peer's row ranges failed over and one
 // failure charged to it; every later job too, with no further failure.
 func TestDistCountReplyCutMidBody(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 5, 4)
@@ -1055,7 +1141,7 @@ func TestDistCountReplyCutMidBody(t *testing.T) {
 			t.Fatalf("grid %d: counted %d, local kernel %d", grid, res.Triangles, want)
 		}
 		if dropped := drop.take(); (dropped > 0) != (res.DistRetries > 0) {
-			t.Fatalf("grid %d: %d replies cut, %d triples retried", grid, dropped, res.DistRetries)
+			t.Fatalf("grid %d: %d replies cut, %d row ranges retried", grid, dropped, res.DistRetries)
 		}
 	}
 	if ps := coord.Stats().DistPeers[bases[1]]; ps == nil || ps.Failures != 1 {

@@ -83,7 +83,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("dexpander_fragment_hits_total", "Dist-count requests served from a resident snapshot CSR.", float64(st.FragmentHits))
 	p.Gauge("dexpander_fragment_bytes", "Resident fragment cache bytes.", float64(st.FragmentBytes))
 	p.Counter("dexpander_fragment_evictions_total", "Fragment cache evictions.", float64(st.FragmentEvictions))
-	p.Counter("dexpander_dist_triples_total", "Block triples this replica counted for remote coordinators.", float64(st.DistTriples))
+	p.Counter("dexpander_dist_triples_total", "Row-range tasks this replica counted for remote coordinators.", float64(st.DistTriples))
 
 	// Per-tenant series (name-major so all samples of one name stay
 	// adjacent, label values sorted so the exposition is deterministic).
@@ -126,7 +126,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p.Counter(name, help, get(st.DistPeers[pb]), "peer", pb)
 		}
 	}
-	emitPeer("dexpander_peer_triples_total", "Block triples the peer answered for this coordinator.", func(d *PeerDistStats) float64 { return float64(d.Triples) })
+	emitPeer("dexpander_peer_triples_total", "Row-range tasks the peer answered for this coordinator.", func(d *PeerDistStats) float64 { return float64(d.Triples) })
 	emitPeer("dexpander_peer_pushes_total", "Snapshot CSR uploads to the peer.", func(d *PeerDistStats) float64 { return float64(d.Pushes) })
 	emitPeer("dexpander_peer_push_bytes_total", "Encoded bytes of snapshot CSRs pushed to the peer.", func(d *PeerDistStats) float64 { return float64(d.PushBytes) })
 	emitPeer("dexpander_peer_failures_total", "Jobs in which a rejected push or a transport failure marked the peer dead.", func(d *PeerDistStats) float64 { return float64(d.Failures) })

@@ -60,8 +60,8 @@ func TestTraceDistPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	// Grid 4 → 20 block triples, so the deterministic schedule gives
-	// every one of the 3 peers work.
+	// Grid 4 → 4 row ranges, so the deterministic schedule gives every
+	// one of the 3 peers work.
 	res, err := cl.TriangleCountDist(ctx, snap.ID, DistCountParams{Grid: 4})
 	if err != nil {
 		t.Fatalf("count-dist: %v", err)
@@ -100,7 +100,7 @@ func TestTraceDistPropagation(t *testing.T) {
 		}
 		ids[sp.ID] = true
 	}
-	for _, want := range []string{"http", "query", "compute", "dist", "dist.push", "dist.count", "replica.count"} {
+	for _, want := range []string{"http", "query", "compute", "dist", "dist.plan", "dist.push", "dist.count", "replica.count"} {
 		if byName[want] == 0 {
 			t.Fatalf("trace has no %q span; got %v", want, byName)
 		}
@@ -109,9 +109,15 @@ func TestTraceDistPropagation(t *testing.T) {
 		t.Fatalf("%d replica.count spans for %d dist.count spans", byName["replica.count"], byName["dist.count"])
 	}
 	// Each count request is a batch: the replicas ship back one
-	// triangle.triple span per triple, 20 in all.
-	if byName["triangle.triple"] != res.DistTriples || res.DistTriples != 20 {
-		t.Fatalf("%d triangle.triple spans for %d triples, want 20", byName["triangle.triple"], res.DistTriples)
+	// triangle.rows span per row range, 4 in all, and the coordinator's
+	// one dist.plan span records the cut.
+	if byName["triangle.rows"] != res.DistTriples || res.DistTriples != 4 {
+		t.Fatalf("%d triangle.rows spans for %d row ranges, want 4", byName["triangle.rows"], res.DistTriples)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name == "dist.plan" && (byName["dist.plan"] != 1 || sp.Attrs["grid"] != "4" || sp.Attrs["ranges"] != "4") {
+			t.Fatalf("%d dist.plan spans, one with attrs %v, want one with grid 4 and 4 ranges", byName["dist.plan"], sp.Attrs)
+		}
 	}
 	if len(peers) != 3 {
 		t.Fatalf("replica.count spans name %d distinct peers, want 3: %v", len(peers), peers)
@@ -157,11 +163,12 @@ func TestTraceDistPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceCount2DTriples pins the per-triple spans of a traced
+// TestTraceCount2DTriples pins the per-range spans of a traced
 // kernel=2d count: its "count" span must hold exactly one
-// "triangle.triple" child per block triple of the grid, whose counts sum
-// to the served total. A service that stopped handing the kernel its
-// span on the context would lose them all.
+// "triangle.rows" child per row range, whose ranges tile the rank space
+// [0, n) without gap or overlap and whose counts sum to the served
+// total. A service that stopped handing the kernel its span on the
+// context would lose them all.
 func TestTraceCount2DTriples(t *testing.T) {
 	svc := New(Config{Workers: 2, Tracer: obs.NewTracer(1024, 1)})
 	t.Cleanup(svc.Close)
@@ -194,36 +201,44 @@ func TestTraceCount2DTriples(t *testing.T) {
 	if count == nil || count.Attrs["kernel"] != "2d" {
 		t.Fatalf("trace has no kernel=2d count span: %+v", count)
 	}
-	seen := map[triangle.BlockTriple]bool{}
-	p, total := 0, 0
+	hiOf := map[int]int{} // range lo -> hi
+	total := 0
 	for _, sp := range tr.Spans {
-		if sp.Name != "triangle.triple" {
+		if sp.Name != "triangle.rows" {
 			continue
 		}
 		if sp.Parent != count.ID {
-			t.Fatalf("triangle.triple span %d parents under %d, not the count span %d", sp.ID, sp.Parent, count.ID)
+			t.Fatalf("triangle.rows span %d parents under %d, not the count span %d", sp.ID, sp.Parent, count.ID)
 		}
-		var bt triangle.BlockTriple
-		var n int
-		for k, dst := range map[string]*int{"bi": &bt.I, "bj": &bt.J, "bk": &bt.K, "count": &n} {
+		var lo, hi, n int
+		for k, dst := range map[string]*int{"lo": &lo, "hi": &hi, "count": &n} {
 			v, err := strconv.Atoi(sp.Attrs[k])
 			if err != nil {
-				t.Fatalf("triangle.triple attr %s = %q: %v", k, sp.Attrs[k], err)
+				t.Fatalf("triangle.rows attr %s = %q: %v", k, sp.Attrs[k], err)
 			}
 			*dst = v
 		}
-		if seen[bt] || bt.I > bt.J || bt.J > bt.K {
-			t.Fatalf("block triple %+v repeated or unordered", bt)
+		if _, dup := hiOf[lo]; dup || lo >= hi {
+			t.Fatalf("row range [%d, %d) repeated or empty", lo, hi)
 		}
-		seen[bt] = true
-		p = max(p, bt.K+1)
+		hiOf[lo] = hi
 		total += n
 	}
-	if want := p * (p + 1) * (p + 2) / 6; p == 0 || len(seen) != want {
-		t.Fatalf("%d triangle.triple spans for a %d-grid, want %d", len(seen), p, want)
+	// The ranges chain from 0 to the vertex count, one span each.
+	at, spans := 0, 0
+	for at < snap.N {
+		hi, ok := hiOf[at]
+		if !ok {
+			t.Fatalf("no triangle.rows span starts at rank %d (ranges %v)", at, hiOf)
+		}
+		at, spans = hi, spans+1
+	}
+	if at != snap.N || spans != len(hiOf) || spans < 2 {
+		t.Fatalf("%d triangle.rows spans reach rank %d of %d, %d of them chained; want at least 2 tiling [0, %d)",
+			len(hiOf), at, snap.N, spans, snap.N)
 	}
 	if total != res.Triangles {
-		t.Fatalf("triple spans count %d triangles, served %d", total, res.Triangles)
+		t.Fatalf("row-range spans count %d triangles, served %d", total, res.Triangles)
 	}
 }
 

@@ -102,9 +102,10 @@ type Result struct {
 	Messages int64 `json:"messages,omitempty"`
 
 	// Distributed-count fields (triangle-count-dist only). DistPeers is
-	// the number of replicas that served at least one triple; DistTriples
-	// is the schedule size; DistRetries counts triples that needed a
-	// second home. All zero on the 0-peer local fallback.
+	// the number of replicas that served at least one row range;
+	// DistTriples is the schedule size, the job's number of row-range
+	// tasks (the name predates row ranges); DistRetries counts ranges
+	// that needed a second home. All zero on the 0-peer local fallback.
 	DistPeers   int `json:"dist_peers,omitempty"`
 	DistTriples int `json:"dist_triples,omitempty"`
 	DistRetries int `json:"dist_retries,omitempty"`
@@ -248,10 +249,10 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 type CountParams struct {
 	// Kernel selects the kernel: "rank", "2d", or "auto" (the default;
 	// currently the rank kernel). rank and auto produce bit-identical
-	// checksums; 2d runs the counting-only edge-partitioned path, whose
-	// checksum digests the count alone. "merge" names the retired merge
-	// kernel and is now an alias of rank: it is served as kernel=rank,
-	// from rank's cache line.
+	// checksums; 2d runs the counting-only row-range path on the
+	// snapshot's cached forward CSR, whose checksum digests the count
+	// alone. "merge" names the retired merge kernel and is now an alias
+	// of rank: it is served as kernel=rank, from rank's cache line.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -366,16 +367,19 @@ func (p EnumerateParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	return res, nil
 }
 
-// DistCountParams configures the distributed 2D triangle count. The
-// coordinator fans the tiling's block triples across the configured peer
-// fleet and reduces the per-triple counts in task order; with no peers
-// configured it runs the local 2D kernel. Both paths produce the same
-// count and therefore the same checksum — the bit-identity the bench
-// matrix pins serve-dist cells against count-2d cells with.
+// DistCountParams configures the distributed triangle count. The
+// coordinator cuts the snapshot's forward CSR into row ranges, deals
+// them across the configured peer fleet and reduces the per-range counts
+// in range order; with no peers configured it runs the local 2D kernel.
+// Both paths produce the same count and therefore the same checksum —
+// the bit-identity the bench matrix pins serve-dist cells against
+// count-2d cells with.
 type DistCountParams struct {
-	// Grid forces the tiling dimension p (p(p+1)(p+2)/6 triples).
-	// 0 (the default) sizes the grid from the fleet: enough triples to
-	// keep every peer's in-flight window full.
+	// Grid forces the number of row ranges the job is cut into, each
+	// balanced by wedge work; a grid above the graph's vertex count is
+	// clamped to it. 0 (the default) sizes it from the fleet: four
+	// ranges per in-flight request slot (peers x DistWindow), at most
+	// maxDistGrid.
 	Grid int `json:"grid,omitempty"`
 }
 
@@ -384,8 +388,8 @@ func (p DistCountParams) Algorithm() string { return "triangle-count-dist" }
 
 func (p DistCountParams) normalize() Params { return p }
 
-// maxDistGrid caps DistCountParams.Grid, and with it the
-// C(maxDistGrid+2, 3) = 45,760 triples of the largest job.
+// maxDistGrid caps DistCountParams.Grid, and with it the row ranges of
+// the largest job and of any one count request a replica accepts.
 const maxDistGrid = 64
 
 func (p DistCountParams) validate() error {
@@ -398,7 +402,7 @@ func (p DistCountParams) validate() error {
 func (p DistCountParams) canon() string { return fmt.Sprintf("grid=%d", p.Grid) }
 
 // run counts triangles through the distribution layer. The total is the
-// per-triple counts reduced in task order, so it is bit-identical to
+// per-range counts reduced in range order, so it is bit-identical to
 // triangle.CountParallel2D for every peer count — including zero, where
 // it IS the local kernel. The checksum digests the count alone, exactly
 // like the count-2d bench cells.
@@ -409,15 +413,16 @@ func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	return env.svc.distCount(ctx, view, env.snap, p.Grid)
 }
 
-// count2D runs the local 2D kernel under a "count" span tagged with
-// kernel; the kernel hangs one "triangle.triple" span per block triple
-// under it. The checksum digests the count alone.
+// count2D runs the local 2D kernel on the snapshot's cached forward CSR
+// under a "count" span tagged with kernel; the kernel hangs one
+// "triangle.rows" span per row range under it. The checksum digests the
+// count alone.
 func count2D(ctx context.Context, view *graph.Sub, env runEnv, kernel string) (*Result, error) {
 	sp := obs.SpanFromContext(ctx).Child("count")
 	sp.Attr("kernel", kernel)
 	defer sp.End()
 	start := time.Now()
-	n, err := triangle.CountParallel2DContext(obs.ContextWithSpan(ctx, sp), view, env.workers)
+	n, err := env.snap.dist.forward(view).Count(obs.ContextWithSpan(ctx, sp), env.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ import (
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
 	"dexpander/internal/obs"
-	"dexpander/internal/triangle"
 )
 
 // Upload bounds: maxUploadBytes caps the request body on the wire, and
@@ -132,9 +131,9 @@ func codeOf(err error) (int, string, bool) {
 //	POST   /v1/graphs/{id}/decompose         expander decomposition (Theorem 1)
 //	POST   /v1/graphs/{id}/triangles/count   triangle count (parallel kernel)
 //	POST   /v1/graphs/{id}/triangles/enumerate  CONGEST enumeration (Theorem 2)
-//	POST   /v1/graphs/{id}/triangles/count-dist distributed 2D count (peer fleet)
+//	POST   /v1/graphs/{id}/triangles/count-dist distributed count (peer fleet)
 //	PUT    /v1/dist/fragments/{id}           push a snapshot's whole CSR (fleet-internal)
-//	POST   /v1/dist/count                    count a batch of block triples (fleet-internal)
+//	POST   /v1/dist/count                    count a batch of row ranges (fleet-internal)
 //	GET    /v1/stats                         service counters (schema v3)
 //	GET    /v1/debug/traces/{id}             one trace's recorded spans
 //	GET    /metrics                          Prometheus text exposition
@@ -420,12 +419,12 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // distCountRequest is the JSON body of the fleet-internal POST
-// /v1/dist/count: a batch of block triples against fragments resident
-// under the named snapshot and tiling.
+// /v1/dist/count: a batch of row ranges [lo, hi) of the CSR resident
+// under the named snapshot, whose rank space has Ranks ranks.
 type distCountRequest struct {
-	Snapshot string                 `json:"snapshot"`
-	Tiling   triangle.Tiling        `json:"tiling"`
-	Triples  []triangle.BlockTriple `json:"triples"`
+	Snapshot string     `json:"snapshot"`
+	Ranks    int        `json:"ranks"`
+	Ranges   [][2]int32 `json:"ranges"`
 	// Trace, when set, asks the replica to run the batch under a span of
 	// the named trace and return its spans, so the coordinator merges
 	// one cross-replica trace out of the fan-out.
@@ -439,18 +438,12 @@ type TraceRef struct {
 }
 
 type distCountResponse struct {
-	// Counts holds one count per requested triple, in request order.
+	// Counts holds one count per requested range, in request order.
 	Counts []int `json:"counts"`
 	// Spans are the replica-side spans of the coordinator's trace
 	// (present only when the request carried a TraceRef).
 	Spans []obs.Span `json:"spans,omitempty"`
 }
-
-// maxDistCountBody bounds a dist-count request body. The largest batch
-// a coordinator sends is a whole grid-maxDistGrid job on one peer, at
-// most 32 JSON bytes per triple; the extra MiB covers the tiling and
-// the trace reference.
-const maxDistCountBody = 1<<20 + 32*maxDistGrid*(maxDistGrid+1)*(maxDistGrid+2)/6
 
 // handlePutFragment stores a snapshot's whole encoded CSR in the
 // replica's fragment cache. Idempotent: re-pushing a resident snapshot
@@ -508,14 +501,15 @@ func readBody(body io.Reader, n int64) ([]byte, error) {
 	return data, nil
 }
 
-// handleDistCount counts a batch of block triples from resident
-// fragments. Runs on the handler goroutine, not the compute pool: the
+// handleDistCount counts a batch of row ranges from a resident CSR.
+// Runs on the handler goroutine, not the compute pool: the
 // coordinator's window already bounds a peer's in-flight batches, and
 // the request's context (shrunk by X-Timeout-Ms) stops the batch
-// between triples.
+// between ranges. A batch of at most maxDistGrid ranges fits the same
+// 1 MiB body bound as a query's params.
 func (s *Service) handleDistCount(w http.ResponseWriter, r *http.Request) {
 	var req distCountRequest
-	if err := decodeParams(http.MaxBytesReader(w, r.Body, maxDistCountBody), &req); err != nil {
+	if err := decodeParams(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		writeError(w, fmt.Errorf("parse dist count request: %w", err))
 		return
 	}
@@ -532,9 +526,9 @@ func (s *Service) handleDistCount(w http.ResponseWriter, r *http.Request) {
 	var sp *obs.Span
 	if req.Trace != nil && s.cfg.Tracer != nil && sanitizeRequestID(req.Trace.ID) != "" {
 		sp = s.cfg.Tracer.Adopt(req.Trace.ID, req.Trace.Parent, "replica.count")
-		sp.AttrInt("triples", len(req.Triples))
+		sp.AttrInt("ranges", len(req.Ranges))
 	}
-	counts, spans, err := s.DistCountTriples(obs.ContextWithSpan(ctx, sp), req.Snapshot, req.Tiling, req.Triples)
+	counts, spans, err := s.DistCountRanges(obs.ContextWithSpan(ctx, sp), req.Snapshot, req.Ranks, req.Ranges)
 	if err != nil {
 		if sp != nil {
 			sp.Attr("outcome", "error").End()

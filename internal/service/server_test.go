@@ -176,6 +176,32 @@ func TestServerGzipUpload(t *testing.T) {
 	}
 }
 
+// TestUploadSNAPHeaderAllocationBounded reads a 31-byte upload whose
+// SNAP header claims 99,999,999 edges through the service's upload
+// limits. An untrusted claim may pre-size the edge slice only up to a
+// small constant, so the read must allocate under 1 MiB; sizing the
+// slice by the claim, or by the limits' 2^26 edges, would take
+// gigabytes.
+func TestUploadSNAPHeaderAllocationBounded(t *testing.T) {
+	const body = "# Nodes: 2 Edges: 99999999\n0 1\n"
+	if len(body) != 31 {
+		t.Fatalf("upload is %d bytes, want 31", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := graph.ReadEdgeListLimited(strings.NewReader(body), uploadLimits)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 || g.M() != 1 {
+		t.Fatalf("read n=%d m=%d, want n=2 m=1", g.N(), g.M())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a %d-byte upload allocated %d bytes, want under 1 MiB", len(body), grew)
+	}
+}
+
 // TestServerWideVertexIDs: an upload whose two triangles differ only
 // above bit 20 of a vertex id ({0,1,3} and {0,1,2^21+3}) is served the
 // same count by kernel=auto and kernel=rank as by kernel=2d.

@@ -133,12 +133,12 @@ type Config struct {
 	// RateBurst is the bucket depth; 0 means max(2*RatePerSec, 1).
 	RateBurst float64
 
-	// Peers is the replica fleet the triangle-count-dist coordinator fans
-	// block triples across (base URLs, e.g. "http://10.0.0.2:8080").
+	// Peers is the replica fleet the triangle-count-dist coordinator deals
+	// row ranges across (base URLs, e.g. "http://10.0.0.2:8080").
 	// Empty means no fleet: count-dist falls back to the local 2D kernel.
 	Peers []string
 	// DistWindow bounds the coordinator's in-flight count requests per
-	// peer, each one a batch of block triples, and its connections to
+	// peer, each one a batch of row ranges, and its connections to
 	// each peer, which concurrent jobs share; 0 means 4.
 	DistWindow int
 	// MaxFragmentBytes bounds this replica's fragment cache, which holds
@@ -224,7 +224,7 @@ type Snapshot struct {
 	seq         uint64         // registration order; Snapshots() lists in it
 	refsBy      map[string]int // per-tenant share of Refs
 	view        *graph.Sub
-	dist        *snapDist // count-dist's cached CSR and peer residency
+	dist        *snapDist // the cached forward CSR and count-dist peer residency
 }
 
 // cacheKey identifies one cached computation.
@@ -369,8 +369,8 @@ type Stats struct {
 	FragmentHits      uint64 `json:"fragment_hits"`
 	FragmentBytes     int64  `json:"fragment_bytes"`
 	FragmentEvictions uint64 `json:"fragment_evictions"`
-	// DistTriples counts block-triple tasks this replica counted for
-	// remote coordinators.
+	// DistTriples counts row-range tasks this replica counted for remote
+	// coordinators (the name predates row ranges).
 	DistTriples uint64 `json:"dist_triples"`
 
 	// Decompose maps each decomposition backend name to its computation
@@ -390,7 +390,8 @@ type Stats struct {
 // PeerDistStats is one replica's section of Stats.DistPeers, accounted
 // on the coordinator.
 type PeerDistStats struct {
-	// Triples counts block-triple tasks this peer answered.
+	// Triples counts row-range tasks this peer answered (the name
+	// predates row ranges).
 	Triples uint64 `json:"triples"`
 	// Pushes counts snapshot CSR uploads to this peer — one per snapshot
 	// while it stays resident, plus a re-push after each fragment_missing;
@@ -398,7 +399,7 @@ type PeerDistStats struct {
 	Pushes    uint64 `json:"pushes"`
 	PushBytes int64  `json:"push_bytes"`
 	// Failures counts the jobs in which a rejected push or a transport
-	// error marked the peer dead (its remaining triples failed over to
+	// error marked the peer dead (its remaining ranges failed over to
 	// the surviving peers). A request cut short by the job's own
 	// cancellation or deadline is not a failure, and neither is a CSR
 	// the peer refuses as too large for its cache.

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"fmt"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -128,13 +129,13 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkCountFragments times the block-triple task body alone, the
-// way a replica runs it: every triple of a p = 12 tiling counted in
-// turn from decoded fragments, on the three graph shapes count-dist
-// serves. Planning, encoding and decoding happen before the timer.
-func BenchmarkCountFragments(b *testing.B) {
-	const p = 12
-	shapes := []struct {
+// countShapes are the three graph shapes count-dist serves, at the
+// sizes its benchmark workload registers.
+func countShapes() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
 		name string
 		g    *graph.Graph
 	}{
@@ -142,7 +143,15 @@ func BenchmarkCountFragments(b *testing.B) {
 		{"chung-lu", gen.ChungLu(1<<14, 2.1, 16, 1)},
 		{"gnp", gen.GNP(1<<13, 16.0/(1<<13), 1)},
 	}
-	for _, sh := range shapes {
+}
+
+// BenchmarkCountFragments times the block-triple task body alone: every
+// triple of a p = 12 tiling counted in turn from decoded fragments, on
+// the three graph shapes count-dist serves. Planning, encoding and
+// decoding happen before the timer.
+func BenchmarkCountFragments(b *testing.B) {
+	const p = 12
+	for _, sh := range countShapes() {
 		pl := NewDistPlan(graph.WholeGraph(sh.g), p)
 		frags := make([]*Fragment, pl.Tiling.P)
 		for i := range frags {
@@ -162,5 +171,33 @@ func BenchmarkCountFragments(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCountRows times the row-range task the way a replica runs a
+// count-dist job: every range of a p-range cut counted in turn from a
+// decoded whole-CSR fragment, on BenchmarkCountFragments' shapes at
+// p = 3 and 12. A job does one pass of wedge work at any p, so p = 12
+// should take about as long as p = 3. Building, cutting, encoding and
+// decoding happen before the timer.
+func BenchmarkCountRows(b *testing.B) {
+	for _, sh := range countShapes() {
+		fw := NewForward(graph.WholeGraph(sh.g))
+		whole, err := DecodeFragment(fw.Fragment().Encode())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range []int{3, 12} {
+			cuts := fw.RowCuts(p)
+			b.Run(fmt.Sprintf("%s/p=%d", sh.name, p), func(b *testing.B) {
+				for b.Loop() {
+					for i := 0; i+1 < len(cuts); i++ {
+						if _, err := CountRows(whole, cuts[i], cuts[i+1]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -3,22 +3,25 @@ package triangle
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"dexpander/internal/graph"
 )
 
-// This file is the distribution seam of the 2D edge-partitioned counting
-// path (twod.go): it exports the forward CSR as a reusable
-// preprocessing artifact (Forward), the deterministic tiling cut from it
-// — block boundaries, block-triple enumeration, the per-triple pair of
-// rank ranges a task touches — and a compact versioned serialization of
-// a rank-range slice of the CSR, so a block triple becomes a shippable
-// unit of work a dexpanderd replica can execute from two fragments
-// without ever holding the graph. A replica holds one fragment covering
-// the whole rank space and slices any tiling's blocks out of it.
-// CountFragments, DistPlan.CountTriple, and CountParallel2D all run the
-// same task body (countTriple), so the sum of per-triple counts over any
-// tiling equals CountParallel2D's total exactly.
+// This file is the distribution seam of the counting path (twod.go). It
+// exports the forward CSR as a reusable preprocessing artifact
+// (Forward) and a compact versioned serialization of a rank-range slice
+// of it (Fragment, the DXFR1 wire format), so a dexpanderd replica can
+// count row ranges without ever holding the graph: it keeps one
+// fragment covering the whole rank space, and CountRows runs the same
+// task on it that Forward.CountRows and CountParallel2D run on the
+// coordinator's CSR. The row-range counts of any cut therefore sum to
+// CountParallel2D's total exactly.
+//
+// The block-triple API — Tiling, BlockTriple, DistPlan, CountFragments —
+// is the per-triple form of the same count, kept as an oracle and for
+// callers that still replay jobs triple by triple: the per-triple counts
+// of any tiling also sum to CountParallel2D's total.
 
 // BlockTriple is one ordered (I <= J <= K) unit of distributed counting
 // work: triangles whose lowest-rank vertex falls in block I, middle
@@ -33,25 +36,20 @@ type BlockTriple struct {
 
 // Tiling is the deterministic 2D block decomposition of a rank space:
 // Cuts[b]..Cuts[b+1] is block b's contiguous rank range, balanced by
-// forward volume. Ranks is the total rank-space size (= the view's
-// vertex count), which doubles as the stamp-scratch universe replicas
-// size their mark arrays by.
+// wedge work. Ranks is the total rank-space size (= the view's
+// vertex count), which doubles as the stamp-scratch universe
+// CountFragments sizes its mark array by.
 type Tiling struct {
 	P     int     `json:"p"`
 	Ranks int     `json:"ranks"`
 	Cuts  []int32 `json:"cuts"` // length P+1, ascending, Cuts[0]=0, Cuts[P]=Ranks
 }
 
-// AutoGrid returns the grid dimension the 2D kernel would pick for the
-// given number of parallel units: the smallest p whose C(p+2, 3) block
-// triples give every unit a few tasks, capped at the rank-space size.
-func AutoGrid(units, ranks int) int { return twoDGrid(units, ranks) }
-
 // Block returns block b's rank range [lo, hi).
 func (tl Tiling) Block(b int) (lo, hi int32) { return tl.Cuts[b], tl.Cuts[b+1] }
 
-// Triples enumerates every ordered block triple (i <= j <= k) in the
-// canonical task order CountParallel2D reduces in.
+// Triples enumerates every ordered block triple (i <= j <= k) in
+// canonical task order.
 func (tl Tiling) Triples() []BlockTriple {
 	out := make([]BlockTriple, 0, tl.P*(tl.P+1)*(tl.P+2)/6)
 	for i := 0; i < tl.P; i++ {
@@ -82,44 +80,44 @@ func (tl Tiling) Validate() error {
 }
 
 // Forward is a view's rank-permuted forward CSR: the O(n + m)
-// preprocessing every 2D count starts from (Tom & Karypis's
-// preprocessing phase). It is immutable once built, so one Forward
-// serves every grid of its graph (Plan) and ships whole as one fragment
-// (Fragment).
-type Forward struct{ rc rankCSR }
+// preprocessing every count starts from (Tom & Karypis's preprocessing
+// phase). It is immutable once built, so one Forward serves every job of
+// its graph at any number of row ranges (RowCuts, CountRows) and ships
+// whole as one fragment (Fragment).
+type Forward struct {
+	rc rankCSR
+
+	wedgeOnce sync.Once
+	wedge     []int64 // wedgePrefix(rc), built by the first RowCuts
+}
 
 // NewForward builds the view's forward CSR.
 func NewForward(view *graph.Sub) *Forward { return &Forward{rc: buildRankCSR(view)} }
 
+// Ranks returns the size of the CSR's rank space (the view's vertex
+// count).
+func (fw *Forward) Ranks() int { return fw.rc.ranks() }
+
 // Plan cuts the p x p tiling of the CSR into a DistPlan that shares
-// fw's arrays. p < 1 is clamped to 1; p beyond the rank-space size is
-// clamped down. The block boundaries are deterministic in (graph, p).
+// fw's arrays. Its blocks are RowCuts(p)'s ranges, so p is clamped the
+// same way and the boundaries are deterministic in (graph, p).
 func (fw *Forward) Plan(p int) *DistPlan {
-	ranks := fw.rc.ranks()
-	if p < 1 {
-		p = 1
-	}
-	if p > ranks && ranks > 0 {
-		p = ranks
-	}
-	return &DistPlan{
-		rc:     fw.rc,
-		Tiling: Tiling{P: p, Ranks: ranks, Cuts: rankCuts(fw.rc, p)},
-	}
+	cuts := fw.RowCuts(p)
+	return &DistPlan{rc: fw.rc, Tiling: Tiling{P: len(cuts) - 1, Ranks: fw.rc.ranks(), Cuts: cuts}}
 }
 
 // Fragment returns the whole CSR as one fragment covering [0, Ranks), a
 // zero-copy view of fw's arrays. Its encoding is the one DXFR1 body a
-// replica keeps resident for the graph; Fragment.Slice cuts any tiling's
-// row blocks out of it.
+// replica keeps resident for the graph: CountRows counts any row range
+// of it, and Fragment.Slice cuts a tiling's row blocks out of it.
 func (fw *Forward) Fragment() *Fragment {
 	f := fw.rc.whole()
 	return &f
 }
 
-// DistPlan is the coordinator-side state for distributing one 2D count:
-// the rank-permuted forward CSR plus its tiling. Fragments are cheap
-// slices of the CSR.
+// DistPlan is the block-triple form of a count: the rank-permuted
+// forward CSR plus a p x p tiling of it. Fragments are cheap slices of
+// the CSR.
 type DistPlan struct {
 	rc     rankCSR
 	Tiling Tiling
@@ -148,29 +146,8 @@ func (pl *DistPlan) Fragment(b int) *Fragment {
 	return f
 }
 
-// TripleCost estimates a triple's work for the volume-balanced schedule:
-// the forward volume of its two row blocks (the lists the task scans and
-// probes). Deterministic in (plan, triple).
-func (pl *DistPlan) TripleCost(t BlockTriple) int64 {
-	cost := pl.blockVolume(t.I) + pl.blockVolume(t.J)
-	if t.I == t.J {
-		cost = pl.blockVolume(t.I)
-	}
-	return cost + 1
-}
-
-func (pl *DistPlan) blockVolume(b int) int64 {
-	lo, hi := pl.Tiling.Block(b)
-	if lo >= hi {
-		return 0
-	}
-	return int64(pl.rc.off[hi]-pl.rc.off[lo]) + int64(hi-lo)
-}
-
 // CountTriple executes one block triple's task locally on the plan's
-// own CSR — CountParallel2D's task, the coordinator's fallback when
-// every replica has failed a triple, and the oracle the distributed path
-// is tested against.
+// own CSR: the per-triple oracle CountFragments is tested against.
 func (pl *DistPlan) CountTriple(t BlockTriple) int {
 	whole := pl.rc.whole()
 	fi := whole.Slice(pl.Tiling.Block(t.I))
@@ -374,8 +351,8 @@ func (f *Fragment) validate() error {
 // CountFragments executes one block triple's task from the two fragments
 // covering its row blocks: fi must cover block t.I's rank range and fj
 // block t.J's (pass the same fragment twice when t.I == t.J). The count
-// is exactly what CountParallel2D's task for t computes, so summing over
-// a tiling's Triples reproduces CountParallel2D bit for bit.
+// equals DistPlan.CountTriple's for t, so summing over a tiling's
+// Triples reproduces CountParallel2D's total.
 func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if err := tl.Validate(); err != nil {
 		return 0, err
@@ -394,4 +371,21 @@ func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	sc := getTwoDScratch(tl.Ranks)
 	defer twoDScratchPool.Put(sc)
 	return countTriple(tl, t, fi, fj, sc), nil
+}
+
+// CountRows counts the triangles whose lowest-rank vertex lies in the
+// row range [lo, hi) from f, which must be a whole forward CSR: a
+// fragment covering [0, Ranks), as Forward.Fragment renders it and a
+// replica keeps it. The count equals Forward.CountRows' for the same
+// range, so the counts of any cut sum to CountParallel2D's total.
+func CountRows(f *Fragment, lo, hi int32) (int, error) {
+	if f.Lo != 0 || int(f.Hi) != f.Ranks {
+		return 0, fmt.Errorf("triangle: fragment [%d, %d) is not a whole CSR of %d ranks", f.Lo, f.Hi, f.Ranks)
+	}
+	if lo < 0 || lo > hi || int(hi) > f.Ranks {
+		return 0, fmt.Errorf("triangle: row range [%d, %d) outside [0, %d)", lo, hi, f.Ranks)
+	}
+	sc := getTwoDScratch(f.Ranks)
+	defer twoDScratchPool.Put(sc)
+	return countRows(f.Off, f.Nbr, lo, hi, sc), nil
 }

@@ -152,13 +152,14 @@ func TestCountFragmentsEqualsLocal(t *testing.T) {
 	}
 }
 
-// TestCountTripleOracle checks every block triple's task against the
-// brute-force oracle on its own, not only through the sum: a triple's
-// CountTriple and CountFragments must both equal the number of
-// BruteForce triangles whose lowest, middle and apex ranks fall in
-// blocks I, J and K. A task that counted a triangle under the wrong
-// triple would keep every total right and still fail here.
-func TestCountTripleOracle(t *testing.T) {
+// oracleCases are the graph families the per-task oracle tests sweep:
+// the count-dist shapes, a clique ring, a view restricted to a vertex
+// subset and an edge mask, a graph on which the tasks gallop, and a
+// multigraph with a parallel edge and a loop.
+func oracleCases() []struct {
+	name string
+	view *graph.Sub
+} {
 	restricted := func() *graph.Sub {
 		g := gen.BarabasiAlbert(90, 5, 4)
 		members := graph.NewVSet(g.N())
@@ -173,6 +174,26 @@ func TestCountTripleOracle(t *testing.T) {
 		}
 		return graph.NewSub(g, members, mask)
 	}
+	// A 43-clique whose last vertex r also closes one triangle with m,
+	// a vertex of 39 leaves, and x. r's forward list is [m, x] and m's
+	// is x plus its leaves, so at middle m the row-range task gallops
+	// through a list 40 times longer than its one apex candidate.
+	hubSkew := func() *graph.Sub {
+		b := graph.NewBuilder(84)
+		for u := 0; u < 43; u++ {
+			for v := u + 1; v < 43; v++ {
+				b.AddEdge(u, v)
+			}
+		}
+		const r, m, x = 42, 43, 44
+		b.AddEdge(r, m)
+		b.AddEdge(r, x)
+		b.AddEdge(m, x)
+		for leaf := 45; leaf < 84; leaf++ {
+			b.AddEdge(m, leaf)
+		}
+		return graph.WholeGraph(b.Graph())
+	}
 	multigraph := func() *graph.Sub {
 		b := graph.NewBuilder(6)
 		for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {0, 2}, {2, 2}, {3, 4}, {4, 5}, {3, 5}} {
@@ -180,7 +201,7 @@ func TestCountTripleOracle(t *testing.T) {
 		}
 		return graph.WholeGraph(b.Graph())
 	}
-	cases := []struct {
+	return []struct {
 		name string
 		view *graph.Sub
 	}{
@@ -189,18 +210,108 @@ func TestCountTripleOracle(t *testing.T) {
 		{"gnp", graph.WholeGraph(gen.GNP(96, 0.2, 5))},
 		{"ring", graph.WholeGraph(gen.RingOfCliques(5, 6, 1))},
 		{"restricted", restricted()},
+		{"hub-skew", hubSkew()},
 		{"multigraph", multigraph()},
 	}
+}
+
+// TestCountRowsOracle checks every row range's task against the
+// brute-force oracle on its own: for each oracle family and p in {1, 2,
+// 3, 7, 12, ranks+5}, a range's count — from Forward.CountRows and from
+// CountRows on a decoded whole-CSR fragment, as a replica counts — must
+// equal the number of BruteForce triangles whose lowest-rank vertex lies
+// in the range. The cuts must tile [0, ranks) with non-empty ranges, the
+// same from a fresh Forward, and the counts must sum to CountParallel2D.
+func TestCountRowsOracle(t *testing.T) {
+	for _, tc := range oracleCases() {
+		fw := NewForward(tc.view)
+		ranks := fw.Ranks()
+		rankOf := make(map[int]int32, ranks)
+		for r, v := range fw.rc.order {
+			rankOf[int(v)] = int32(r)
+		}
+		lowest := make([]int, ranks) // triangles per lowest rank
+		for _, tri := range BruteForce(tc.view).Sorted() {
+			lowest[min(rankOf[tri.A], rankOf[tri.B], rankOf[tri.C])]++
+		}
+		whole, err := DecodeFragment(fw.Fragment().Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want2D := CountParallel2D(tc.view, 0)
+		for _, p := range []int{1, 2, 3, 7, 12, ranks + 5} {
+			name := fmt.Sprintf("%s p=%d", tc.name, p)
+			cuts := fw.RowCuts(p)
+			if len(cuts) != min(p, ranks)+1 || cuts[0] != 0 || int(cuts[len(cuts)-1]) != ranks {
+				t.Fatalf("%s: cuts %v do not cut [0, %d) into %d ranges", name, cuts, ranks, min(p, ranks))
+			}
+			if again := NewForward(tc.view).RowCuts(p); !slices.Equal(again, cuts) {
+				t.Fatalf("%s: a fresh Forward cut %v, first %v", name, again, cuts)
+			}
+			total := 0
+			for i := 0; i+1 < len(cuts); i++ {
+				lo, hi := cuts[i], cuts[i+1]
+				if lo >= hi {
+					t.Fatalf("%s: range %d = [%d, %d) is empty", name, i, lo, hi)
+				}
+				want := 0
+				for r := lo; r < hi; r++ {
+					want += lowest[r]
+				}
+				local := fw.CountRows(lo, hi)
+				remote, err := CountRows(whole, lo, hi)
+				if err != nil {
+					t.Fatalf("%s range [%d, %d): %v", name, lo, hi, err)
+				}
+				if local != want || remote != want {
+					t.Fatalf("%s range [%d, %d): Forward.CountRows %d, CountRows %d, oracle %d",
+						name, lo, hi, local, remote, want)
+				}
+				total += local
+			}
+			if total != want2D {
+				t.Fatalf("%s: ranges sum to %d, CountParallel2D %d", name, total, want2D)
+			}
+		}
+	}
+}
+
+// TestCountRowsRejectsMismatch checks the replica-side validation: a
+// range outside the rank space, or a fragment that is not a whole CSR,
+// errors instead of miscounting.
+func TestCountRowsRejectsMismatch(t *testing.T) {
+	fw := NewForward(graph.WholeGraph(gen.GNP(48, 0.3, 2)))
+	whole := fw.Fragment()
+	n := int32(fw.Ranks())
+	for _, rg := range [][2]int32{{-1, 3}, {5, 4}, {0, n + 1}} {
+		if _, err := CountRows(whole, rg[0], rg[1]); err == nil {
+			t.Fatalf("range [%d, %d) of a %d-rank CSR accepted", rg[0], rg[1], n)
+		}
+	}
+	part := whole.Slice(0, n/2)
+	if _, err := CountRows(&part, 0, n/2); err == nil {
+		t.Fatal("a fragment of half the rows accepted as a whole CSR")
+	}
+}
+
+// TestCountTripleOracle checks every block triple's task against the
+// brute-force oracle on its own, not only through the sum: a triple's
+// CountTriple and CountFragments must both equal the number of
+// BruteForce triangles whose lowest, middle and apex ranks fall in
+// blocks I, J and K. A task that counted a triangle under the wrong
+// triple would keep every total right and still fail here.
+func TestCountTripleOracle(t *testing.T) {
+	cases := oracleCases()
 	for _, tc := range cases {
 		// One Forward serves every grid, as a coordinator's cached CSR does.
 		fw := NewForward(tc.view)
 		for _, p := range []int{1, 2, 3, 5, 8, 12} {
 			checkTripleOracle(t, fmt.Sprintf("%s p=%d", tc.name, p), tc.view, fw.Plan(p))
 		}
-		// Volume-balanced cuts never leave a block empty, but a replica
-		// counts under whatever valid tiling it is sent: p = 8 made from
-		// the p = 5 cuts with empty blocks spliced in first, in the
-		// middle and last.
+		// Wedge-balanced cuts never leave a block empty, but
+		// CountFragments counts under whatever valid tiling it is given:
+		// p = 8 made from the p = 5 cuts with empty blocks spliced in
+		// first, in the middle and last.
 		pl := NewDistPlan(tc.view, 5)
 		c := pl.Tiling.Cuts
 		cuts := []int32{c[0], c[0], c[1], c[2], c[2], c[3], c[4], c[5], c[5]}

@@ -38,8 +38,8 @@ const (
 	KernelAuto Kernel = iota
 	// KernelRank is the degree-rank forward-adjacency kernel.
 	KernelRank
-	// Kernel2D is the 2D edge-partitioned counting path (counting only;
-	// enumeration entry points treat it as KernelRank).
+	// Kernel2D is the row-range counting path of twod.go (counting
+	// only; enumeration entry points treat it as KernelRank).
 	Kernel2D
 )
 
@@ -200,48 +200,6 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 	return rankCSR{order: order, off: off, nbr: nbr[:w]}
 }
 
-// shardRanks splits the rank space [0, R) into at most `workers`
-// contiguous ranges balanced by the rank kernel's actual work estimate:
-// marking v's forward list plus probing every forward neighbor's list.
-// Forward lists are O(sqrt(m)) long, so unlike raw degrees this estimate
-// cannot be dominated by one hub.
-func shardRanks(rc rankCSR, workers int) [][2]int {
-	r := rc.ranks()
-	if r == 0 {
-		return nil
-	}
-	if workers > r {
-		workers = r
-	}
-	cost := make([]int64, r)
-	var total int64
-	for v := 0; v < r; v++ {
-		fv := rc.fwd(v)
-		c := int64(len(fv)) + 1
-		for _, u := range fv {
-			c += int64(len(rc.fwd(int(u)))) + 1
-		}
-		cost[v] = c
-		total += c
-	}
-	shards := make([][2]int, 0, workers)
-	per := total/int64(workers) + 1
-	var acc int64
-	start := 0
-	for v := 0; v < r; v++ {
-		acc += cost[v]
-		if acc >= per && len(shards) < workers-1 {
-			shards = append(shards, [2]int{start, v + 1})
-			start = v + 1
-			acc = 0
-		}
-	}
-	if start < r {
-		shards = append(shards, [2]int{start, r})
-	}
-	return shards
-}
-
 // SetKernel collects the view's triangles into a Set with the rank
 // kernel; workers <= 0 means GOMAXPROCS. k is accepted for callers that
 // pass a parsed -kernel flag; every kernel yields the same set.
@@ -259,14 +217,17 @@ func SetKernel(view *graph.Sub, workers int, k Kernel) *Set {
 func SetKernelContext(ctx context.Context, view *graph.Sub, workers int) (*Set, error) {
 	cp := par.CheckpointFromContext(ctx)
 	rc := buildRankCSR(view)
-	shards := shardRanks(rc, par.Workers(workers))
-	out := make([][]Triangle, len(shards))
-	errs := make([]error, len(shards))
-	par.ForEach(len(shards), len(shards), func(si int) {
+	// One shard per worker: contiguous rank ranges balanced by wedge
+	// work, cut as Forward.RowCuts cuts them.
+	cuts := cutPrefix(wedgePrefix(rc), max(1, min(par.Workers(workers), rc.ranks())))
+	shards := len(cuts) - 1
+	out := make([][]Triangle, shards)
+	errs := make([]error, shards)
+	par.ForEach(shards, shards, func(si int) {
 		sc := newIntersectScratch(rc.ranks())
 		var buf []int32
 		var local []Triangle
-		for r := shards[si][0]; r < shards[si][1]; r++ {
+		for r := int(cuts[si]); r < int(cuts[si+1]); r++ {
 			if cp != nil {
 				if err := cp(); err != nil {
 					errs[si] = err

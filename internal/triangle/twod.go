@@ -2,6 +2,7 @@ package triangle
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"dexpander/internal/graph"
@@ -9,30 +10,24 @@ import (
 	"dexpander/internal/par"
 )
 
-// This file implements the 2D edge-partitioned counting path (after Tom
-// & Karypis, arXiv 1907.09575): the rank space is tiled into p
-// contiguous ranges balanced by forward volume, and each ordered block
-// triple (i <= j <= k) becomes one independent task counting the
-// triangles whose lowest-rank vertex falls in range i, middle vertex in
-// range j, and apex in range k. Because every triangle has strictly
-// increasing ranks along (lowest, middle, apex), each is counted by
-// exactly one task. Tasks carry private accumulators and reduce in task
-// order, so the total is deterministic for any worker count — and since
-// each task only touches two rank ranges of the forward CSR, the same
-// tiling is the seam for fanning counting out across dexpanderd
-// replicas (dist.go), where a block pair is a shippable unit of work.
-// countTriple is the one task body every path runs: locally over
-// zero-copy views of the CSR, on a replica over decoded fragments.
+// This file implements the counting path every count-only entry point
+// runs: CountParallel2D, dexpanderd's kernel=2d, and its count-dist
+// fleet. Each triangle is charged to its lowest-rank vertex, so the rank
+// space splits into contiguous row ranges that count independently
+// against one forward CSR (SNIPPETS snippet 2's rank-ordered forward
+// lists). A range's task marks each row's forward list once and probes
+// every middle's list against the marks, so a job examines each wedge
+// once however many ranges it is cut into. Ranges are balanced by wedge
+// work, read off a prefix each Forward builds once (RowCuts). Tasks
+// keep private counts that reduce in range order, so the total is the
+// same for every worker count and every cut. A task reads only the CSR
+// and its two bounds, which makes a range the unit count-dist sends to
+// a replica holding the whole CSR.
 //
-// The task runs in the rank kernel's mark-once style. A row of block i
-// whose forward list cannot hold both a middle in j and an apex in k —
-// O(1) to tell from its two endpoints — is skipped. Otherwise the row's
-// apex candidates (its forward list cut to block k) are marked once,
-// and each middle's forward list is probed against the marks: a short
-// list whole, a long one cut to block k first, and one that is still
-// gallopRatio times longer than the candidates is galloped through
-// instead. So a row costs its middles' list lengths, not one merge of
-// the row's list per middle.
+// countTriple, the task of Tom & Karypis's (I, J, K) block-triple
+// tiling (arXiv 1907.09575), serves only dist.go's per-triple DistPlan
+// API. No count path runs it: a replica holds the whole CSR, so the
+// tiling would save no memory, and each apex block K rescans block I.
 
 // twoDScratchPool recycles the per-task stamp arrays; tasks are coarse,
 // so pool churn is negligible next to the intersection work.
@@ -50,50 +45,42 @@ func getTwoDScratch(universe int) *intersectScratch {
 	return newIntersectScratch(universe)
 }
 
-// twoDGrid picks the tiling dimension for a worker count: the smallest p
-// whose C(p+2, 3) ordered block triples give every worker a few tasks to
-// balance across, capped so tiny graphs are not shredded into empty
-// blocks. Deterministic in (workers, ranks) only — and the OUTPUT is a
-// sum of per-task counts, so it is identical for every p anyway.
-func twoDGrid(workers, ranks int) int {
-	if ranks == 0 {
-		return 1
-	}
-	target := 4 * workers
-	p := 1
-	for p*(p+1)*(p+2)/6 < target && p < ranks {
-		p++
-	}
-	return p
-}
+// AutoGrid returns the number of row ranges the counting path cuts for
+// the given number of parallel units: four per unit, so that a dynamic
+// schedule evens out the wedge estimate's error, capped at the
+// rank-space size.
+func AutoGrid(units, ranks int) int { return max(1, min(4*max(units, 1), ranks)) }
 
-// CountParallel2D counts the view's triangles on the 2D edge-partitioned
-// path with an automatically sized block grid; workers <= 0 means
-// GOMAXPROCS. The count always equals the rank kernel's.
+// CountParallel2D counts the view's triangles on AutoGrid(workers) row
+// ranges in parallel; workers <= 0 means GOMAXPROCS. The count always
+// equals the rank kernel's.
 func CountParallel2D(view *graph.Sub, workers int) int {
 	n, _ := CountParallel2DContext(context.Background(), view, workers)
 	return n
 }
 
-// CountParallel2DContext is CountParallel2D under a context: its
-// checkpoint (par.CheckpointFromContext) is probed before each block
-// triple starts, so once ctx is done no further tasks begin and ctx's
-// error is returned; when ctx carries a span (obs.ContextWithSpan) each
-// block triple runs under a "triangle.triple" child span holding its
-// (bi, bj, bk) coordinates and count. Counts are identical either way.
+// CountParallel2DContext is CountParallel2D under a context: it builds
+// the view's forward CSR and runs Forward.Count on it.
 func CountParallel2DContext(ctx context.Context, view *graph.Sub, workers int) (int, error) {
+	return NewForward(view).Count(ctx, workers)
+}
+
+// Count counts the CSR's triangles on AutoGrid(workers) row ranges run
+// by par.ForEachContext; workers <= 0 means GOMAXPROCS. The checkpoint
+// of ctx is probed before each range starts, so once ctx is done no
+// further range begins and ctx's error is returned. When ctx carries a
+// span (obs.ContextWithSpan), each range runs under a "triangle.rows"
+// child holding its bounds lo and hi and its count. The total is the
+// same for every worker count.
+func (fw *Forward) Count(ctx context.Context, workers int) (int, error) {
 	w := par.Workers(workers)
-	pl := NewDistPlan(view, twoDGrid(w, view.Base().N()))
-	triples := pl.Tiling.Triples()
-	counts := make([]int, len(triples))
+	cuts := fw.RowCuts(AutoGrid(w, fw.Ranks()))
+	counts := make([]int, len(cuts)-1)
 	sp := obs.SpanFromContext(ctx)
-	err := par.ForEachContext(ctx, w, len(triples), func(ti int) {
-		t := triples[ti]
-		child := sp.Child("triangle.triple")
-		child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
-		counts[ti] = pl.CountTriple(t)
-		child.AttrInt("count", counts[ti])
-		child.End()
+	err := par.ForEachContext(ctx, w, len(counts), func(i int) {
+		child := sp.Child("triangle.rows")
+		counts[i] = fw.CountRows(cuts[i], cuts[i+1])
+		child.AttrInt("lo", int(cuts[i])).AttrInt("hi", int(cuts[i+1])).AttrInt("count", counts[i]).End()
 	})
 	if err != nil {
 		return 0, err
@@ -105,27 +92,93 @@ func CountParallel2DContext(ctx context.Context, view *graph.Sub, workers int) (
 	return total, nil
 }
 
-// rankCuts splits [0, ranks) into p contiguous ranges balanced by
-// forward-list volume (the quantity intersections actually touch), not
-// vertex count: rank 0 is the heaviest hub, and volume balancing keeps
-// its block from dominating a row of the grid.
-func rankCuts(rc rankCSR, p int) []int32 {
+// CountRows counts the triangles whose lowest-rank vertex lies in the
+// row range [lo, hi), where 0 <= lo <= hi <= Ranks. It is the task of
+// every count path: summed over any cut of [0, Ranks), it gives the
+// graph's triangle count.
+func (fw *Forward) CountRows(lo, hi int32) int {
+	sc := getTwoDScratch(fw.rc.ranks())
+	defer twoDScratchPool.Put(sc)
+	return countRows(fw.rc.off, fw.rc.nbr, lo, hi, sc)
+}
+
+// RowCuts splits the rank space into p contiguous row ranges balanced by
+// wedge work: p+1 ascending cuts with cuts[0] = 0 and cuts[p] = Ranks,
+// range i being [cuts[i], cuts[i+1]). Every range holds at least one
+// row, so p < 1 is clamped to 1 and p beyond the rank-space size down to
+// it. The cuts are deterministic in (graph, p). The first call builds
+// the wedge prefix they are read from; later calls, at any p, reuse it.
+func (fw *Forward) RowCuts(p int) []int32 {
+	fw.wedgeOnce.Do(func() { fw.wedge = wedgePrefix(fw.rc) })
+	return cutPrefix(fw.wedge, max(1, min(p, fw.rc.ranks())))
+}
+
+// wedgePrefix returns w with w[r] the estimated work of rows [0, r): a
+// row costs its forward list (marked once) plus each middle's list
+// (probed), and one per list, so that empty rows still weigh something.
+// Forward lists are O(sqrt(m)) long, so unlike raw degrees this estimate
+// cannot be dominated by one hub.
+func wedgePrefix(rc rankCSR) []int64 {
+	w := make([]int64, rc.ranks()+1)
+	for r := 0; r < rc.ranks(); r++ {
+		fv := rc.fwd(r)
+		c := int64(len(fv)) + 1
+		for _, m := range fv {
+			c += int64(rc.off[m+1]-rc.off[m]) + 1
+		}
+		w[r+1] = w[r] + c
+	}
+	return w
+}
+
+// cutPrefix cuts the rows of the work prefix w into p contiguous ranges,
+// 1 <= p <= max(1, len(w)-1). Cut b is the first row at which the prefix
+// reaches b/p of the total work, moved just far enough to leave every
+// range at least one row.
+func cutPrefix(w []int64, p int) []int32 {
+	ranks := len(w) - 1
 	cuts := make([]int32, p+1)
-	total := int64(len(rc.nbr)) + int64(rc.ranks())
-	var acc int64
-	b := 1
-	for r := 0; r < rc.ranks() && b < p; r++ {
-		acc += int64(len(rc.fwd(r))) + 1
-		if acc >= total*int64(b)/int64(p) {
-			cuts[b] = int32(r + 1)
-			b++
+	for b := 1; b < p; b++ {
+		target := w[ranks] * int64(b) / int64(p)
+		r := sort.Search(ranks, func(i int) bool { return w[i] >= target })
+		cuts[b] = int32(min(max(r, int(cuts[b-1])+1), ranks-(p-b)))
+	}
+	cuts[p] = int32(ranks)
+	return cuts
+}
+
+// countRows is the row-range task: it counts the triangles whose
+// lowest-rank vertex lies in [lo, hi) of the whole forward CSR
+// (off, nbr), indexed by absolute rank. Each row's forward
+// list is marked once; each middle's list is probed against the marks,
+// or galloped through when it is gallopRatio times longer than the apex
+// candidates left above the middle. A middle's list holds only ranks
+// above the middle, so every marked rank it holds closes a triangle
+// counted nowhere else. sc must span the rank space.
+func countRows(off, nbr []int32, lo, hi int32, sc *intersectScratch) int {
+	var buf []int32
+	n := 0
+	for r := lo; r < hi; r++ {
+		fv := nbr[off[r]:off[r+1]]
+		if len(fv) < 2 {
+			continue
+		}
+		sc.markAll(fv)
+		for i, m := range fv[:len(fv)-1] {
+			fu := nbr[off[m]:off[m+1]]
+			if apex := fv[i+1:]; len(fu) >= len(apex)*gallopRatio {
+				buf = intersectGallop(apex, fu, buf[:0])
+				n += len(buf)
+				continue
+			}
+			for _, x := range fu {
+				if sc.marked(x) {
+					n++
+				}
+			}
 		}
 	}
-	for ; b < p; b++ {
-		cuts[b] = int32(rc.ranks())
-	}
-	cuts[p] = int32(rc.ranks())
-	return cuts
+	return n
 }
 
 // rangeOf returns the [lo, hi) index window of the ranks in s falling
@@ -160,6 +213,7 @@ func lowerBound(s []int32, x int32) int {
 // lowest-rank vertex lies in fi's rows (block t.I of tl), middle vertex
 // in block t.J — whose rows fj holds — and apex in block t.K. Callers
 // guarantee the fragments cover those blocks and that sc spans tl.Ranks.
+// It is countRows' loop restricted to the triple's three blocks.
 // A middle's list only holds ranks above the middle, so every marked
 // rank it contains is a valid apex: J == K needs no special case.
 func countTriple(tl Tiling, t BlockTriple, fi, fj *Fragment, sc *intersectScratch) int {
