@@ -82,12 +82,15 @@ func run() error {
 		if *short {
 			scale = harness.Small
 		}
-		tbls, err := bench.HarnessTables(scale, *seed,
-			harness.E2TriangleScaling, harness.E7ModelComparison, harness.E11EngineThroughput)
-		if err != nil {
-			return fmt.Errorf("harness tables: %w", err)
+		for _, run := range []func(harness.Scale, uint64) (*harness.Table, error){
+			harness.E2TriangleScaling, harness.E7ModelComparison, harness.E11EngineThroughput,
+		} {
+			t, err := run(scale, *seed)
+			if err != nil {
+				return fmt.Errorf("harness tables: %w", err)
+			}
+			rep.Tables = append(rep.Tables, t)
 		}
-		rep.Tables = append(rep.Tables, tbls...)
 	}
 
 	path, err := rep.Write(*out)

@@ -92,9 +92,7 @@ func run() error {
 
 	if *jsonDir != "" {
 		rep := bench.NewTableReport(seed)
-		for _, t := range tables {
-			rep.Tables = append(rep.Tables, bench.FromHarnessTable(t))
-		}
+		rep.Tables = tables
 		path, err := rep.Write(*jsonDir)
 		if err != nil {
 			return err

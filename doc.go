@@ -17,28 +17,28 @@
 // x86-64 host); see the internal/congest package comment for the
 // substrate's contracts and harness experiment E11 for the throughput
 // table. The shared-memory triangle kernel is the skew-proof rank
-// kernel (triangle.SetKernel): it reorders vertices by descending degree
-// and keeps only each vertex's higher-rank neighbors, so forward lists
+// kernel: it reorders vertices by descending degree and keeps only each
+// vertex's higher-rank neighbors (triangle.Forward), so forward lists
 // are O(sqrt(m)) long and a hub's O(deg^2) wedge term disappears even on
-// power-law inputs; rank ranges are balanced across GOMAXPROCS workers,
-// and per-pair intersections pick between a two-pointer merge, an
-// epoch-stamped mark array probed with no clearing, and galloping binary
-// search by length ratio (tuned via
-// BenchmarkIntersectionStrategies). The counting path
-// (triangle.CountParallel2D) charges each triangle to its lowest-rank
-// vertex and cuts the rank space into contiguous row ranges balanced by
-// wedge work, which run as independent internal/par tasks — one task
-// body, shared with the multi-node count's replicas. A range's task is
-// the rank kernel's loop over its rows against the whole forward CSR:
-// it marks a row's forward list once and probes each middle's list
-// against the marks (galloped past gallopRatio skew), so a count does
-// one pass of wedge work however many ranges it is cut into. A
+// power-law inputs. Each triangle is charged to its lowest-rank vertex,
+// and the rank space is cut into contiguous row ranges balanced by
+// wedge work, which run as independent internal/par tasks. Listing
+// (Forward.Set, behind triangle.SetKernel) and counting (Forward.Count,
+// behind triangle.CountParallel2D) share that one schedule: the same
+// cuts, pooled scratch, per-range cancellation probe and per-range
+// trace span. A range's task marks a row's forward list once in an
+// epoch-stamped array that is never cleared and probes each middle's
+// list against the marks, galloping instead past gallopRatio skew
+// (tuned via BenchmarkIntersectionStrategies), so a count does one pass
+// of wedge work however many ranges it is cut into; the counting task
+// body is shared with the multi-node count's replicas. A
 // multi-node count preprocesses each snapshot once, as Tom & Karypis
 // split preprocessing from counting: the coordinator builds the
-// snapshot's forward CSR on its first count and keeps it, each replica
-// receives it once as one whole-rank-space fragment and counts any row
-// range straight from it, and each job then sends a replica only its
-// share of the ranges, as at most DistWindow batched count requests.
+// snapshot's forward CSR on its first count-dist job and keeps it, each
+// replica receives it once as one whole-rank-space fragment and counts
+// any row range straight from it, and each job then sends a replica
+// only its share of the ranges, as at most DistWindow batched count
+// requests.
 // Both kernels are bit-identical to the sequential BruteForce oracle for
 // every worker count; the bench baseline's enumerate-rank checksums,
 // first recorded beside the retired merge kernel's identical ones,

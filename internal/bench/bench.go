@@ -36,6 +36,7 @@ import (
 
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
+	"dexpander/internal/harness"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout; bump on breaking
@@ -98,27 +99,27 @@ func (c Cell) Key() string {
 	return c.Scenario + "|" + c.Params + "|" + c.Algorithm
 }
 
-// Table is a rendered harness experiment embedded in a report (the
-// E-experiment tables emit through this writer; see FromHarnessTable).
-type Table struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
 // Report is the versioned top-level BENCH_*.json document.
 type Report struct {
-	Schema      string  `json:"schema"`
-	CreatedUnix int64   `json:"created_unix"`
-	GoVersion   string  `json:"go_version"`
-	GOOS        string  `json:"goos"`
-	GOARCH      string  `json:"goarch"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Seed        uint64  `json:"seed"`
-	CalibNS     int64   `json:"calib_ns"`
-	Cells       []Cell  `json:"cells"`
-	Tables      []Table `json:"tables,omitempty"`
+	Schema      string `json:"schema"`
+	CreatedUnix int64  `json:"created_unix"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	Seed        uint64 `json:"seed"`
+	CalibNS     int64  `json:"calib_ns"`
+	Cells       []Cell `json:"cells"`
+	// Tables are rendered harness experiments, so one BENCH_*.json
+	// carries both the raw matrix cells and the theorem-facing tables.
+	Tables []*harness.Table `json:"tables,omitempty"`
+}
+
+// NewTableReport returns an empty report (no matrix cells, no
+// calibration run) for emitting experiment tables through the bench
+// writer — the path the trianglebench CLI uses.
+func NewTableReport(seed uint64) *Report {
+	return newReport(seed)
 }
 
 // Options configures a matrix run.

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -86,7 +89,10 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Tables = append(rep.Tables, FromHarnessTable(tbl))
+	if len(tbl.Notes) == 0 {
+		tbl.AddNote("every encoded key is present")
+	}
+	rep.Tables = append(rep.Tables, tbl)
 	path, err := rep.Write(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +107,24 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if len(got.Cells) != len(rep.Cells) || len(got.Tables) != 1 {
 		t.Fatalf("round trip lost data: %d cells %d tables", len(got.Cells), len(got.Tables))
 	}
-	if got.Tables[0].Title != tbl.Title || len(got.Tables[0].Rows) != len(tbl.Rows) {
+	if got.Tables[0].Title != tbl.Title || len(got.Tables[0].Rows) != len(tbl.Rows) ||
+		!slices.Equal(got.Tables[0].Notes, tbl.Notes) {
 		t.Fatalf("table round trip mismatch: %+v", got.Tables[0])
+	}
+	// The table schema is harness.Table's JSON form: exactly these keys.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Tables []map[string]json.RawMessage `json:"tables"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(doc.Tables[0]))
+	if want := []string{"headers", "notes", "rows", "title"}; !slices.Equal(keys, want) {
+		t.Fatalf("encoded table keys %v, want %v", keys, want)
 	}
 	// Unknown schema must be rejected.
 	bad := filepath.Join(dir, "bad.json")

@@ -13,12 +13,12 @@ import (
 
 // TestTracingDisabledOverhead is the tracing-off overhead guard: the 2D
 // kernel called the way the service calls it with tracing off — a
-// cancelable context (so the per-triple checkpoint probe is live) and no
-// span — must stay within noise of the bare CountParallel2D. The
-// instrumentation collapses to a channel poll and a few nil-span tests
-// per block triple. The 2x bound is deliberately generous (CI machines
-// are noisy); a real regression (per-task allocation, say) lands far
-// above it.
+// Forward built for the computation, a cancelable context (so the
+// per-range cancellation probe is live) and no span — must stay within
+// noise of the bare CountParallel2D. The instrumentation collapses to a
+// channel poll and a few nil-span tests per row range. The 2x bound is
+// deliberately generous (CI machines are noisy); a real regression
+// (per-task allocation, say) lands far above it.
 func TestTracingDisabledOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison; run without -short")
@@ -36,7 +36,7 @@ func TestTracingDisabledOverhead(t *testing.T) {
 	})
 	instr := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			n, err := triangle.CountParallel2DContext(ctx, view, 0)
+			n, err := triangle.NewForward(view).Count(ctx, 0)
 			if err != nil || n != want {
 				b.Fatalf("instrumented kernel: count %d err %v, want %d", n, err, want)
 			}

@@ -121,29 +121,6 @@ func TestChannelsAllowParallelSends(t *testing.T) {
 	}
 }
 
-func TestTrySendMux(t *testing.T) {
-	e := New(pathSub(2), Config{Channels: 2})
-	var okCount int32
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 0 {
-			n := 0
-			for i := 0; i < 3; i++ {
-				if nd.TrySendMux(0, int64(i)) {
-					n++
-				}
-			}
-			atomic.StoreInt32(&okCount, int32(n))
-		}
-		nd.Next()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okCount != 2 {
-		t.Errorf("TrySendMux succeeded %d times, want 2", okCount)
-	}
-}
-
 func TestMaxRoundsAborts(t *testing.T) {
 	e := New(pathSub(2), Config{MaxRounds: 5})
 	err := e.Run(func(nd *Node) {

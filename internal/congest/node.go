@@ -89,22 +89,6 @@ func (n *Node) SendOn(ch, port int, words ...int64) {
 	})
 }
 
-// TrySendMux stages a message on the first free logical channel of the
-// given port this round. It returns false, staging nothing, when all
-// channels of the port are already used — the condition the paper's
-// ParallelNibble treats as an overlap overflow (more than w concurrent
-// instances on one edge). See Lemma 10.
-func (n *Node) TrySendMux(port int, words ...int64) bool {
-	deg := n.topo.degree(n.idx)
-	for ch := 0; ch < n.eng.cfg.Channels; ch++ {
-		if n.sentStamp[ch*deg+port] != int32(n.round) {
-			n.SendOn(ch, port, words...)
-			return true
-		}
-	}
-	return false
-}
-
 // SendToAll stages the same message on channel 0 to every port. The
 // payload is staged once and shared by every copy, so broadcasting costs
 // one arena write regardless of degree.

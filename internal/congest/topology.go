@@ -114,14 +114,6 @@ func NewCliqueTopology(n int) *Topology {
 // NumNodes returns the number of participating nodes.
 func (t *Topology) NumNodes() int { return len(t.vertexOf) }
 
-// NumLinks returns the number of communication links.
-func (t *Topology) NumLinks() int {
-	if t.cliqueN > 0 {
-		return t.cliqueN * (t.cliqueN - 1) / 2
-	}
-	return len(t.ports) / 2
-}
-
 // degree returns the port count of dense node i.
 func (t *Topology) degree(i int) int {
 	if t.cliqueN > 0 {

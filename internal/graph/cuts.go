@@ -88,59 +88,3 @@ func (s *Sub) InterComponentEdges(labels []int) int64 {
 	}
 	return cnt
 }
-
-// RemoveCut returns a copy of the view's edge mask with every usable
-// non-loop edge crossing x killed. The view itself is immutable; callers
-// thread the returned mask into a new Sub. This is the paper's
-// Remove-1/2/3 primitive: removal implicitly adds self-loops because
-// degrees are never recomputed.
-func (s *Sub) RemoveCut(x *VSet) []bool {
-	mask := s.cloneMask()
-	for e := 0; e < s.g.M(); e++ {
-		if !mask[e] {
-			continue
-		}
-		ed := s.g.edges[e]
-		if ed.U == ed.V || !s.members.Has(ed.U) || !s.members.Has(ed.V) {
-			continue
-		}
-		if x.Has(ed.U) != x.Has(ed.V) {
-			mask[e] = false
-		}
-	}
-	return mask
-}
-
-// RemoveIncident returns a copy of the view's edge mask with every usable
-// edge incident to x killed (the paper's Remove-3: removing a cut C makes
-// each of its vertices an isolated loop-vertex).
-func (s *Sub) RemoveIncident(x *VSet) []bool {
-	mask := s.cloneMask()
-	for e := 0; e < s.g.M(); e++ {
-		if !mask[e] {
-			continue
-		}
-		ed := s.g.edges[e]
-		if !s.members.Has(ed.U) || !s.members.Has(ed.V) {
-			continue
-		}
-		if x.Has(ed.U) || x.Has(ed.V) {
-			mask[e] = false
-		}
-	}
-	return mask
-}
-
-// cloneMask materializes the edge mask as a fresh slice (nil mask becomes
-// all-true).
-func (s *Sub) cloneMask() []bool {
-	mask := make([]bool, s.g.M())
-	if s.edgeOn == nil {
-		for i := range mask {
-			mask[i] = true
-		}
-	} else {
-		copy(mask, s.edgeOn)
-	}
-	return mask
-}

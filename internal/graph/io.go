@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -160,7 +161,7 @@ func newLineScanner(r io.Reader) *lineScanner {
 // front; the buffer doubles up to maxLineBytes for oversized lines.
 func (s *lineScanner) line() ([]byte, error) {
 	for {
-		if i := bytesIndexByte(s.buf[s.start:s.end], '\n'); i >= 0 {
+		if i := bytes.IndexByte(s.buf[s.start:s.end], '\n'); i >= 0 {
 			line := s.buf[s.start : s.start+i]
 			s.start += i + 1
 			return line, nil
@@ -194,15 +195,6 @@ func (s *lineScanner) line() ([]byte, error) {
 			return nil, err
 		}
 	}
-}
-
-func bytesIndexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
 }
 
 func isBlank(c byte) bool {

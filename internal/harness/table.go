@@ -11,16 +11,17 @@ import (
 	"strings"
 )
 
-// Table is a rendered experiment result.
+// Table is a rendered experiment result. Its JSON form is the table
+// schema of a BENCH_*.json report (internal/bench Report.Tables).
 type Table struct {
 	// Title names the experiment (e.g. "E3 (Theorem 3) ...").
-	Title string
+	Title string `json:"title"`
 	// Headers are the column names.
-	Headers []string
+	Headers []string `json:"headers"`
 	// Rows hold the formatted cells.
-	Rows [][]string
+	Rows [][]string `json:"rows"`
 	// Notes are appended below the table (bound statements, fits).
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // AddRow appends a row, formatting each cell with %v.

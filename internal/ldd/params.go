@@ -73,7 +73,7 @@ func NewParams(n int, beta float64, preset Preset) Params {
 		// final diameter constant (a component may span two V_D pieces)
 		// while letting local balls stay local at simulable sizes.
 		p.A = p.T + 1
-		p.B = maxInt(2, int(math.Ceil(lnN/beta)))
+		p.B = max(2, int(math.Ceil(lnN/beta)))
 		p.Preset = Practical
 	}
 	p.RBig = 100 * p.A * p.B
@@ -125,11 +125,4 @@ func (r *Result) MaxDiameter(view *graph.Sub) int {
 		}
 	}
 	return max
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

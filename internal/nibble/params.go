@@ -113,7 +113,7 @@ func PaperParams(view *graph.Sub, phi float64) Params {
 		Preset:   Paper,
 		Phi:      phi,
 		T0:       t0,
-		Ell:      maxInt(1, int(math.Ceil(math.Log2(m)))),
+		Ell:      max(1, int(math.Ceil(math.Log2(m)))),
 		Gamma:    5 * phi / (7 * 7 * 8 * lnm4),
 		EpsBase:  phi / (7 * 8 * lnm4 * float64(t0)),
 		FPhi:     phi * phi * phi / (144 * lnm4 * lnm4),
@@ -137,16 +137,16 @@ func PracticalParams(view *graph.Sub, phi float64) Params {
 	if vol < 2 {
 		vol = 2
 	}
-	t0 := clampInt(int(math.Ceil(4*lnm2/phi)), 16, 1500)
+	t0 := min(max(int(math.Ceil(4*lnm2/phi)), 16), 1500)
 	return Params{
 		Preset:    Practical,
 		Phi:       phi,
 		T0:        t0,
-		Ell:       maxInt(1, int(math.Ceil(math.Log2(m)))),
+		Ell:       max(1, int(math.Ceil(math.Log2(m)))),
 		Gamma:     5 * phi / (7 * 7 * 8 * lnm4),
 		EpsBase:   phi / (7 * 8 * lnm4 * float64(t0)),
 		FPhi:      phi * phi * phi / (144 * lnm4 * lnm4),
-		W:         maxInt(4, int(math.Ceil(math.Log(vol)))),
+		W:         max(4, int(math.Ceil(math.Log(vol)))),
 		KCap:      32,
 		SCap:      48,
 		EmptyStop: 12,
@@ -254,21 +254,4 @@ func FInv(view *graph.Sub, target float64) float64 {
 	m := volumeM(view)
 	lnm4 := math.Log(m) + 4
 	return math.Cbrt(target * 144 * lnm4 * lnm4)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

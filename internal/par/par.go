@@ -1,11 +1,13 @@
 // Package par is the deterministic fan-out helper behind the host-side
 // component-parallel pipelines (core.Decompose's phase tasks,
-// triangle.Enumerate's per-component loop, nibble's walk pools). It only
+// triangle.Enumerate's per-component loop, the shared-memory triangle
+// kernel's row ranges, nibble's walk pools). It only
 // schedules: callers keep determinism by drawing every seed before
 // dispatch and merging results by task index afterwards, so the worker
 // count never influences outputs — only wall time. Cancellation reaches
-// it on the context (ForEachContext); tracing stays with the caller,
-// which opens any per-task span inside fn.
+// it on the context: ForEachContext probes ctx.Done() before each task,
+// so a canceled fan-out stops at the next task boundary. Tracing stays
+// with the caller, which opens any per-task span inside fn.
 package par
 
 import (
@@ -14,37 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Checkpoint is the cooperative-cancellation probe hot loops consult at
-// task and loop boundaries (every ForEachContext task, the rank
-// kernel's per-rank loop). A nil Checkpoint means "never canceled" and
-// costs nothing; a non-nil one must be cheap (the context-backed probe
-// below is one non-blocking channel receive). Once it returns a non-nil
-// error the computation winds down and surfaces that error — it never
-// changes outputs of uncanceled runs.
-type Checkpoint func() error
-
-// CheckpointFromContext adapts a context into a Checkpoint: a
-// non-blocking probe of ctx.Done() returning ctx.Err() once the context
-// is canceled or past its deadline. A nil or never-canceled context
-// yields a nil Checkpoint, keeping the hot path free of even the probe.
-func CheckpointFromContext(ctx context.Context) Checkpoint {
-	if ctx == nil {
-		return nil
-	}
-	done := ctx.Done()
-	if done == nil {
-		return nil
-	}
-	return func() error {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-			return nil
-		}
-	}
-}
 
 // Workers resolves a requested worker count: non-positive means
 // GOMAXPROCS. ForEach further clamps to the task count, so no idle
@@ -66,46 +37,42 @@ func ForEach(workers, n int, fn func(i int)) {
 	_ = ForEachContext(context.Background(), workers, n, fn)
 }
 
-// ForEachContext is ForEach under a context: ctx's checkpoint
-// (CheckpointFromContext) is probed before each task starts, and once
-// ctx is done no further tasks begin — tasks already running finish
-// their current fn call, so a caller is released within one task (one
-// "checkpoint interval") of the cancellation. ctx's error is returned;
-// an uncanceled run returns nil having executed exactly the calls
-// ForEach would, in a schedule drawn from the same shared counter, so
-// outputs stay bit-identical. A never-canceled ctx skips the probe.
+// ForEachContext is ForEach under a context: ctx.Done() is read once,
+// and before each task starts a non-blocking receive on it is probed.
+// Once ctx is done no further tasks begin; tasks already running finish
+// their current fn call, so a caller is released within one task of the
+// cancellation. ctx's error is returned. An uncanceled run returns nil
+// having executed exactly the calls ForEach would, in a schedule drawn
+// from the same shared counter, so outputs stay bit-identical. A ctx
+// whose Done is nil (context.Background) is never probed.
 func ForEachContext(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
-	cp := CheckpointFromContext(ctx)
+	done := ctx.Done()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if cp != nil {
-				if err := cp(); err != nil {
-					return err
-				}
+			if canceled(done) {
+				return ctx.Err()
 			}
 			fn(i)
 		}
 		return nil
 	}
 	var next atomic.Int64
-	var firstErr atomic.Pointer[error]
+	var stopped atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for firstErr.Load() == nil {
-				if cp != nil {
-					if err := cp(); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
+			for !stopped.Load() {
+				if canceled(done) {
+					stopped.Store(true)
+					return
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -116,8 +83,23 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		return *p
+	if stopped.Load() {
+		// Err is non-nil and fixed once Done is closed.
+		return ctx.Err()
 	}
 	return nil
+}
+
+// canceled reports whether done, a context's Done channel, is closed; a
+// nil done is never probed.
+func canceled(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

@@ -96,26 +96,27 @@ func TestForEachCheckPreCanceled(t *testing.T) {
 	}
 }
 
-// TestCheckpointFromContext covers the adapter's three shapes: nil-able
-// contexts yield a nil probe, a live context probes clean, a canceled
-// one reports its error.
-func TestCheckpointFromContext(t *testing.T) {
-	if cp := CheckpointFromContext(nil); cp != nil { //nolint:staticcheck // nil ctx is the point
-		t.Fatal("nil context must yield a nil checkpoint")
+// TestForEachContextProbeAllocatesNothing: the cancellation probe reads
+// ctx.Done() once per call and allocates nothing per task, so a fan-out
+// of 64 tasks allocates exactly as often as one of 8, serial or not,
+// under context.Background and under a live cancelable context.
+func TestForEachContextProbeAllocatesNothing(t *testing.T) {
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	fn := func(int) {}
+	allocs := func(ctx context.Context, workers, n int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if err := ForEachContext(ctx, workers, n, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if cp := CheckpointFromContext(context.Background()); cp != nil {
-		t.Fatal("never-canceled context must yield a nil checkpoint")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cp := CheckpointFromContext(ctx)
-	if cp == nil {
-		t.Fatal("cancelable context yielded a nil checkpoint")
-	}
-	if err := cp(); err != nil {
-		t.Fatalf("probe before cancel: %v", err)
-	}
-	cancel()
-	if err := cp(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("probe after cancel: %v", err)
+	for _, ctx := range []context.Context{context.Background(), live} {
+		if a := allocs(ctx, 1, 8); a != 0 {
+			t.Fatalf("serial ForEachContext allocates %v times per call", a)
+		}
+		if few, many := allocs(ctx, 4, 8), allocs(ctx, 4, 64); many != few {
+			t.Fatalf("4 workers allocate %v times for 8 tasks but %v for 64", few, many)
+		}
 	}
 }

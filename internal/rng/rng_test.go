@@ -195,24 +195,6 @@ func TestWeightedIndex(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBigMul(t *testing.T) {
-	// Property: our mul64 agrees with math/bits-style reference on the
-	// low word (x*y is exact mod 2^64) and is consistent across random
-	// inputs via an algebraic identity check on small operands.
-	f := func(a, b uint32) bool {
-		hi, lo := mul64(uint64(a), uint64(b))
-		return hi == 0 && lo == uint64(a)*uint64(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A known 128-bit case: (2^32+1)^2 = 2^64 + 2^33 + 1.
-	hi, lo := mul64(1<<32+1, 1<<32+1)
-	if hi != 1 || lo != 1<<33+1 {
-		t.Fatalf("mul64 128-bit case: got hi=%d lo=%d", hi, lo)
-	}
-}
-
 func TestShuffleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

@@ -209,10 +209,13 @@ func (s *Service) residentCSR(snapID string) (*triangle.Fragment, error) {
 	return e.frag, nil
 }
 
-// snapDist is a snapshot's counting state: its forward CSR, built by
-// the snapshot's first count on the 2D path (count-dist, kernel=2d) and
-// shared by every later one at any grid, and what each count-dist peer
-// holds of it. It hangs off the Snapshot by pointer (snapshot values are
+// snapDist is a snapshot's count-dist state: its forward CSR, built by
+// the snapshot's first count-dist job and shared by every later one (a
+// job at another grid is another cache key, so it reuses the CSR where
+// the result cache cannot answer), and what each peer holds of it. The
+// shared-memory counts (kernel=rank|auto|2d, peer-less count-dist)
+// build their own CSR and keep none: the result cache answers their
+// repeats. It hangs off the Snapshot by pointer (snapshot values are
 // copied out of the registry). Evicting the snapshot frees the CSR; a
 // re-registered snapshot starts from a fresh snapDist, so no residency
 // outlives its snapshot.

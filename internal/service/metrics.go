@@ -7,8 +7,9 @@
 package service
 
 import (
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 
 	"dexpander/internal/obs"
 )
@@ -34,15 +35,6 @@ func histRaw(h *Hist) obs.HistogramData {
 		d.Le[i] = float64(le)
 	}
 	return d
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -87,7 +79,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Per-tenant series (name-major so all samples of one name stay
 	// adjacent, label values sorted so the exposition is deterministic).
-	tenants := sortedKeys(st.Tenants)
+	tenants := slices.Sorted(maps.Keys(st.Tenants))
 	emitTenant := func(name, help string, get func(TenantStats) float64, counter bool) {
 		for _, tn := range tenants {
 			v := get(st.Tenants[tn])
@@ -109,7 +101,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emitTenant("dexpander_tenant_in_flight", "Tenant computations in flight.", func(t TenantStats) float64 { return float64(t.InFlight) }, false)
 
 	// Per-backend decomposition series.
-	backends := sortedKeys(st.Decompose)
+	backends := slices.Sorted(maps.Keys(st.Decompose))
 	for _, b := range backends {
 		p.Counter("dexpander_decompose_requests_total", "Decomposition computations run by the backend.", float64(st.Decompose[b].Requests), "backend", b)
 	}
@@ -120,7 +112,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-peer coordinator series.
-	peers := sortedKeys(st.DistPeers)
+	peers := slices.Sorted(maps.Keys(st.DistPeers))
 	emitPeer := func(name, help string, get func(*PeerDistStats) float64) {
 		for _, pb := range peers {
 			p.Counter(name, help, get(st.DistPeers[pb]), "peer", pb)
@@ -139,7 +131,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("dexpander_trace_spans_total", "Spans ever written to the ring.", float64(total))
 		p.Counter("dexpander_trace_spans_evicted_total", "Ring spans overwritten by newer ones.", float64(evicted))
 		phases := tr.Phases()
-		names := sortedKeys(phases)
+		names := slices.Sorted(maps.Keys(phases))
 		for _, n := range names {
 			p.Counter("dexpander_phase_total", "Spans finished, by phase name (advances regardless of sampling).", float64(phases[n].Count), "phase", n)
 		}

@@ -163,12 +163,13 @@ func TestTraceDistPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceCount2DTriples pins the per-range spans of a traced
-// kernel=2d count: its "count" span must hold exactly one
-// "triangle.rows" child per row range, whose ranges tile the rank space
-// [0, n) without gap or overlap and whose counts sum to the served
-// total. A service that stopped handing the kernel its span on the
-// context would lose them all.
+// TestTraceCount2DTriples pins the per-range spans of a traced count,
+// kernel=2d and kernel=rank alike, since both run Forward's row-range
+// schedule: the "count" span must hold exactly one "triangle.rows"
+// child per row range, whose ranges tile the rank space [0, n) without
+// gap or overlap and whose counts sum to the served total. A service
+// that stopped handing the kernel its span on the context would lose
+// them all.
 func TestTraceCount2DTriples(t *testing.T) {
 	svc := New(Config{Workers: 2, Tracer: obs.NewTracer(1024, 1)})
 	t.Cleanup(svc.Close)
@@ -179,66 +180,69 @@ func TestTraceCount2DTriples(t *testing.T) {
 		t.Fatalf("register: %v", err)
 	}
 	ctx := context.Background()
-	cl := NewClient(srv.URL)
-	cl.RequestID = "trace-count-2d-001"
-	res, err := cl.TriangleCount(ctx, snap.ID, CountParams{Kernel: "2d"})
-	if err != nil {
-		t.Fatalf("count: %v", err)
-	}
-	tr, err := cl.Trace(ctx, cl.RequestID)
-	if err != nil {
-		t.Fatalf("fetch trace: %v", err)
-	}
-	var count *obs.Span
-	for i := range tr.Spans {
-		if tr.Spans[i].Name == "count" {
-			if count != nil {
-				t.Fatal("trace holds two count spans")
+	for _, kernel := range []string{"2d", "rank"} {
+		cl := NewClient(srv.URL)
+		cl.RequestID = "trace-count-" + kernel + "-001"
+		res, err := cl.TriangleCount(ctx, snap.ID, CountParams{Kernel: kernel})
+		if err != nil {
+			t.Fatalf("kernel=%s count: %v", kernel, err)
+		}
+		tr, err := cl.Trace(ctx, cl.RequestID)
+		if err != nil {
+			t.Fatalf("kernel=%s fetch trace: %v", kernel, err)
+		}
+		var count *obs.Span
+		for i := range tr.Spans {
+			if tr.Spans[i].Name == "count" {
+				if count != nil {
+					t.Fatalf("kernel=%s trace holds two count spans", kernel)
+				}
+				count = &tr.Spans[i]
 			}
-			count = &tr.Spans[i]
 		}
-	}
-	if count == nil || count.Attrs["kernel"] != "2d" {
-		t.Fatalf("trace has no kernel=2d count span: %+v", count)
-	}
-	hiOf := map[int]int{} // range lo -> hi
-	total := 0
-	for _, sp := range tr.Spans {
-		if sp.Name != "triangle.rows" {
-			continue
+		if count == nil || count.Attrs["kernel"] != kernel {
+			t.Fatalf("trace has no kernel=%s count span: %+v", kernel, count)
 		}
-		if sp.Parent != count.ID {
-			t.Fatalf("triangle.rows span %d parents under %d, not the count span %d", sp.ID, sp.Parent, count.ID)
-		}
-		var lo, hi, n int
-		for k, dst := range map[string]*int{"lo": &lo, "hi": &hi, "count": &n} {
-			v, err := strconv.Atoi(sp.Attrs[k])
-			if err != nil {
-				t.Fatalf("triangle.rows attr %s = %q: %v", k, sp.Attrs[k], err)
+		hiOf := map[int]int{} // range lo -> hi
+		total := 0
+		for _, sp := range tr.Spans {
+			if sp.Name != "triangle.rows" {
+				continue
 			}
-			*dst = v
+			if sp.Parent != count.ID {
+				t.Fatalf("kernel=%s: triangle.rows span %d parents under %d, not the count span %d",
+					kernel, sp.ID, sp.Parent, count.ID)
+			}
+			var lo, hi, n int
+			for k, dst := range map[string]*int{"lo": &lo, "hi": &hi, "count": &n} {
+				v, err := strconv.Atoi(sp.Attrs[k])
+				if err != nil {
+					t.Fatalf("kernel=%s: triangle.rows attr %s = %q: %v", kernel, k, sp.Attrs[k], err)
+				}
+				*dst = v
+			}
+			if _, dup := hiOf[lo]; dup || lo >= hi {
+				t.Fatalf("kernel=%s: row range [%d, %d) repeated or empty", kernel, lo, hi)
+			}
+			hiOf[lo] = hi
+			total += n
 		}
-		if _, dup := hiOf[lo]; dup || lo >= hi {
-			t.Fatalf("row range [%d, %d) repeated or empty", lo, hi)
+		// The ranges chain from 0 to the vertex count, one span each.
+		at, spans := 0, 0
+		for at < snap.N {
+			hi, ok := hiOf[at]
+			if !ok {
+				t.Fatalf("kernel=%s: no triangle.rows span starts at rank %d (ranges %v)", kernel, at, hiOf)
+			}
+			at, spans = hi, spans+1
 		}
-		hiOf[lo] = hi
-		total += n
-	}
-	// The ranges chain from 0 to the vertex count, one span each.
-	at, spans := 0, 0
-	for at < snap.N {
-		hi, ok := hiOf[at]
-		if !ok {
-			t.Fatalf("no triangle.rows span starts at rank %d (ranges %v)", at, hiOf)
+		if at != snap.N || spans != len(hiOf) || spans < 2 {
+			t.Fatalf("kernel=%s: %d triangle.rows spans reach rank %d of %d, %d of them chained; want at least 2 tiling [0, %d)",
+				kernel, len(hiOf), at, snap.N, spans, snap.N)
 		}
-		at, spans = hi, spans+1
-	}
-	if at != snap.N || spans != len(hiOf) || spans < 2 {
-		t.Fatalf("%d triangle.rows spans reach rank %d of %d, %d of them chained; want at least 2 tiling [0, %d)",
-			len(hiOf), at, snap.N, spans, snap.N)
-	}
-	if total != res.Triangles {
-		t.Fatalf("row-range spans count %d triangles, served %d", total, res.Triangles)
+		if total != res.Triangles {
+			t.Fatalf("kernel=%s: row-range spans count %d triangles, served %d", kernel, total, res.Triangles)
+		}
 	}
 }
 

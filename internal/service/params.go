@@ -59,8 +59,8 @@ type runEnv struct {
 	// workers bounds host parallelism inside the computation.
 	workers int
 	// snap is the registry's snapshot the computation runs on; count-dist
-	// reads its id and its cached CSR. Only its immutable fields may be
-	// read.
+	// with peers reads its id and its cached CSR. Only its immutable
+	// fields may be read.
 	snap *Snapshot
 	// svc is the owning service: the coordinator reads the peer fleet
 	// and dist tuning from svc.cfg and reports fleet counters through
@@ -248,11 +248,11 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 // CountParams configures the shared-memory triangle count.
 type CountParams struct {
 	// Kernel selects the kernel: "rank", "2d", or "auto" (the default;
-	// currently the rank kernel). rank and auto produce bit-identical
-	// checksums; 2d runs the counting-only row-range path on the
-	// snapshot's cached forward CSR, whose checksum digests the count
-	// alone. "merge" names the retired merge kernel and is now an alias
-	// of rank: it is served as kernel=rank, from rank's cache line.
+	// currently the rank kernel). rank and auto list the triangle set
+	// and produce bit-identical checksums; 2d counts on the same row
+	// ranges without listing, and its checksum digests the count alone.
+	// "merge" names the retired merge kernel and is now an alias of
+	// rank: it is served as kernel=rank, from rank's cache line.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -276,32 +276,18 @@ func (p CountParams) validate() error {
 
 func (p CountParams) canon() string { return fmt.Sprintf("kernel=%s", p.Kernel) }
 
-// run executes the selected shared-memory kernel. For rank and auto the
-// checksum digests the full triangle set — identical across the two and
-// matching the bench matrix's brute/brute-par and enumerate-rank cells.
-// The 2d kernel counts without materializing a set, so its checksum
-// digests the count alone, exactly like the matrix's count-2d cells.
+// run counts on the shared-memory path (countLocal). For rank and auto
+// the checksum digests the full triangle set — identical across the two
+// and matching the bench matrix's brute/brute-par and enumerate-rank
+// cells. The 2d kernel counts without materializing a set, so its
+// checksum digests the count alone, exactly like the matrix's count-2d
+// cells.
 func (p CountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	k, err := triangle.ParseKernel(p.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	if k == triangle.Kernel2D {
-		return count2D(ctx, view, env, p.Kernel)
-	}
-	sp := obs.SpanFromContext(ctx).Child("count")
-	sp.Attr("kernel", p.Kernel)
-	defer sp.End()
-	start := time.Now()
-	set, err := triangle.SetKernelContext(ctx, view, env.workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Checksum:  checksumString(set.Checksum()),
-		ComputeNS: time.Since(start).Nanoseconds(),
-		Triangles: set.Len(),
-	}, nil
+	return countLocal(ctx, view, env.workers, p.Kernel, k != triangle.Kernel2D)
 }
 
 // EnumerateParams configures the CONGEST triangle enumeration.
@@ -408,29 +394,41 @@ func (p DistCountParams) canon() string { return fmt.Sprintf("grid=%d", p.Grid) 
 // like the count-2d bench cells.
 func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	if len(env.svc.cfg.Peers) == 0 {
-		return count2D(ctx, view, env, "2d-local")
+		return countLocal(ctx, view, env.workers, "2d-local", false)
 	}
 	return env.svc.distCount(ctx, view, env.snap, p.Grid)
 }
 
-// count2D runs the local 2D kernel on the snapshot's cached forward CSR
-// under a "count" span tagged with kernel; the kernel hangs one
-// "triangle.rows" span per row range under it. The checksum digests the
-// count alone.
-func count2D(ctx context.Context, view *graph.Sub, env runEnv, kernel string) (*Result, error) {
+// countLocal runs one shared-memory count on a forward CSR built for
+// this computation, under a "count" span tagged with kernel; the kernel
+// hangs one "triangle.rows" span per row range under it. With list set
+// it collects the triangle set (Forward.Set) and the checksum digests
+// the set; otherwise it counts (Forward.Count) and the checksum digests
+// the count alone. The CSR is not kept: the result cache answers every
+// repeat of the query.
+func countLocal(ctx context.Context, view *graph.Sub, workers int, kernel string, list bool) (*Result, error) {
 	sp := obs.SpanFromContext(ctx).Child("count")
 	sp.Attr("kernel", kernel)
 	defer sp.End()
+	ctx = obs.ContextWithSpan(ctx, sp)
 	start := time.Now()
-	n, err := env.snap.dist.forward(view).Count(obs.ContextWithSpan(ctx, sp), env.workers)
-	if err != nil {
-		return nil, err
+	fw := triangle.NewForward(view)
+	res := &Result{}
+	if list {
+		set, err := fw.Set(ctx, workers)
+		if err != nil {
+			return nil, err
+		}
+		res.Triangles, res.Checksum = set.Len(), checksumString(set.Checksum())
+	} else {
+		n, err := fw.Count(ctx, workers)
+		if err != nil {
+			return nil, err
+		}
+		res.Triangles, res.Checksum = n, checksumString(triangle.HashWords(uint64(n)))
 	}
-	return &Result{
-		Checksum:  checksumString(triangle.HashWords(uint64(n))),
-		ComputeNS: time.Since(start).Nanoseconds(),
-		Triangles: n,
-	}, nil
+	res.ComputeNS = time.Since(start).Nanoseconds()
+	return res, nil
 }
 
 // checksumString renders a digest the way every bench cell does, so

@@ -24,9 +24,11 @@
 // token bucket — so one hostile or buggy client saturates its own share
 // and gets ErrQuota, not the whole pool. Cancellation is cooperative
 // and flows from the caller's context through the flight into the
-// kernels' checkpoint probes: when the LAST waiter on a flight abandons
-// it, the flight's context is canceled, the worker is freed within one
-// checkpoint interval, and the canceled flight's error is never cached.
+// kernels, which probe it at task boundaries (par.ForEachContext, so a
+// triangle count stops at its next row range): when the LAST waiter on
+// a flight abandons it, the flight's context is canceled, the worker is
+// freed within one task, and the canceled flight's error is never
+// cached.
 package service
 
 import (
@@ -224,7 +226,7 @@ type Snapshot struct {
 	seq         uint64         // registration order; Snapshots() lists in it
 	refsBy      map[string]int // per-tenant share of Refs
 	view        *graph.Sub
-	dist        *snapDist // the cached forward CSR and count-dist peer residency
+	dist        *snapDist // count-dist's cached forward CSR and peer residency
 }
 
 // cacheKey identifies one cached computation.

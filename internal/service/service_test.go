@@ -401,3 +401,36 @@ func TestClosedServiceRejects(t *testing.T) {
 		t.Fatalf("register after close: %v", err)
 	}
 }
+
+// TestLocalCountsKeepNoCSR: on a service without count-dist peers,
+// kernel=2d, kernel=rank and count-dist queries each build a forward
+// CSR for their one computation and keep none, so the snapshot holds no
+// CSR afterwards: the result cache answers every repeat of their keys.
+// Only count-dist with peers caches the CSR, for jobs at other grids.
+func TestLocalCountsKeepNoCSR(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	snap, err := s.RegisterSpec("", ringSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := -1
+	for _, p := range []Params{CountParams{Kernel: "2d"}, CountParams{Kernel: "rank"}, DistCountParams{}, DistCountParams{Grid: 3}} {
+		res, err := s.Query(bg, "", snap.ID, p)
+		if err != nil {
+			t.Fatalf("%s %s: %v", p.Algorithm(), p.canon(), err)
+		}
+		if want < 0 {
+			want = res.Triangles
+		}
+		if res.Triangles != want || want == 0 {
+			t.Fatalf("%s %s: %d triangles, want %d (> 0)", p.Algorithm(), p.canon(), res.Triangles, want)
+		}
+	}
+	snap.dist.mu.Lock()
+	fw := snap.dist.fw
+	snap.dist.mu.Unlock()
+	if fw != nil {
+		t.Fatal("a peer-less service kept the snapshot's forward CSR after its local counts")
+	}
+}

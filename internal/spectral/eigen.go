@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"slices"
 
 	"dexpander/internal/graph"
 )
@@ -52,7 +53,7 @@ func NormalizedSpectrum(view *graph.Sub, maxVertices int) []float64 {
 	for i := range eig {
 		eig[i] = a[i][i]
 	}
-	sortFloats(eig)
+	slices.Sort(eig)
 	return eig
 }
 
@@ -103,15 +104,6 @@ func jacobiEigen(a [][]float64) {
 					a[q][i] = s*api + c*aqi
 				}
 			}
-		}
-	}
-}
-
-func sortFloats(s []float64) {
-	// Insertion sort: spectra here are tiny.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -34,7 +35,7 @@ func TestNormalizedSpectrumCycle(t *testing.T) {
 	for k := 0; k < n; k++ {
 		want = append(want, 1-math.Cos(2*math.Pi*float64(k)/float64(n)))
 	}
-	sortFloats(want)
+	slices.Sort(want)
 	for i := range eig {
 		if math.Abs(eig[i]-want[i]) > 1e-9 {
 			t.Fatalf("eig[%d] = %v, want %v", i, eig[i], want[i])

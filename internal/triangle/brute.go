@@ -199,6 +199,3 @@ func BruteForce(view *graph.Sub) *Set {
 	})
 	return out
 }
-
-// Count returns the number of triangles without materializing a set.
-func Count(view *graph.Sub) int { return BruteForce(view).Len() }

@@ -74,23 +74,24 @@ func TestEnumerateCanceled(t *testing.T) {
 	}
 }
 
-// TestCountParallel2DContextCancel covers the counting path: a
-// pre-canceled context aborts with its error, a live cancelable context
-// (whose checkpoint is probed per block triple) reproduces the exact
-// uncanceled count.
+// TestCountParallel2DContextCancel covers the counting path,
+// Forward.Count: a pre-canceled context aborts with its error, and a
+// live cancelable context (probed before each row range) reproduces the
+// exact uncanceled count.
 func TestCountParallel2DContextCancel(t *testing.T) {
 	g := gen.GNP(48, 0.3, 5)
 	view := graph.WholeGraph(g)
+	fw := NewForward(view)
 	want := BruteForce(view).Len()
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	for _, workers := range []int{1, 4} {
-		if _, err := CountParallel2DContext(canceled, view, workers); !errors.Is(err, context.Canceled) {
+		if _, err := fw.Count(canceled, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: pre-canceled count: %v", workers, err)
 		}
-		got, err := CountParallel2DContext(live, view, workers)
+		got, err := fw.Count(live, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -101,20 +102,21 @@ func TestCountParallel2DContextCancel(t *testing.T) {
 }
 
 // TestSetKernelContextCancel mirrors the counting coverage for the Set
-// entry point, whose checkpoint is probed per rank.
+// path, Forward.Set, which is probed on the same row-range schedule.
 func TestSetKernelContextCancel(t *testing.T) {
 	g := gen.GNP(48, 0.3, 5)
 	view := graph.WholeGraph(g)
+	fw := NewForward(view)
 	want := BruteForce(view)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	for _, workers := range []int{1, 4} {
-		if _, err := SetKernelContext(canceled, view, workers); !errors.Is(err, context.Canceled) {
+		if _, err := fw.Set(canceled, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: pre-canceled set: %v", workers, err)
 		}
-		set, err := SetKernelContext(live, view, workers)
+		set, err := fw.Set(live, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

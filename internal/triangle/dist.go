@@ -152,8 +152,8 @@ func (pl *DistPlan) CountTriple(t BlockTriple) int {
 	whole := pl.rc.whole()
 	fi := whole.Slice(pl.Tiling.Block(t.I))
 	fj := whole.Slice(pl.Tiling.Block(t.J))
-	sc := getTwoDScratch(pl.rc.ranks())
-	defer twoDScratchPool.Put(sc)
+	sc := getScratch(pl.rc.ranks())
+	defer scratchPool.Put(sc)
 	return countTriple(pl.Tiling, t, &fi, &fj, sc)
 }
 
@@ -368,8 +368,8 @@ func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if fj.Lo != jLo || fj.Hi != jHi || fj.Ranks != tl.Ranks {
 		return 0, fmt.Errorf("triangle: fragment [%d, %d) does not cover block %d = [%d, %d)", fj.Lo, fj.Hi, t.J, jLo, jHi)
 	}
-	sc := getTwoDScratch(tl.Ranks)
-	defer twoDScratchPool.Put(sc)
+	sc := getScratch(tl.Ranks)
+	defer scratchPool.Put(sc)
 	return countTriple(tl, t, fi, fj, sc), nil
 }
 
@@ -385,7 +385,7 @@ func CountRows(f *Fragment, lo, hi int32) (int, error) {
 	if lo < 0 || lo > hi || int(hi) > f.Ranks {
 		return 0, fmt.Errorf("triangle: row range [%d, %d) outside [0, %d)", lo, hi, f.Ranks)
 	}
-	sc := getTwoDScratch(f.Ranks)
-	defer twoDScratchPool.Put(sc)
+	sc := getScratch(f.Ranks)
+	defer scratchPool.Put(sc)
 	return countRows(f.Off, f.Nbr, lo, hi, sc), nil
 }

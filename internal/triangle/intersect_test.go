@@ -23,8 +23,8 @@ func refIntersect(a, b []int32) []int32 {
 	return out
 }
 
-// intersectPairs covers the boundary shapes the chooser must route
-// correctly: empty operands, singletons hitting and missing, equal-length
+// intersectPairs covers the boundary shapes both strategies must
+// handle: empty operands, singletons hitting and missing, equal-length
 // lists across overlap regimes, and the 1-vs-10^4 extreme where only
 // galloping is viable.
 func intersectPairs() []struct {
@@ -81,10 +81,21 @@ func intersectPairs() []struct {
 	return cases
 }
 
-// TestIntersectStrategiesAgree runs every concrete strategy AND the
-// adaptive chooser (both marked and unmarked paths) over the boundary
-// pairs and demands the oracle's result from each — the bit-identity
-// contract reduces to exactly this property.
+// probeMarked appends to dst every element of probe carrying sc's
+// current mark: the probe arm of countRows and listRows.
+func probeMarked(probe []int32, sc *intersectScratch, dst []int32) []int32 {
+	for _, x := range probe {
+		if sc.marked(x) {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// TestIntersectStrategiesAgree runs both strategies, galloping either
+// way round and probing marks, over the boundary pairs and demands the
+// oracle's result from each: the bit-identity contract reduces to
+// exactly this property.
 func TestIntersectStrategiesAgree(t *testing.T) {
 	for _, c := range intersectPairs() {
 		want := refIntersect(c.a, c.b)
@@ -94,15 +105,12 @@ func TestIntersectStrategiesAgree(t *testing.T) {
 				t.Fatalf("%s/%s: got %v, want %v", c.name, how, got, want)
 			}
 		}
-		check(intersectMerge(c.a, c.b, nil), "merge")
 		check(intersectGallop(c.a, c.b, nil), "gallop(a,b)")
 		check(intersectGallop(c.b, c.a, nil), "gallop(b,a)")
 
 		sc := newIntersectScratch(16384)
 		sc.markAll(c.a)
-		check(intersectStampProbe(c.b, sc, nil), "stamp-probe")
-		check(intersectAdaptive(c.a, c.b, sc, true, nil), "adaptive-marked")
-		check(intersectAdaptive(c.a, c.b, sc, false, nil), "adaptive-unmarked")
+		check(probeMarked(c.b, sc, nil), "stamp-probe")
 	}
 }
 
@@ -134,7 +142,7 @@ func TestIntersectScratchEpochs(t *testing.T) {
 	for round := 0; round < 10000; round++ {
 		x := int32(round%98 + 1)
 		sc.markAll([]int32{x})
-		if got := intersectStampProbe([]int32{0, x, 99}, sc, nil); len(got) != 1 || got[0] != x {
+		if got := probeMarked([]int32{0, x, 99}, sc, nil); len(got) != 1 || got[0] != x {
 			t.Fatalf("round %d: probe returned %v, want [%d]", round, got, x)
 		}
 	}
@@ -152,28 +160,39 @@ func TestIntersectScratchEpochs(t *testing.T) {
 }
 
 // TestIntersectAdaptiveSuffixSuperset exercises the exact pattern the
-// rank kernel relies on: mark a FULL list once, then intersect suffixes
-// of it against other lists — the superset marks must not leak elements
-// outside the suffix as long as b stays above the suffix start, and the
-// dst buffer must be appendable across calls.
+// row-range tasks rely on: mark a FULL list once, then intersect suffixes
+// of it against other lists, probing the marks or galloping through the
+// suffix, whichever gallopRatio picks. The superset marks must not leak
+// elements outside the suffix as long as b stays above the suffix start,
+// and the dst buffer must be appendable across calls.
 func TestIntersectAdaptiveSuffixSuperset(t *testing.T) {
 	full := []int32{2, 5, 8, 11, 14, 17, 20}
-	sc := newIntersectScratch(64)
+	sc := newIntersectScratch(512)
 	sc.markAll(full)
 	buf := make([]int32, 0, 8)
-	for i := 0; i+1 < len(full); i++ {
-		suffix := full[i+1:]
-		// b simulates fwd(full[i]): strictly above full[i], overlapping the
-		// suffix on every other element.
-		var b []int32
-		for j := i + 1; j < len(full); j += 2 {
-			b = append(b, full[j])
-		}
-		b = append(b, 63) // above everything, never marked
-		want := refIntersect(suffix, b)
-		buf = intersectAdaptive(suffix, b, sc, true, buf[:0])
-		if !slices.Equal(buf, want) {
-			t.Fatalf("suffix %d: got %v, want %v", i, buf, want)
+	for _, pad := range []int{0, 8 * gallopRatio} {
+		for i := 0; i+1 < len(full); i++ {
+			suffix := full[i+1:]
+			// b simulates the list of middle full[i]: strictly above
+			// full[i], overlapping the suffix on every other element,
+			// then padded above everything with unmarked ranks so that
+			// pad > 0 takes the gallop arm.
+			var b []int32
+			for j := i + 1; j < len(full); j += 2 {
+				b = append(b, full[j])
+			}
+			for x := 0; x <= pad; x++ {
+				b = append(b, int32(63+x))
+			}
+			want := refIntersect(suffix, b)
+			if len(b) >= len(suffix)*gallopRatio {
+				buf = intersectGallop(suffix, b, buf[:0])
+			} else {
+				buf = probeMarked(b, sc, buf[:0])
+			}
+			if !slices.Equal(buf, want) {
+				t.Fatalf("pad %d, suffix %d: got %v, want %v", pad, i, buf, want)
+			}
 		}
 	}
 }

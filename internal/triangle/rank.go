@@ -9,23 +9,21 @@ import (
 	"dexpander/internal/par"
 )
 
-// This file implements the shared-memory triangle kernel: a
-// degree-descending rank ordering with forward-only adjacency (SNIPPETS
+// This file holds the rank ordering every shared-memory count starts
+// from: a degree-descending rank with forward-only adjacency (SNIPPETS
 // snippet 2's compute_rank / forward_adjacency_lists idiom over our
 // CSR). Every vertex keeps only its higher-rank neighbors, strictly
 // sorted by rank, so each wedge is examined exactly once from its
 // lowest-rank endpoint and a hub's adjacency is split across the
 // vertices ranked below it: forward lists are O(sqrt(m)) long on any
 // graph, which kills the O(deg^2) per-hub term an id-ordered kernel pays
-// on power-law inputs. Intersections go through the adaptive strategies
-// in intersect.go, with the per-worker stamp array marked once per
-// vertex. The same forward CSR backs the 2D counting path (twod.go) and
-// its distribution seam (dist.go).
+// on power-law inputs. The CSR is a Forward (dist.go), and Forward.Set
+// lists its triangles on the row ranges, schedule and pooled scratch
+// Forward.Count counts them on (twod.go).
 //
-// Output contract: the kernel discovers each triangle at its lowest-RANK
+// Output contract: Set discovers each triangle at its lowest-RANK
 // vertex but emits it as the vertex-sorted (A < B < C by original id)
-// triple into a Set, so the result is exactly BruteForce's for any
-// worker count.
+// triple, so the result is exactly BruteForce's for any worker count.
 
 // Kernel selects a triangle-count path. The zero value is KernelAuto,
 // which currently resolves to the rank kernel — the fastest choice on
@@ -200,72 +198,75 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 	return rankCSR{order: order, off: off, nbr: nbr[:w]}
 }
 
-// SetKernel collects the view's triangles into a Set with the rank
-// kernel; workers <= 0 means GOMAXPROCS. k is accepted for callers that
-// pass a parsed -kernel flag; every kernel yields the same set.
+// SetKernel collects the view's triangles into a Set with Forward.Set;
+// workers <= 0 means GOMAXPROCS. k is accepted for callers that pass a
+// parsed -kernel flag; every kernel yields the same set.
 func SetKernel(view *graph.Sub, workers int, k Kernel) *Set {
-	set, _ := SetKernelContext(context.Background(), view, workers)
+	set, _ := NewForward(view).Set(context.Background(), workers)
 	return set
 }
 
-// SetKernelContext enumerates every triangle once from its lowest-rank
-// vertex, sharded by rank range across workers, and collects them into a
-// Set. The checkpoint carried by ctx (par.CheckpointFromContext) is
-// probed once per rank: a canceled run stops within one vertex's
-// intersections and returns ctx's error; an uncanceled run returns
-// exactly SetKernel's set.
-func SetKernelContext(ctx context.Context, view *graph.Sub, workers int) (*Set, error) {
-	cp := par.CheckpointFromContext(ctx)
-	rc := buildRankCSR(view)
-	// One shard per worker: contiguous rank ranges balanced by wedge
-	// work, cut as Forward.RowCuts cuts them.
-	cuts := cutPrefix(wedgePrefix(rc), max(1, min(par.Workers(workers), rc.ranks())))
-	shards := len(cuts) - 1
-	out := make([][]Triangle, shards)
-	errs := make([]error, shards)
-	par.ForEach(shards, shards, func(si int) {
-		sc := newIntersectScratch(rc.ranks())
-		var buf []int32
-		var local []Triangle
-		for r := int(cuts[si]); r < int(cuts[si+1]); r++ {
-			if cp != nil {
-				if err := cp(); err != nil {
-					errs[si] = err
-					return
-				}
-			}
-			fv := rc.fwd(r)
-			if len(fv) < 2 {
-				continue
-			}
-			// One markAll serves every pair (r, u): the probes see the
-			// full fv, which intersects each fwd(u) exactly like the
-			// above-u suffix does (every common rank exceeds u's).
-			sc.markAll(fv)
-			a := int(rc.order[r])
-			for i := 0; i+1 < len(fv); i++ {
-				ru := fv[i]
-				buf = intersectAdaptive(fv[i+1:], rc.fwd(int(ru)), sc, true, buf[:0])
-				b := int(rc.order[ru])
-				for _, rw := range buf {
-					local = append(local, MakeTriangle(a, b, int(rc.order[rw])))
-				}
-			}
-		}
-		out[si] = local
+// Set collects the CSR's triangles into a Set. It runs exactly as Count
+// does: AutoGrid(workers) row ranges on par.ForEachContext, one
+// "triangle.rows" span per range when ctx carries a span, and a
+// canceled ctx stops it before the next range with ctx's error. Each
+// range lists the triangles whose lowest-rank vertex it holds, so an
+// uncanceled run returns exactly BruteForce's set for every worker
+// count.
+func (fw *Forward) Set(ctx context.Context, workers int) (*Set, error) {
+	w := par.Workers(workers)
+	cuts := fw.RowCuts(AutoGrid(w, fw.Ranks()))
+	parts := make([][]Triangle, len(cuts)-1)
+	err := fw.eachRange(ctx, w, cuts, func(i int, sc *intersectScratch) int {
+		parts[i] = listRows(fw.rc, cuts[i], cuts[i+1], sc)
+		return len(parts[i])
 	})
+	if err != nil {
+		return nil, err
+	}
 	total := 0
-	for si := range out {
-		if errs[si] != nil {
-			return nil, errs[si]
-		}
-		total += len(out[si])
+	for _, p := range parts {
+		total += len(p)
 	}
 	set := newSetSized(total)
-	for _, shard := range out {
-		for _, t := range shard {
+	for _, p := range parts {
+		for _, t := range p {
 			set.Add(t)
 		}
 	}
 	return set, nil
+}
+
+// listRows is countRows listing instead of counting: it walks the rows
+// [lo, hi) of rc with the same two strategies and, where countRows adds
+// one, appends the triangle (row, middle, apex) as its vertex-sorted
+// triple. sc must span the rank space.
+func listRows(rc rankCSR, lo, hi int32, sc *intersectScratch) []Triangle {
+	var buf []int32
+	var out []Triangle
+	for r := lo; r < hi; r++ {
+		fv := rc.fwd(int(r))
+		if len(fv) < 2 {
+			continue
+		}
+		sc.markAll(fv)
+		a := int(rc.order[r])
+		for i, m := range fv[:len(fv)-1] {
+			fu := rc.fwd(int(m))
+			b := int(rc.order[m])
+			if apex := fv[i+1:]; len(fu) >= len(apex)*gallopRatio {
+				buf = intersectGallop(apex, fu, buf[:0])
+				for _, x := range buf {
+					out = append(out, MakeTriangle(a, b, int(rc.order[x])))
+				}
+				continue
+			}
+			for _, x := range fu {
+				if sc.marked(x) {
+					out = append(out, MakeTriangle(a, b, int(rc.order[x])))
+				}
+			}
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -41,9 +42,9 @@ func sameTriangles(t *testing.T, what string, got, want []Triangle) {
 }
 
 // TestRankKernelBitIdenticalAllFamilies pins the kernel contract: for
-// every family, seed, and worker count, the rank kernel's sorted
-// triangle slice is element-for-element identical to BruteForce's, and
-// the 2D counting path returns the same count.
+// every family, seed, and worker count, the Set path's sorted triangle
+// slice is element-for-element identical to BruteForce's, and the
+// counting path returns the same count.
 func TestRankKernelBitIdenticalAllFamilies(t *testing.T) {
 	workerCounts := []int{1, 2, 3, 13, runtime.GOMAXPROCS(0)}
 	for name, build := range kernelFamilies() {
@@ -60,6 +61,27 @@ func TestRankKernelBitIdenticalAllFamilies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRankKernelSetOracle pins Forward.Set on every oracleCases()
+// family, the hub-skew graph whose rows take the gallop arm included:
+// at every worker count the rank tests use, under a live cancelable
+// context, its sorted set is BruteForce's element for element, and one
+// Forward serves every run.
+func TestRankKernelSetOracle(t *testing.T) {
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, tc := range oracleCases() {
+		want := BruteForce(tc.view).Sorted()
+		fw := NewForward(tc.view)
+		for _, workers := range []int{1, 2, 3, 13, runtime.GOMAXPROCS(0)} {
+			set, err := fw.Set(live, workers)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", tc.name, workers, err)
+			}
+			sameTriangles(t, fmt.Sprintf("%s workers %d", tc.name, workers), set.Sorted(), want)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkIntersectionStrategies sweeps the length-ratio spectrum the
-// adaptive chooser is tuned on: a short list against a long one at 1x,
-// 4x, 32x (gallopRatio), and 256x skew, every strategy on every ratio.
+// row-range tasks choose on: a short list against a long one at 1x, 4x,
+// 32x (gallopRatio), and 256x skew, both strategies on every ratio.
 // This is the benchmark behind the gallopRatio constant in intersect.go
 // — rerun it before moving it.
 func BenchmarkIntersectionStrategies(b *testing.B) {
@@ -27,22 +27,17 @@ func BenchmarkIntersectionStrategies(b *testing.B) {
 		}
 		sc := newIntersectScratch(long + short*ratio)
 		var dst []int32
-		b.Run(fmt.Sprintf("merge/ratio=%d", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst = intersectMerge(a, bl, dst[:0])
-			}
-		})
 		b.Run(fmt.Sprintf("gallop/ratio=%d", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst = intersectGallop(a, bl, dst[:0])
 			}
 		})
 		b.Run(fmt.Sprintf("stamp-amortized/ratio=%d", ratio), func(b *testing.B) {
-			// The rank kernel's shape: marks paid once, probes per pair.
+			// The row-range tasks' shape: marks paid once, probes per pair.
 			sc.markAll(a)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = intersectStampProbe(bl, sc, dst[:0])
+				dst = probeMarked(bl, sc, dst[:0])
 			}
 		})
 	}
@@ -50,8 +45,8 @@ func BenchmarkIntersectionStrategies(b *testing.B) {
 
 // BenchmarkTriangleSkewed times the skew-proof kernels on a
 // preferential-attachment hub graph (BA n=2^16, m0=8), where an
-// id-ordered kernel would pay the O(deg^2) hub term: the rank kernel
-// and the 2D counting path, single-threaded and sharded.
+// id-ordered kernel would pay the O(deg^2) hub term: Forward.Set (rank)
+// and Forward.Count (count-2d), single-threaded and on every processor.
 func BenchmarkTriangleSkewed(b *testing.B) {
 	g := gen.BarabasiAlbert(1<<16, 8, 7)
 	view := graph.WholeGraph(g)

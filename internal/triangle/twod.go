@@ -2,6 +2,7 @@ package triangle
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -10,36 +11,41 @@ import (
 	"dexpander/internal/par"
 )
 
-// This file implements the counting path every count-only entry point
-// runs: CountParallel2D, dexpanderd's kernel=2d, and its count-dist
-// fleet. Each triangle is charged to its lowest-rank vertex, so the rank
-// space splits into contiguous row ranges that count independently
-// against one forward CSR (SNIPPETS snippet 2's rank-ordered forward
-// lists). A range's task marks each row's forward list once and probes
-// every middle's list against the marks, so a job examines each wedge
-// once however many ranges it is cut into. Ranges are balanced by wedge
-// work, read off a prefix each Forward builds once (RowCuts). Tasks
-// keep private counts that reduce in range order, so the total is the
-// same for every worker count and every cut. A task reads only the CSR
-// and its two bounds, which makes a range the unit count-dist sends to
-// a replica holding the whole CSR.
+// This file implements the row-range schedule every shared-memory count
+// runs: Forward.Count (CountParallel2D, dexpanderd's kernel=2d and
+// peer-less count-dist) and Forward.Set (rank.go: SetKernel,
+// kernel=rank|auto). Each triangle is charged to its lowest-rank vertex,
+// so the rank space splits into contiguous row ranges that run
+// independently against one forward CSR (SNIPPETS snippet 2's
+// rank-ordered forward lists). A range's task marks each row's forward
+// list once and probes every middle's list against the marks, or
+// gallops through a far longer one (intersect.go), so a job examines
+// each wedge once however many ranges it is cut into. Ranges are
+// balanced by wedge work, read off a prefix each Forward builds once
+// (RowCuts), and Count and Set share one schedule (eachRange): the same
+// cuts, the same pooled scratch, one cancellation probe per range and
+// one "triangle.rows" span per range. Tasks keep private results that
+// reduce in range order, so the output is the same for every worker
+// count and every cut. A counting task reads only the CSR and its two
+// bounds, which makes a range the unit count-dist sends to a replica
+// holding the whole CSR.
 //
 // countTriple, the task of Tom & Karypis's (I, J, K) block-triple
 // tiling (arXiv 1907.09575), serves only dist.go's per-triple DistPlan
 // API. No count path runs it: a replica holds the whole CSR, so the
 // tiling would save no memory, and each apex block K rescans block I.
 
-// twoDScratchPool recycles the per-task stamp arrays; tasks are coarse,
+// scratchPool recycles the per-task stamp arrays; tasks are coarse,
 // so pool churn is negligible next to the intersection work.
-var twoDScratchPool sync.Pool
+var scratchPool sync.Pool
 
 // shortList is the forward-list length up to which countTriple probes a
 // middle's whole list against the marks instead of first cutting it to
 // the apex block with two binary searches (BenchmarkCountFragments).
 const shortList = 32
 
-func getTwoDScratch(universe int) *intersectScratch {
-	if sc, ok := twoDScratchPool.Get().(*intersectScratch); ok && len(sc.mark) >= universe {
+func getScratch(universe int) *intersectScratch {
+	if sc, ok := scratchPool.Get().(*intersectScratch); ok && len(sc.mark) >= universe {
 		return sc
 	}
 	return newIntersectScratch(universe)
@@ -51,36 +57,27 @@ func getTwoDScratch(universe int) *intersectScratch {
 // rank-space size.
 func AutoGrid(units, ranks int) int { return max(1, min(4*max(units, 1), ranks)) }
 
-// CountParallel2D counts the view's triangles on AutoGrid(workers) row
-// ranges in parallel; workers <= 0 means GOMAXPROCS. The count always
-// equals the rank kernel's.
+// CountParallel2D counts the view's triangles with Forward.Count;
+// workers <= 0 means GOMAXPROCS. The count always equals the size of
+// SetKernel's set.
 func CountParallel2D(view *graph.Sub, workers int) int {
-	n, _ := CountParallel2DContext(context.Background(), view, workers)
+	n, _ := NewForward(view).Count(context.Background(), workers)
 	return n
 }
 
-// CountParallel2DContext is CountParallel2D under a context: it builds
-// the view's forward CSR and runs Forward.Count on it.
-func CountParallel2DContext(ctx context.Context, view *graph.Sub, workers int) (int, error) {
-	return NewForward(view).Count(ctx, workers)
-}
-
 // Count counts the CSR's triangles on AutoGrid(workers) row ranges run
-// by par.ForEachContext; workers <= 0 means GOMAXPROCS. The checkpoint
-// of ctx is probed before each range starts, so once ctx is done no
-// further range begins and ctx's error is returned. When ctx carries a
-// span (obs.ContextWithSpan), each range runs under a "triangle.rows"
-// child holding its bounds lo and hi and its count. The total is the
-// same for every worker count.
+// by par.ForEachContext; workers <= 0 means GOMAXPROCS. Once ctx is
+// done no further range begins and ctx's error is returned. When ctx
+// carries a span (obs.ContextWithSpan), each range runs under a
+// "triangle.rows" child holding its bounds lo and hi and its count. The
+// total is the same for every worker count.
 func (fw *Forward) Count(ctx context.Context, workers int) (int, error) {
 	w := par.Workers(workers)
 	cuts := fw.RowCuts(AutoGrid(w, fw.Ranks()))
 	counts := make([]int, len(cuts)-1)
-	sp := obs.SpanFromContext(ctx)
-	err := par.ForEachContext(ctx, w, len(counts), func(i int) {
-		child := sp.Child("triangle.rows")
-		counts[i] = fw.CountRows(cuts[i], cuts[i+1])
-		child.AttrInt("lo", int(cuts[i])).AttrInt("hi", int(cuts[i+1])).AttrInt("count", counts[i]).End()
+	err := fw.eachRange(ctx, w, cuts, func(i int, sc *intersectScratch) int {
+		counts[i] = countRows(fw.rc.off, fw.rc.nbr, cuts[i], cuts[i+1], sc)
+		return counts[i]
 	})
 	if err != nil {
 		return 0, err
@@ -92,13 +89,29 @@ func (fw *Forward) Count(ctx context.Context, workers int) (int, error) {
 	return total, nil
 }
 
+// eachRange is the schedule Count and Set share: it runs task(i, sc)
+// for each row range [cuts[i], cuts[i+1]) on par.ForEachContext with up
+// to w workers, handing each task pooled scratch that spans the rank
+// space. When ctx carries a span, each range runs under a
+// "triangle.rows" child holding its bounds and the count task returns.
+func (fw *Forward) eachRange(ctx context.Context, w int, cuts []int32, task func(i int, sc *intersectScratch) int) error {
+	sp := obs.SpanFromContext(ctx)
+	return par.ForEachContext(ctx, w, len(cuts)-1, func(i int) {
+		child := sp.Child("triangle.rows")
+		sc := getScratch(fw.rc.ranks())
+		n := task(i, sc)
+		scratchPool.Put(sc)
+		child.AttrInt("lo", int(cuts[i])).AttrInt("hi", int(cuts[i+1])).AttrInt("count", n).End()
+	})
+}
+
 // CountRows counts the triangles whose lowest-rank vertex lies in the
 // row range [lo, hi), where 0 <= lo <= hi <= Ranks. It is the task of
 // every count path: summed over any cut of [0, Ranks), it gives the
 // graph's triangle count.
 func (fw *Forward) CountRows(lo, hi int32) int {
-	sc := getTwoDScratch(fw.rc.ranks())
-	defer twoDScratchPool.Put(sc)
+	sc := getScratch(fw.rc.ranks())
+	defer scratchPool.Put(sc)
 	return countRows(fw.rc.off, fw.rc.nbr, lo, hi, sc)
 }
 
@@ -187,26 +200,13 @@ func countRows(off, nbr []int32, lo, hi int32, sc *intersectScratch) int {
 func rangeOf(s []int32, from, to int32) (int, int) {
 	lo, hi := 0, len(s)
 	if lo < hi && s[0] < from {
-		lo = lowerBound(s, from)
+		lo, _ = slices.BinarySearch(s, from)
 	}
 	if lo < hi && s[hi-1] >= to {
-		hi = lo + lowerBound(s[lo:], to)
+		n, _ := slices.BinarySearch(s[lo:], to)
+		hi = lo + n
 	}
 	return lo, hi
-}
-
-// lowerBound returns the index of the first element of s >= x.
-func lowerBound(s []int32, x int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // countTriple is the block-triple task: it counts the triangles whose
