@@ -100,9 +100,11 @@
 // worker pool — queue-full requests fail fast with a retryable error
 // instead of piling up goroutines. Served checksums are the same
 // digests the bench matrix pins, so a live server's answers diff
-// directly against library calls (the CI smoke step does exactly that),
-// and the serve-cold/serve-hot bench cells measure the HTTP path's
-// first-query versus cached steady-state cost on every push. See
+// directly against library calls (TestServerEndToEnd and
+// TestDistCountMatchesLocalKernel in internal/service do exactly that,
+// and cmd/dexpanderd's TestFleetWiring boots a fleet from the daemon's
+// own flags), and the serve-cold/serve-hot bench cells measure the HTTP
+// path's first-query versus cached steady-state cost on every push. See
 // internal/service/README.md for the architecture and endpoint schema.
 //
 // Performance is tracked by the scenario-matrix benchmark subsystem

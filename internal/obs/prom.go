@@ -139,8 +139,8 @@ func escapeHelp(s string) string {
 // every sample line is well-formed, every sample name is declared by a
 // preceding TYPE header (modulo histogram suffixes), histogram buckets
 // are cumulative-monotone with a +Inf bucket matching _count. Used by
-// the /metrics tests and the dexpanderd smoke probe so CI fails on
-// malformed output. Returns the set of base metric names seen.
+// the /metrics tests (internal/service and cmd/dexpanderd) so CI fails
+// on malformed output. Returns the set of base metric names seen.
 func ValidateProm(r io.Reader) (map[string]bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

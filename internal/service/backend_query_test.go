@@ -11,37 +11,61 @@ import (
 
 	"dexpander/internal/core"
 	"dexpander/internal/gen"
+	"dexpander/internal/graph"
 )
 
 // TestDecomposeBackendDispatch serves one snapshot through every
 // registered backend plus auto, and checks the resolved backend is
 // reported, accounted in the per-backend stats section, and that each
-// backend occupies its own cache line.
+// backend occupies its own cache line. Each fixed backend's served
+// checksum must equal a direct library run's digest, and that run must
+// be a valid partition within the requested eps.
 func TestDecomposeBackendDispatch(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
-	snap, err := s.RegisterSpec("", gen.Spec{
-		Family: "ring", Params: map[string]float64{"blocks": 4, "size": 6}, Seed: 2,
-	})
+	spec := gen.Spec{Family: "ring", Params: map[string]float64{"blocks": 4, "size": 6}, Seed: 2}
+	snap, err := s.RegisterSpec("", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := graph.WholeGraph(g)
 
+	const eps = 0.4
 	requested := append(core.BackendNames(), "auto")
 	for _, backend := range requested {
-		res, err := s.Query(bg, "", snap.ID, DecomposeParams{Backend: backend})
+		p := DecomposeParams{Eps: eps, Backend: backend}
+		res, err := s.Query(bg, "", snap.ID, p)
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
+		}
+		if res.Checksum == "" || res.Components < 1 {
+			t.Fatalf("backend %s: degenerate result %+v", backend, res)
 		}
 		if backend == "auto" {
 			if _, err := core.LookupBackend(res.Backend); err != nil {
 				t.Fatalf("auto resolved to unregistered backend %q", res.Backend)
 			}
-		} else if res.Backend != backend {
+			continue
+		}
+		if res.Backend != backend {
 			t.Fatalf("backend %s: result reports %q", backend, res.Backend)
 		}
-		if res.Checksum == "" || res.Components < 1 {
-			t.Fatalf("backend %s: degenerate result %+v", backend, res)
+		want, dec, err := decomposeChecksum(view, p)
+		if err != nil {
+			t.Fatalf("backend %s: direct run: %v", backend, err)
+		}
+		if res.Checksum != want {
+			t.Fatalf("backend %s: served %s, library %s", backend, res.Checksum, want)
+		}
+		if err := dec.CheckPartition(view); err != nil {
+			t.Fatalf("backend %s: direct run's partition: %v", backend, err)
+		}
+		if f := dec.InterFraction(view); f > eps {
+			t.Fatalf("backend %s: inter-cluster fraction %.4f above eps %v", backend, f, eps)
 		}
 	}
 
@@ -62,6 +86,11 @@ func TestDecomposeBackendDispatch(t *testing.T) {
 	if recorded != uint64(len(requested)) {
 		t.Fatalf("per-backend requests sum to %d, want %d", recorded, len(requested))
 	}
+	for _, name := range core.BackendNames() {
+		if bs, ok := st.Decompose[name]; !ok || bs.Requests < 1 {
+			t.Fatalf("stats decompose section does not account for backend %s: %+v", name, st.Decompose)
+		}
+	}
 
 	if _, err := s.Query(bg, "", snap.ID, DecomposeParams{Backend: "quantum"}); err == nil {
 		t.Fatal("unknown backend accepted")
@@ -71,12 +100,12 @@ func TestDecomposeBackendDispatch(t *testing.T) {
 	}
 
 	// auto with an explicit bound: the served result must satisfy it.
-	res, err := s.Query(bg, "", snap.ID, DecomposeParams{Backend: "auto", MaxEpsFraction: 0.4})
+	res, err := s.Query(bg, "", snap.ID, DecomposeParams{Backend: "auto", MaxEpsFraction: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EpsAchieved > 0.4 {
-		t.Fatalf("auto served eps_achieved %v above max_eps_fraction 0.4", res.EpsAchieved)
+	if res.EpsAchieved > eps {
+		t.Fatalf("auto served eps_achieved %v above max_eps_fraction %v", res.EpsAchieved, eps)
 	}
 }
 

@@ -65,27 +65,13 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("service: HTTP %d: %s", e.Status, e.Msg)
 }
 
-// Unwrap maps the envelope code back onto the service's sentinel errors.
+// Unwrap maps the envelope code back onto the service's sentinel error
+// through errorCodes.
 func (e *APIError) Unwrap() error {
-	switch e.Code {
-	case CodeBusy:
-		return ErrBusy
-	case CodeQuota:
-		return ErrQuota
-	case CodeDeadline:
-		return ErrDeadline
-	case CodeCanceled:
-		return ErrCanceled
-	case CodeNotFound:
-		return ErrNotFound
-	case CodeRegistryFull:
-		return ErrRegistryFull
-	case CodeInternal:
-		return ErrCompute
-	case CodeFragmentMissing:
-		return ErrFragmentMissing
-	case CodeFragmentTooLarge:
-		return ErrFragmentTooLarge
+	for _, row := range errorCodes {
+		if row.code == e.Code {
+			return row.err
+		}
 	}
 	return nil
 }

@@ -578,7 +578,7 @@ func (s *Service) distCount(ctx context.Context, view *graph.Sub, snap *Snapshot
 			}
 		}
 	}
-	par.ForEach(par.Workers(s.cfg.AlgoWorkers), len(failed), func(i int) {
+	par.ForEach(par.Workers(0), len(failed), func(i int) {
 		rg := ranges[failed[i]]
 		counts[failed[i]] = fw.CountRows(rg[0], rg[1])
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -273,6 +274,7 @@ func TestTraceDecomposeEnumerateSpans(t *testing.T) {
 			_, err := cl.Decompose(ctx, snap.ID, DecomposeParams{Eps: 0.9, Backend: "cs19"})
 			return err
 		}, [][2]string{
+			{"query", "http"}, {"compute", "query"}, {"decompose", "compute"},
 			{"core.phase1.level", "decompose"}, {"core.ldd", "core.phase1.level"}, {"core.ldd.task", "core.ldd"},
 			{"core.cut", "core.phase1.level"}, {"core.cut.task", "core.cut"},
 			{"core.phase2", "decompose"}, {"core.phase2.component", "core.phase2"},
@@ -281,6 +283,7 @@ func TestTraceDecomposeEnumerateSpans(t *testing.T) {
 			_, err := cl.Enumerate(ctx, snap.ID, EnumerateParams{})
 			return err
 		}, [][2]string{
+			{"query", "http"}, {"compute", "query"}, {"enumerate", "compute"},
 			{"enumerate.level", "enumerate"}, {"core.phase1.level", "enumerate.level"},
 			{"enumerate.component", "enumerate.level"},
 		}},
@@ -349,9 +352,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != promContentType {
 		t.Fatalf("content type %q, want %q", ct, promContentType)
 	}
-	names, err := obs.ValidateProm(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read exposition: %v", err)
+	}
+	names, err := obs.ValidateProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("invalid exposition: %v", err)
+	}
+	for _, header := range []string{
+		"# TYPE dexpander_computations_total counter",
+		"# TYPE dexpander_compute_latency_seconds histogram",
+	} {
+		if !bytes.Contains(body, []byte(header+"\n")) {
+			t.Fatalf("exposition lacks %q", header)
+		}
 	}
 	// One series per stats v3 field (the README's mapping table).
 	want := []string{

@@ -44,20 +44,18 @@ type Params interface {
 	// traced: implementations open their span under it and hand the
 	// kernels a ctx carrying that span, so a canceled flight frees its
 	// worker within one checkpoint interval and the kernel's phase
-	// spans land in the query's trace. env carries the host parallelism
-	// bound plus the service-level context distributed algorithms need
-	// (snapshot fingerprint, peer fleet); outputs are bit-identical for
-	// every worker count and peer set.
+	// spans land in the query's trace. env carries the service-level
+	// context distributed algorithms need (snapshot fingerprint, peer
+	// fleet); outputs are bit-identical for every peer set.
 	run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error)
 }
 
 // runEnv is the execution context the service hands a computation beyond
-// its graph view. Local algorithms read only workers; the distributed
-// coordinator also needs the snapshot identity (fragments are
-// content-addressed under it) and the replica fleet.
+// its graph view. Local algorithms read only svc (decompose records its
+// backend through it); the distributed coordinator also needs the
+// snapshot identity (fragments are content-addressed under it) and the
+// replica fleet. Every computation runs on GOMAXPROCS host workers.
 type runEnv struct {
-	// workers bounds host parallelism inside the computation.
-	workers int
 	// snap is the registry's snapshot the computation runs on; count-dist
 	// with peers reads its id and its cached CSR. Only its immutable
 	// fields may be read.
@@ -193,7 +191,7 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	sp := obs.SpanFromContext(ctx).Child("decompose")
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	opt := core.Options{Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed, Workers: env.workers}
+	opt := core.Options{Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed}
 	start := time.Now()
 	var dec *core.Decomposition
 	var served string
@@ -287,7 +285,7 @@ func (p CountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return countLocal(ctx, view, env.workers, p.Kernel, k != triangle.Kernel2D)
+	return countLocal(ctx, view, p.Kernel, k != triangle.Kernel2D)
 }
 
 // EnumerateParams configures the CONGEST triangle enumeration.
@@ -330,7 +328,7 @@ func (p EnumerateParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 	defer sp.End()
 	start := time.Now()
 	set, stats, err := triangle.EnumerateContext(obs.ContextWithSpan(ctx, sp), view,
-		triangle.Options{Seed: p.Seed, Workers: env.workers})
+		triangle.Options{Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +392,7 @@ func (p DistCountParams) canon() string { return fmt.Sprintf("grid=%d", p.Grid) 
 // like the count-2d bench cells.
 func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	if len(env.svc.cfg.Peers) == 0 {
-		return countLocal(ctx, view, env.workers, "2d-local", false)
+		return countLocal(ctx, view, "2d-local", false)
 	}
 	return env.svc.distCount(ctx, view, env.snap, p.Grid)
 }
@@ -406,7 +404,7 @@ func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 // the set; otherwise it counts (Forward.Count) and the checksum digests
 // the count alone. The CSR is not kept: the result cache answers every
 // repeat of the query.
-func countLocal(ctx context.Context, view *graph.Sub, workers int, kernel string, list bool) (*Result, error) {
+func countLocal(ctx context.Context, view *graph.Sub, kernel string, list bool) (*Result, error) {
 	sp := obs.SpanFromContext(ctx).Child("count")
 	sp.Attr("kernel", kernel)
 	defer sp.End()
@@ -415,13 +413,13 @@ func countLocal(ctx context.Context, view *graph.Sub, workers int, kernel string
 	fw := triangle.NewForward(view)
 	res := &Result{}
 	if list {
-		set, err := fw.Set(ctx, workers)
+		set, err := fw.Set(ctx, 0)
 		if err != nil {
 			return nil, err
 		}
 		res.Triangles, res.Checksum = set.Len(), checksumString(set.Checksum())
 	} else {
-		n, err := fw.Count(ctx, workers)
+		n, err := fw.Count(ctx, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,7 @@ type registerRequest struct {
 }
 
 // ErrorInfo is the payload of the uniform error envelope. Code is a
-// stable machine-readable discriminator (see codeOf); Message is
+// stable machine-readable discriminator (see errorCodes); Message is
 // human-readable and NOT stable; Retryable marks errors where the
 // identical request can simply be retried after a backoff.
 type ErrorInfo struct {
@@ -92,34 +92,31 @@ const (
 	CodeFragmentTooLarge = "fragment_too_large"
 )
 
-// codeOf maps a service error onto (status, code, retryable). Order
-// matters: ErrDeadline and ErrCanceled both wrap context errors, and
-// ErrClosed rides the busy code (a restarting replica wants the LB to
-// retry elsewhere, exactly like backpressure).
-func codeOf(err error) (int, string, bool) {
-	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable, CodeBusy, true
-	case errors.Is(err, ErrQuota):
-		return http.StatusTooManyRequests, CodeQuota, true
-	case errors.Is(err, ErrDeadline):
-		return http.StatusGatewayTimeout, CodeDeadline, true
-	case errors.Is(err, ErrCanceled):
-		return http.StatusRequestTimeout, CodeCanceled, false
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, CodeNotFound, false
-	case errors.Is(err, ErrRegistryFull):
-		return http.StatusInsufficientStorage, CodeRegistryFull, false
-	case errors.Is(err, ErrFragmentMissing):
-		return http.StatusPreconditionFailed, CodeFragmentMissing, false
-	case errors.Is(err, ErrFragmentTooLarge):
-		return http.StatusRequestEntityTooLarge, CodeFragmentTooLarge, false
-	case errors.Is(err, ErrCompute):
-		// The request was valid; the kernel failed. Server fault.
-		return http.StatusInternalServerError, CodeInternal, false
-	default:
-		return http.StatusBadRequest, CodeBadRequest, false
-	}
+// errorCodes is the error envelope's one vocabulary: each row maps a
+// service sentinel onto its HTTP status, envelope code and
+// retryability. writeError answers with the first row whose sentinel the
+// error wraps, and APIError.Unwrap maps a code back onto the first row
+// carrying it; an error no row matches is a 400 bad_request. ErrClosed
+// rides the busy code (a restarting replica wants the LB to retry
+// elsewhere, exactly like backpressure), and its row comes after
+// ErrBusy's so the busy code unwraps to ErrBusy.
+var errorCodes = []struct {
+	err       error
+	status    int
+	code      string
+	retryable bool
+}{
+	{ErrBusy, http.StatusServiceUnavailable, CodeBusy, true},
+	{ErrClosed, http.StatusServiceUnavailable, CodeBusy, true},
+	{ErrQuota, http.StatusTooManyRequests, CodeQuota, true},
+	{ErrDeadline, http.StatusGatewayTimeout, CodeDeadline, true},
+	{ErrCanceled, http.StatusRequestTimeout, CodeCanceled, false},
+	{ErrNotFound, http.StatusNotFound, CodeNotFound, false},
+	{ErrRegistryFull, http.StatusInsufficientStorage, CodeRegistryFull, false},
+	{ErrFragmentMissing, http.StatusPreconditionFailed, CodeFragmentMissing, false},
+	{ErrFragmentTooLarge, http.StatusRequestEntityTooLarge, CodeFragmentTooLarge, false},
+	// The request was valid; the kernel failed. Server fault.
+	{ErrCompute, http.StatusInternalServerError, CodeInternal, false},
 }
 
 // Handler returns the dexpanderd HTTP API:
@@ -268,16 +265,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	status, code, retryable := codeOf(err)
-	if retryable {
+	status, info := http.StatusBadRequest, ErrorInfo{Code: CodeBadRequest, Message: err.Error()}
+	for _, row := range errorCodes {
+		if errors.Is(err, row.err) {
+			status, info.Code, info.Retryable = row.status, row.code, row.retryable
+			break
+		}
+	}
+	if info.Retryable {
 		// Both 429 and 503 (and the retryable 504) carry a backoff hint.
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, errorResponse{Error: ErrorInfo{
-		Code:      code,
-		Message:   err.Error(),
-		Retryable: retryable,
-	}})
+	writeJSON(w, status, errorResponse{Error: info})
 }
 
 // tenantOf extracts and validates the caller's tenant.

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,7 +78,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := decomposeChecksum(view, DecomposeParams{Eps: 0.6, K: 2, Seed: 2})
+	want, _, err := decomposeChecksum(view, DecomposeParams{Eps: 0.6, K: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +291,46 @@ func TestServerErrorEnvelope(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
+	}
+}
+
+// TestErrorCodesRoundTrip walks errorCodes: an error wrapping each row's
+// sentinel, written by writeError and read back by Client, carries the
+// row's status, code and retryability and unwraps to the sentinel (the
+// busy code to ErrBusy, which ErrClosed shares). An error no row matches
+// comes back as a 400 bad_request that unwraps to nothing.
+func TestErrorCodesRoundTrip(t *testing.T) {
+	// DELETE /v1/graphs/{i} answers with row i's sentinel; any other i
+	// with an unmatched error.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i, _ := strconv.Atoi(path.Base(r.URL.Path))
+		if i < 0 || i >= len(errorCodes) {
+			writeError(w, errors.New("malformed request"))
+			return
+		}
+		writeError(w, fmt.Errorf("%w: row %d", errorCodes[i].err, i))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	ctx := context.Background()
+	for i, row := range errorCodes {
+		err := c.Release(ctx, strconv.Itoa(i))
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != row.status || apiErr.Code != row.code || apiErr.Retryable != row.retryable {
+			t.Fatalf("row %d (%v): got %v, want %d %s retryable=%v", i, row.err, err, row.status, row.code, row.retryable)
+		}
+		want := row.err
+		if row.code == CodeBusy {
+			want = ErrBusy
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("row %d (%v): %v does not unwrap to %v", i, row.err, err, want)
+		}
+	}
+	err := c.Release(ctx, "-1")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest || apiErr.Retryable || apiErr.Unwrap() != nil {
+		t.Fatalf("unmatched error: got %v, want a plain 400 %s", err, CodeBadRequest)
 	}
 }
 

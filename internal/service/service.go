@@ -51,8 +51,8 @@ import (
 // (no X-Tenant header, empty string in the Go API) is accounted to.
 const DefaultTenant = "default"
 
-// Errors the API maps to distinct HTTP statuses; see codeOf in server.go
-// for the envelope codes.
+// Errors the API maps to distinct HTTP statuses; see errorCodes in
+// server.go for the envelope codes.
 var (
 	// ErrBusy means the compute queue is full; the request was not
 	// admitted and can be retried later.
@@ -103,11 +103,6 @@ type Config struct {
 	// MaxGenParam caps every generator-spec parameter, bounding the size
 	// of instances untrusted specs can demand; 0 means 1<<20.
 	MaxGenParam float64
-	// AlgoWorkers bounds the host parallelism of one computation
-	// (forwarded to core/triangle Options.Workers); 0 means GOMAXPROCS.
-	// Outputs are bit-identical for every value.
-	AlgoWorkers int
-
 	// MaxResults bounds the result cache; 0 means 256. When a fresh
 	// computation would exceed it, the completed entry with the lowest
 	// cost/age score is evicted (cheap-to-recompute and cold results go
@@ -897,7 +892,7 @@ func (s *Service) Query(ctx context.Context, tn, id string, p Params) (res *Resu
 	}
 	algorithm := p.Algorithm()
 	canon := p.canon()
-	env := runEnv{workers: s.cfg.AlgoWorkers, svc: s}
+	env := runEnv{svc: s}
 
 	q := s.beginQuery(ctx, id, algorithm, canon)
 	q.setTenant(tn)

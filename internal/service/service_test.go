@@ -215,7 +215,7 @@ func TestQueryChecksumsMatchLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := decomposeChecksum(view, DecomposeParams{Eps: 0.6, K: 2, Seed: 5})
+	want, _, err := decomposeChecksum(view, DecomposeParams{Eps: 0.6, K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,20 +316,25 @@ func TestTriangleCountKernels(t *testing.T) {
 }
 
 // decomposeChecksum reproduces the service's decompose digest with a
-// direct library call (same formula as the bench matrix cells).
-func decomposeChecksum(view *graph.Sub, p DecomposeParams) (string, error) {
-	dec, err := core.Decompose(view, core.Options{
-		Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed,
-	}, core.SeqSubroutines{Preset: nibble.Practical})
+// direct library run of p's fixed backend (cs19 when unset), by the same
+// formula as the bench matrix cells, and returns the run's decomposition
+// beside it.
+func decomposeChecksum(view *graph.Sub, p DecomposeParams) (string, *core.Decomposition, error) {
+	p = p.normalize().(DecomposeParams)
+	b, err := core.LookupBackend(p.Backend)
 	if err != nil {
-		return "", err
+		return "", nil, err
+	}
+	dec, _, err := b.Decompose(view, core.Options{Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed})
+	if err != nil {
+		return "", nil, err
 	}
 	words := make([]uint64, 0, len(dec.Labels)+2)
 	words = append(words, uint64(dec.Count), uint64(dec.CutEdges))
 	for _, l := range dec.Labels {
 		words = append(words, uint64(int64(l)))
 	}
-	return checksumString(triangle.HashWords(words...)), nil
+	return checksumString(triangle.HashWords(words...)), dec, nil
 }
 
 func TestEnumerateLimitTruncates(t *testing.T) {

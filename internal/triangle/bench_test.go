@@ -201,3 +201,17 @@ func BenchmarkCountRows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildForward times NewForward, the rank permutation and
+// forward CSR every count path builds once per snapshot, on
+// BenchmarkCountFragments' shapes.
+func BenchmarkBuildForward(b *testing.B) {
+	for _, sh := range countShapes() {
+		view := graph.WholeGraph(sh.g)
+		b.Run(sh.name, func(b *testing.B) {
+			for b.Loop() {
+				NewForward(view)
+			}
+		})
+	}
+}

@@ -155,33 +155,8 @@ func CliqueWithGroups(view *graph.Sub, groups int, seed uint64) (*Set, congest.S
 		return nil, eng.Stats(), err
 	}
 	// Handlers enumerate locally.
-	for h := 0; h < n; h++ {
-		adj := make(map[int]map[int]bool)
-		addEdge := func(a, b int) {
-			if adj[a] == nil {
-				adj[a] = make(map[int]bool)
-			}
-			adj[a][b] = true
-		}
-		for _, e := range received[h] {
-			addEdge(e[0], e[1])
-			addEdge(e[1], e[0])
-		}
-		for x, nbrs := range adj {
-			for y := range nbrs {
-				if y <= x {
-					continue
-				}
-				for z := range adj[y] {
-					if z <= y {
-						continue
-					}
-					if adj[x][z] {
-						out.Add(Triangle{A: x, B: y, C: z})
-					}
-				}
-			}
-		}
+	for _, edges := range received {
+		listLocal(out, edges)
 	}
 	return out, eng.Stats(), nil
 }

@@ -333,7 +333,7 @@ func processComponent(cur, final *graph.Sub, comp *graph.VSet, opt Options, seed
 			batches[c] = append(batches[c], route.Request{Src: owner, Dst: h, Payload: int64(e)})
 		}
 	}
-	perHandler := make(map[int][]int)
+	perHandler := make(map[int][][2]int)
 	for c, reqs := range batches {
 		if len(reqs) == 0 {
 			continue
@@ -344,37 +344,12 @@ func processComponent(cur, final *graph.Sub, comp *graph.VSet, opt Options, seed
 		}
 		total.Add(qs)
 		for _, d := range deliveries {
-			perHandler[d.Dst] = append(perHandler[d.Dst], int(d.Payload))
+			u, v := g.EdgeEndpoints(int(d.Payload))
+			perHandler[d.Dst] = append(perHandler[d.Dst], [2]int{u, v})
 		}
 	}
 	for _, edges := range perHandler {
-		adj := make(map[int]map[int]bool)
-		add := func(a, b int) {
-			if adj[a] == nil {
-				adj[a] = make(map[int]bool)
-			}
-			adj[a][b] = true
-		}
-		for _, e := range edges {
-			u, v := g.EdgeEndpoints(e)
-			add(u, v)
-			add(v, u)
-		}
-		for x, nbrs := range adj {
-			for y := range nbrs {
-				if y <= x {
-					continue
-				}
-				for z := range adj[y] {
-					if z <= y {
-						continue
-					}
-					if adj[x][z] {
-						out.Add(Triangle{A: x, B: y, C: z})
-					}
-				}
-			}
-		}
+		listLocal(out, edges)
 	}
 	return out, total, nil
 }

@@ -1,6 +1,9 @@
 package triangle
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // GroupCount returns the paper's group parameter g = ceil(n^{1/3}) as an
 // exact integer: the smallest g >= 1 with g^3 >= n. Both the
@@ -30,4 +33,38 @@ func GroupCount(n int) int {
 		g++
 	}
 	return g
+}
+
+// listLocal is the local step of both group-triple schemes: it adds to
+// out every triangle whose three edges are among edges, the edge pairs
+// one handler received (loop-free, in any order, repeats allowed). Each
+// edge is kept once in its smaller endpoint's sorted list, so a
+// triangle x < y < z is found once, at x, as a z in both x's list past
+// y and y's list.
+func listLocal(out *Set, edges [][2]int) {
+	fwd := make(map[int][]int)
+	for _, e := range edges {
+		a, b := min(e[0], e[1]), max(e[0], e[1])
+		fwd[a] = append(fwd[a], b)
+	}
+	for x, l := range fwd {
+		slices.Sort(l)
+		fwd[x] = slices.Compact(l)
+	}
+	for x, l := range fwd {
+		for i, y := range l {
+			rest, ly := l[i+1:], fwd[y]
+			for len(rest) > 0 && len(ly) > 0 {
+				switch {
+				case rest[0] < ly[0]:
+					rest = rest[1:]
+				case rest[0] > ly[0]:
+					ly = ly[1:]
+				default:
+					out.Add(Triangle{A: x, B: y, C: rest[0]})
+					rest, ly = rest[1:], ly[1:]
+				}
+			}
+		}
+	}
 }

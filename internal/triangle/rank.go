@@ -3,7 +3,6 @@ package triangle
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"dexpander/internal/graph"
 	"dexpander/internal/par"
@@ -98,11 +97,13 @@ func (rc rankCSR) whole() Fragment {
 }
 
 // buildRankCSR derives the rank permutation and forward CSR straight
-// from the view's edge list in O(n + m + sort(forward lists)): a
-// counting sort over degrees replaces a comparator sort of the vertex
-// set, forward edges scatter directly from the edge list (no full
-// symmetric CSR is ever built), and only the short forward lists — max
-// length O(sqrt(m)) — get sorted and deduped.
+// from the view's edge list in O(n + m), with no comparison sort: a
+// counting sort over degrees orders the vertex set, and a second
+// counting pass buckets the edges by their higher-rank endpoint, so
+// scattering the buckets in rank order fills every forward list in
+// ascending order (no full symmetric CSR is ever built). A parallel
+// edge repeats the entry just written to its list, so dedup is one
+// comparison, and a final pass compacts the lists.
 func buildRankCSR(view *graph.Sub) rankCSR {
 	g := view.Base()
 	n := g.N()
@@ -142,29 +143,11 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 		order[r] = int32(v)
 		rank[v] = r
 	}
-	// Forward counts and scatter: each usable edge lands once, in its
-	// lower-rank endpoint's list.
+	// Forward counts per lower-rank endpoint, and bucket sizes per
+	// higher-rank endpoint in deg (no longer needed as degrees).
 	counts := make([]int32, n)
-	for e := 0; e < g.M(); e++ {
-		if !view.Usable(e) || g.IsLoop(e) {
-			continue
-		}
-		u, v := g.EdgeEndpoints(e)
-		lo := rank[u]
-		if rank[v] < lo {
-			lo = rank[v]
-		}
-		counts[lo]++
-	}
-	off := make([]int32, n+1)
-	for r := 0; r < n; r++ {
-		off[r+1] = off[r] + counts[r]
-	}
-	nbr := make([]int32, off[n])
-	fill := counts
-	for i := range fill {
-		fill[i] = 0
-	}
+	byHi := deg
+	clear(byHi)
 	for e := 0; e < g.M(); e++ {
 		if !view.Usable(e) || g.IsLoop(e) {
 			continue
@@ -174,25 +157,55 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 		if hi < lo {
 			lo, hi = hi, lo
 		}
-		nbr[off[lo]+fill[lo]] = hi
-		fill[lo]++
+		counts[lo]++
+		byHi[hi]++
 	}
-	// Sort each list and collapse parallel edges, compacting as we go:
-	// the write cursor w never passes the read cursor, so every list is
-	// read before anything lands on it and off ends up dense.
-	var w, src int32
+	// off is the exclusive prefix of counts, byHi becomes its own; then
+	// each edge's lower rank lands in its higher rank's bucket of los,
+	// after which byHi[r] is the end of bucket r.
+	off := make([]int32, n+1)
+	acc = 0
 	for r := 0; r < n; r++ {
-		seg := nbr[src : src+fill[r]]
-		src += fill[r]
-		slices.Sort(seg)
-		off[r] = w
-		for i, x := range seg {
-			if i > 0 && x == seg[i-1] {
-				continue
-			}
-			nbr[w] = x
-			w++
+		off[r+1] = off[r] + counts[r]
+		byHi[r], acc = acc, acc+byHi[r]
+	}
+	los := make([]int32, acc)
+	for e := 0; e < g.M(); e++ {
+		if !view.Usable(e) || g.IsLoop(e) {
+			continue
 		}
+		u, v := g.EdgeEndpoints(e)
+		lo, hi := rank[u], rank[v]
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		los[byHi[hi]] = lo
+		byHi[hi]++
+	}
+	// Scatter the buckets in ascending higher rank, so each list fills
+	// in ascending order and a parallel edge repeats its list's last
+	// entry.
+	nbr := make([]int32, off[n])
+	fill := counts
+	clear(fill)
+	var b int32
+	for hi, end := range byHi {
+		for ; b < end; b++ {
+			lo := los[b]
+			if at := off[lo] + fill[lo]; fill[lo] == 0 || nbr[at-1] != int32(hi) {
+				nbr[at] = int32(hi)
+				fill[lo]++
+			}
+		}
+	}
+	// Compact the deduped lists: the write cursor w never passes a
+	// list's start, so every list is read before anything lands on it
+	// and off ends up dense.
+	var w int32
+	for r := 0; r < n; r++ {
+		start := off[r]
+		off[r] = w
+		w += int32(copy(nbr[w:], nbr[start:start+fill[r]]))
 	}
 	off[n] = w
 	return rankCSR{order: order, off: off, nbr: nbr[:w]}
