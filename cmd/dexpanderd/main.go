@@ -113,6 +113,11 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	// surface is never reachable through the API address (bind it to
 	// localhost or a management network).
 	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("-debug-addr: %w", err)
+		}
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
 		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -120,17 +125,16 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dsrv := &http.Server{
-			Addr:              *debugAddr,
 			Handler:           dmux,
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		defer dsrv.Close()
 		go func() {
-			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("pprof listener failed", "addr", *debugAddr, "err", err)
+			if err := dsrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				logger.Error("pprof listener failed", "addr", dln.Addr().String(), "err", err)
 			}
 		}()
-		logger.Info("pprof listening", "addr", *debugAddr)
+		logger.Info("pprof listening", "addr", dln.Addr().String())
 	}
 
 	server := &http.Server{

@@ -126,8 +126,9 @@ func TestFleetWiring(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBeforeReady: a bad -log-level, an unknown flag and an
-// address already in use each make run fail before it reports ready.
+// TestRunRejectsBeforeReady: a bad -log-level, an unknown flag, and an
+// API or pprof address already in use each make run fail before it
+// reports ready.
 func TestRunRejectsBeforeReady(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -138,6 +139,7 @@ func TestRunRejectsBeforeReady(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-log-level", "loud"},
 		{"-addr", "127.0.0.1:0", "-no-such-flag"},
 		{"-addr", taken.Addr().String()},
+		{"-addr", "127.0.0.1:0", "-debug-addr", taken.Addr().String()},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		err := run(ctx, args, func(addr string) {

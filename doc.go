@@ -72,7 +72,11 @@
 // scale) probes in parallel and reduces them in schedule order. Both are
 // bit-identical for any worker count and GOMAXPROCS. Together these make
 // the sequential Theorem 1 pipeline tens of times faster at
-// thousand-vertex scales (see BenchmarkDecomposeSequential).
+// thousand-vertex scales (see BenchmarkDecomposeSequential). The
+// distributed sparse cut (internal/dnibble) runs the same Partition loop
+// through nibble.PartitionWalk, with one worker and each walk executed in
+// the CONGEST simulator, and its threshold probes apply the same
+// (C.1*)–(C.3*) test, nibble.Params.Starred.
 //
 // The decomposition and enumeration pipelines exploit the component
 // parallelism their round accounting models: the vertex-disjoint tasks

@@ -7,6 +7,7 @@ import (
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
 	"dexpander/internal/ldd"
+	"dexpander/internal/obs"
 	"dexpander/internal/par"
 	"dexpander/internal/rng"
 )
@@ -66,8 +67,11 @@ func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decompos
 	tasks := splitComponents(graph.NewSub(g, view.Members(), mask), view.Members())
 	var removedTotal int64
 	var seq uint64
+	sp := obs.SpanFromContext(ctx)
 	for depth := 0; depth < d && len(tasks) > 0; depth++ {
 		dec.Phase1Depth = depth + 1
+		rsp := sp.Child("core.cmps.round")
+		rsp.AttrInt("round", depth+1).AttrInt("tasks", len(tasks))
 		// Seeds drawn from the shared counter in task order before
 		// dispatch, private mask copies per task, merge in task order —
 		// the same discipline as Decompose, so the output is bit-identical
@@ -85,6 +89,7 @@ func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decompos
 		}
 		outs := make([]clusterOut, len(tasks))
 		if err := par.ForEachContext(ctx, workers, len(tasks), func(i int) {
+			defer rsp.Child("core.cmps.task").AttrInt("task", i).End()
 			u := tasks[i]
 			priv := acquireMask(mask)
 			defer releaseMask(priv)
@@ -99,6 +104,7 @@ func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decompos
 			o.removed = o.log.removeInterLabel(g, *priv, u, res.Labels)
 			o.comps = splitComponents(graph.NewSub(g, view.Members(), *priv), u)
 		}); err != nil {
+			rsp.End()
 			return nil, congest.Stats{}, err
 		}
 		var next []*graph.VSet
@@ -118,6 +124,7 @@ func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decompos
 			next = append(next, o.comps...)
 		}
 		tasks = next
+		rsp.End()
 	}
 
 	final := graph.NewSub(g, view.Members(), mask)

@@ -1,9 +1,12 @@
 // Package dnibble is the CONGEST implementation of the nibble machinery
-// (Appendix A.5 of the paper): distributed truncated random walks,
+// (Appendix A.5 of the paper): distributed truncated random walks and
 // sweep-cut evaluation over a spanning tree of the participating
-// subgraph, and the Partition loop of the nearly most balanced sparse
-// cut, all running in the congest engine so that round costs are
-// measured, not asserted.
+// subgraph, running in the congest engine so that round costs are
+// measured, not asserted. Everything above one walk is package nibble's:
+// Partition runs nibble.PartitionWalk, whose ParallelNibble merge (the
+// per-edge overlap cap w and the (23/24)Vol prefix rule) and progress
+// rules are the sequential reference's, with each ApproximateNibble
+// instance executed here.
 //
 // Fidelity notes:
 //
@@ -17,14 +20,15 @@
 //     prefixes are the geometric rho-threshold family
 //     {gamma * 2^i} instead of the volume-geometric (j_x) sequence. Both
 //     families have O(phi^{-1} log Vol) candidates and both evaluate the
-//     relaxed conditions (C.1*)-(C.3*); the sequential reference
-//     (package nibble) implements the exact (j_x) definition. Walk steps
-//     are probed on a geometric time grid for the same reason.
+//     relaxed conditions (C.1*)-(C.3*) through nibble.Params.Starred; the
+//     sequential reference implements the exact (j_x) definition. Walk
+//     steps are probed on a geometric time grid for the same reason.
 //   - ParallelNibble's k instances execute serially inside the engine
-//     (their round costs add). The paper multiplexes them over w logical
-//     channels; at practically simulable sizes the paper's own k formula
-//     gives k = 1, where the two schedules coincide. The per-edge overlap
-//     cap w is still enforced across instances.
+//     (their round costs add): Partition runs nibble's loop with one
+//     worker, since the instances share one topology and one scratch. The
+//     paper multiplexes them over w logical channels; at practically
+//     simulable sizes the paper's own k formula gives k = 1, where the
+//     two schedules coincide.
 package dnibble
 
 import (
@@ -35,7 +39,6 @@ import (
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
 	"dexpander/internal/nibble"
-	"dexpander/internal/rng"
 )
 
 // walkScratch carries the per-instance buffers of the distributed nibble
@@ -43,8 +46,8 @@ import (
 // the probe time grid, the touched set (as a stamped list, so clearing
 // costs O(|touched|), not O(n)), the per-node walk-port tables (rebuilt
 // once per view, not once per instance), and the edge-dedup marks behind
-// the O(vol(touched)) P* assembly. One-shot callers get a fresh scratch;
-// Partition reuses one for its whole loop.
+// the O(vol(touched)) P* assembly. Partition shares one across every
+// instance of its loop.
 type walkScratch struct {
 	view *graph.Sub // view the port tables were built for
 
@@ -115,38 +118,21 @@ func (sc *walkScratch) participating(view *graph.Sub) []int {
 	return view.IncidentUsableEdges(sc.touchedList, sc.edgeSeen)
 }
 
-// Result mirrors nibble.Result for the distributed run.
-type Result struct {
-	// C is the cut found (possibly empty).
-	C *graph.VSet
-	// PStar is the participating edge set.
-	PStar []int
-	// Stats is the measured CONGEST cost.
-	Stats congest.Stats
-}
-
-// Empty reports whether no cut was found.
-func (r *Result) Empty() bool { return r.C == nil || r.C.Empty() }
-
-// ApproximateNibble runs one distributed nibble from start vertex v at
-// volume scale b on the view (the paper's G{W}): t0 walk rounds, a BFS
-// tree over the touched region, then threshold probes evaluated by
-// convergecast until one passes (C.1*)-(C.3*).
+// approximateNibble runs one distributed ApproximateNibble from start
+// vertex v at volume scale b on the view (the paper's G{W}): t0 walk
+// rounds, a BFS tree over the touched region, then threshold probes
+// evaluated by convergecast until one passes (C.1*)-(C.3*). Steps is the
+// grid time of the accepted probe, or T0. The Stats are the engine's
+// rounds and messages, also when the engine fails.
 //
 // topo supplies the communication topology, which may cover a supergraph
 // of the view's members (Phase 2 components talk over all of G*); the
 // walk itself respects the view. Building the topology once (see
 // congest.NewTopology) and sharing it across nibbles is what keeps the
-// Partition loop from paying per-instance reconstruction.
-func ApproximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params, v, b int, seed uint64) (*Result, error) {
-	sc := &walkScratch{}
-	return approximateNibble(topo, view, pr, v, b, seed, sc)
-}
-
-// approximateNibble is ApproximateNibble over a caller-owned scratch, so
-// Partition's many instances share buffers instead of allocating the
-// O(n) rho grid, touched set, and port tables per nibble.
-func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params, v, b int, seed uint64, sc *walkScratch) (*Result, error) {
+// Partition loop from paying per-instance reconstruction, and sc shares
+// the O(n) rho grid, touched set and port tables the same way. The walk
+// reads no node's random stream, so the engine needs no seed.
+func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params, v, b int, sc *walkScratch) (*nibble.Result, congest.Stats, error) {
 	g := view.Base()
 	n := g.N()
 	eps := pr.EpsB(b)
@@ -165,8 +151,8 @@ func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params
 	memberOf := view.Members()
 	inView := func(u int) bool { return memberOf.Has(u) }
 
-	res := &Result{C: graph.NewVSet(n)}
-	eng := congest.NewEngine(topo, congest.Config{Seed: seed, MaxWords: 4})
+	res := &nibble.Result{C: graph.NewVSet(n), Steps: pr.T0}
+	eng := congest.NewEngine(topo, congest.Config{MaxWords: 4})
 	var verdictT, verdictTh = -1, -1
 	err := eng.Run(func(nd *congest.Node) {
 		me := nd.V()
@@ -288,7 +274,7 @@ func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params
 				for hi := 0; hi < h; hi++ {
 					vol := float64(sums[hi][0])
 					cut := float64(sums[hi][1])
-					if passes(vol, cut, thresholds[hi], totalVol, minVol, pr) {
+					if pr.Starred(cut/min(vol, totalVol-vol), thresholds[hi], vol, minVol, totalVol) {
 						verdict = int64(hi)
 						break
 					}
@@ -307,13 +293,14 @@ func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params
 			}
 		}
 	})
-	res.Stats = eng.Stats()
+	stats := eng.Stats()
 	if err != nil {
-		return nil, fmt.Errorf("dnibble: %w", err)
+		return nil, stats, fmt.Errorf("dnibble: %w", err)
 	}
 	// Materialize the cut and P* host-side from the touched vertices
 	// only — the rest of the graph took no part in the walk.
 	if verdictT >= 0 {
+		res.Steps = tGrid[verdictT]
 		th := thresholds[verdictTh]
 		for _, u := range sc.touchedList {
 			if rhoAt[verdictT][u] >= th {
@@ -322,24 +309,7 @@ func approximateNibble(topo *congest.Topology, view *graph.Sub, pr nibble.Params
 		}
 	}
 	res.PStar = sc.participating(view)
-	return res, nil
-}
-
-// passes evaluates (C.1*)-(C.3*) for a threshold prefix.
-func passes(vol, cut, th, totalVol, minVol float64, pr nibble.Params) bool {
-	if vol < minVol || vol > 11.0/12.0*totalVol {
-		return false
-	}
-	small := vol
-	if rest := totalVol - vol; rest < small {
-		small = rest
-	}
-	if small <= 0 || cut/small > 12*pr.Phi {
-		return false
-	}
-	// (C.2*): the boundary rho is at least th by construction; require
-	// th * Vol(prefix) >= gamma.
-	return th*vol >= pr.Gamma
+	return res, stats, nil
 }
 
 // geomGrid returns {1, 2, 4, ..., <= t0, t0}.
@@ -366,10 +336,4 @@ func thresholdGrid(gamma, totalVol float64) []float64 {
 		out = append(out, th)
 	}
 	return out
-}
-
-// SampleStart mirrors nibble.SampleStart (degree-weighted start, geometric
-// scale) for the distributed caller.
-func SampleStart(view *graph.Sub, pr nibble.Params, r *rng.RNG) (int, int) {
-	return nibble.SampleStart(view, pr, r)
 }

@@ -9,14 +9,13 @@ import (
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
 	"dexpander/internal/nibble"
-	"dexpander/internal/rng"
 )
 
 func TestApproximateNibbleFindsDumbbellCut(t *testing.T) {
 	g := gen.Dumbbell(8, 1, 1)
 	view := graph.WholeGraph(g)
 	pr := nibble.PracticalParams(view, 0.05)
-	res, err := ApproximateNibble(congest.NewTopology(view), view, pr, 0, 5, 7)
+	res, stats, err := approximateNibble(congest.NewTopology(view), view, pr, 0, 5, &walkScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +28,12 @@ func TestApproximateNibbleFindsDumbbellCut(t *testing.T) {
 	if vol := float64(view.Vol(res.C)); vol > 11.0/12.0*float64(view.TotalVol()) {
 		t.Fatal("cut volume violates (C.3*)")
 	}
-	if res.Stats.Rounds == 0 {
+	if stats.Rounds == 0 {
 		t.Fatal("no rounds recorded")
 	}
 	// The walk phase alone is T0 rounds.
-	if res.Stats.Rounds < pr.T0 {
-		t.Fatalf("rounds %d below walk length %d", res.Stats.Rounds, pr.T0)
+	if stats.Rounds < pr.T0 {
+		t.Fatalf("rounds %d below walk length %d", stats.Rounds, pr.T0)
 	}
 }
 
@@ -42,7 +41,7 @@ func TestApproximateNibbleEmptyOnExpander(t *testing.T) {
 	g := gen.Complete(16)
 	view := graph.WholeGraph(g)
 	pr := nibble.PracticalParams(view, 0.05)
-	res, err := ApproximateNibble(congest.NewTopology(view), view, pr, 0, 3, 3)
+	res, _, err := approximateNibble(congest.NewTopology(view), view, pr, 0, 3, &walkScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestApproximateNibblePStar(t *testing.T) {
 	g := gen.Dumbbell(8, 1, 2)
 	view := graph.WholeGraph(g)
 	pr := nibble.PracticalParams(view, 0.05)
-	res, err := ApproximateNibble(congest.NewTopology(view), view, pr, 0, 5, 9)
+	res, _, err := approximateNibble(congest.NewTopology(view), view, pr, 0, 5, &walkScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestApproximateNibbleRespectsView(t *testing.T) {
 	view := graph.NewSub(g, members, nil)
 	comm := graph.WholeGraph(g)
 	pr := nibble.PracticalParams(view, 0.3)
-	res, err := ApproximateNibble(congest.NewTopology(comm), view, pr, 0, 3, 11)
+	res, _, err := approximateNibble(congest.NewTopology(comm), view, pr, 0, 3, &walkScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +114,6 @@ func TestSparseCutTheorem3Distributed(t *testing.T) {
 	}
 	if stats.Rounds == 0 {
 		t.Fatal("no rounds recorded")
-	}
-}
-
-func TestParallelNibbleOverlapEnforced(t *testing.T) {
-	g := gen.Dumbbell(6, 1, 1)
-	view := graph.WholeGraph(g)
-	pr := nibble.PracticalParams(view, 0.1)
-	pr.W = 0
-	pr.KCap = 1
-	res, _, err := ParallelNibble(congest.NewTopology(view), view, pr, rng.New(5), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Overflowed || !res.C.Empty() {
-		t.Fatalf("W=0 did not overflow: %+v", res)
 	}
 }
 

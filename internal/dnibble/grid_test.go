@@ -54,46 +54,19 @@ func TestThresholdGrid(t *testing.T) {
 	}
 }
 
-func TestPassesConditions(t *testing.T) {
-	g := gen.Dumbbell(6, 1, 1)
-	view := graph.WholeGraph(g)
-	pr := nibble.PracticalParams(view, 0.1)
-	total := float64(view.TotalVol())
-	// A balanced prefix with a single cut edge at a generous threshold.
-	if !passes(total/2, 1, 0.1, total, 1, pr) {
-		t.Error("valid cut rejected")
-	}
-	// Volume above (11/12) of the total violates (C.3*).
-	if passes(total*0.95, 1, 0.1, total, 1, pr) {
-		t.Error("oversized prefix accepted")
-	}
-	// Volume below the scale floor violates (C.3*).
-	if passes(0.5, 0, 0.1, total, 4, pr) {
-		t.Error("undersized prefix accepted")
-	}
-	// Conductance above 12*phi violates (C.1*).
-	if passes(total/2, total, 0.1, total, 1, pr) {
-		t.Error("dense cut accepted")
-	}
-	// Threshold below gamma/Vol violates (C.2*).
-	if passes(total/2, 1, pr.Gamma/total/4, total, 1, pr) {
-		t.Error("low-mass prefix accepted")
-	}
-}
-
 func TestApproximateNibbleStatsAccounting(t *testing.T) {
 	g := gen.Dumbbell(6, 1, 5)
 	view := graph.WholeGraph(g)
 	pr := nibble.PracticalParams(view, 0.1)
-	res, err := ApproximateNibble(congest.NewTopology(view), view, pr, 0, 4, 21)
+	_, stats, err := approximateNibble(congest.NewTopology(view), view, pr, 0, 4, &walkScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Messages == 0 || res.Stats.Words == 0 {
-		t.Fatalf("no traffic recorded: %+v", res.Stats)
+	if stats.Messages == 0 || stats.Words == 0 {
+		t.Fatalf("no traffic recorded: %+v", stats)
 	}
-	if res.Stats.CongestRounds != res.Stats.Rounds {
-		t.Fatalf("unexpected channel inflation: %+v", res.Stats)
+	if stats.CongestRounds != stats.Rounds {
+		t.Fatalf("unexpected channel inflation: %+v", stats)
 	}
 }
 

@@ -114,10 +114,7 @@ func ApproximateNibble(view *graph.Sub, pr Params, v, b int) *Result {
 					sweep.Rho[j]*volJ >= pr.Gamma &&
 					volJ >= minVol && volJ <= 5.0/6.0*float64(totalVol)
 			} else {
-				prev := jbuf[x-1]
-				ok = phiJ <= 12*pr.Phi &&
-					sweep.Rho[prev]*volJ >= pr.Gamma &&
-					volJ >= minVol && volJ <= 11.0/12.0*float64(totalVol)
+				ok = pr.Starred(phiJ, sweep.Rho[jbuf[x-1]], volJ, minVol, float64(totalVol))
 			}
 			if ok {
 				res.C = sweep.PrefixSet(view.Base().N(), j)

@@ -2,8 +2,8 @@
 // specified in Appendix A of the paper: Nibble, ApproximateNibble,
 // RandomNibble, ParallelNibble and Partition, culminating in the nearly
 // most balanced sparse cut of Theorem 3. This package is the sequential
-// reference; package dnibble runs the same logic inside the CONGEST
-// simulator.
+// reference; package dnibble runs the same Partition loop
+// (PartitionWalk) with each walk inside the CONGEST simulator.
 //
 // The paper's constants (t0 = 49 ln(|E|e^2)/phi^2 and friends) are chosen
 // for proof convenience and are astronomically large in practice; both the
@@ -85,6 +85,14 @@ type Params struct {
 // EpsB returns the truncation parameter for scale b.
 func (p Params) EpsB(b int) float64 {
 	return p.EpsBase / math.Pow(2, float64(b))
+}
+
+// Starred reports whether a sweep prefix of volume vol and conductance
+// phi passes ApproximateNibble's relaxed conditions (C.1*)–(C.3*): phi
+// at most 12 Phi, rho vol at least Gamma for the mass rho at the
+// prefix's boundary, and minVol <= vol <= (11/12) totalVol.
+func (p Params) Starred(phi, rho, vol, minVol, totalVol float64) bool {
+	return phi <= 12*p.Phi && rho*vol >= p.Gamma && vol >= minVol && vol <= 11.0/12.0*totalVol
 }
 
 // volumeM returns the paper's |E| proxy for a view: half its total volume

@@ -161,3 +161,33 @@ func TestIterationsCapped(t *testing.T) {
 		t.Errorf("paper Iterations = %d, suspiciously small", s)
 	}
 }
+
+// TestParamsStarred checks each relaxed condition (C.1*)–(C.3*) alone,
+// with its boundary inclusive.
+func TestParamsStarred(t *testing.T) {
+	view := graph.WholeGraph(gen.Dumbbell(6, 1, 1))
+	pr := PracticalParams(view, 0.1)
+	total := float64(view.TotalVol())
+	half := total / 2
+	cases := []struct {
+		name                string
+		phi, rho, vol, minV float64
+		want                bool
+	}{
+		{"balanced sparse prefix", 1 / half, 0.1, half, 1, true},
+		{"conductance at 12 Phi", 12 * pr.Phi, 0.1, half, 1, true},
+		{"conductance above 12 Phi (C.1*)", 12*pr.Phi + 1e-9, 0.1, half, 1, false},
+		{"mass at Gamma / vol", 1 / half, pr.Gamma / half, half, 1, true},
+		{"mass below Gamma / vol (C.2*)", 1 / half, pr.Gamma / half / 4, half, 1, false},
+		{"volume at minVol", 0, 1, 4, 4, true},
+		{"volume below minVol (C.3*)", 0, 1, 0.5, 4, false},
+		{"volume at 11/12 of the total", 0, 1, 11.0 / 12.0 * total, 1, true},
+		{"volume above 11/12 of the total (C.3*)", 0, 1, 0.95 * total, 1, false},
+	}
+	for _, tc := range cases {
+		if got := pr.Starred(tc.phi, tc.rho, tc.vol, tc.minV, total); got != tc.want {
+			t.Errorf("%s: Starred(%v, %v, %v, %v, %v) = %v, want %v",
+				tc.name, tc.phi, tc.rho, tc.vol, tc.minV, total, got, tc.want)
+		}
+	}
+}

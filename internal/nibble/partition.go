@@ -1,6 +1,8 @@
 package nibble
 
 import (
+	"fmt"
+
 	"dexpander/internal/graph"
 	"dexpander/internal/par"
 	"dexpander/internal/rng"
@@ -44,6 +46,18 @@ func (r *PartitionResult) Empty() bool { return r.C == nil || r.C.Empty() }
 // bit-identical to the one-iteration-at-a-time loop for every worker
 // count.
 func Partition(view *graph.Sub, pr Params, r *rng.RNG) *PartitionResult {
+	res, _ := PartitionWalk(view, pr, r, approximateWalk)
+	return res
+}
+
+// PartitionWalk is Partition with every ApproximateNibble instance run
+// through walk, which executes the instance from (v, b) on the remaining
+// view sub. A distributed caller passes a walk that runs the instance in
+// the CONGEST simulator; the loop's guarantees hold for a walk that
+// implements ApproximateNibble. The first failing walk of the serial
+// loop, in (iteration, instance) order, ends the loop, and its error is
+// returned with the iteration number.
+func PartitionWalk(view *graph.Sub, pr Params, r *rng.RNG, walk func(sub *graph.Sub, pr Params, v, b int) (*Result, error)) (*PartitionResult, error) {
 	n := view.Base().N()
 	res := &PartitionResult{C: graph.NewVSet(n)}
 	s := pr.Iterations(view)
@@ -65,8 +79,11 @@ loop:
 			starts = drawStarts(starts, sub, pr, k, r)
 			after[j] = *r
 		}
-		walks := runWalks(sub, pr, starts, workers)
+		walks, failed, err := runWalks(sub, pr, starts, workers, walk)
 		for j := range after {
+			if failed < (j+1)*k {
+				return nil, fmt.Errorf("nibble: partition iteration %d: %w", res.Iterations+1, err)
+			}
 			res.Iterations++
 			pn := mergeRound(sub, pr, walks[j*k:(j+1)*k])
 			if pn.C.Empty() {
@@ -96,7 +113,7 @@ loop:
 		res.Conductance = view.Conductance(res.C)
 		res.Balance = view.Balance(res.C)
 	}
-	return res
+	return res, nil
 }
 
 // SparseCut is the Theorem 3 interface: given a conductance target phi,

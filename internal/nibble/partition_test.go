@@ -1,8 +1,10 @@
 package nibble
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -298,4 +300,35 @@ func TestPartitionMatchesSerialLoop(t *testing.T) {
 		t.Fatalf("only %d non-empty serial runs; the peel path is barely covered", nonEmpty)
 	}
 	t.Logf("%d non-empty serial runs", nonEmpty)
+}
+
+// TestPartitionWalkStopsAtFailure runs the loop on an expander, where
+// every iteration is empty and the loop keeps going, with a walk whose
+// third call fails: PartitionWalk must return that error and, with one
+// worker, never call the walk again. With several workers the
+// speculative batch may already have handed out later walks, but the
+// error still ends the loop.
+func TestPartitionWalkStopsAtFailure(t *testing.T) {
+	view := graph.WholeGraph(gen.Complete(24))
+	errWalk := errors.New("walk failed")
+	for _, workers := range []int{1, 4} {
+		pr := PracticalParams(view, 0.02)
+		pr.KCap = 1
+		pr.SCap = 8
+		pr.EmptyStop = 0
+		pr.Workers = workers
+		var calls atomic.Int32
+		res, err := PartitionWalk(view, pr, rng.New(1), func(sub *graph.Sub, pr Params, v, b int) (*Result, error) {
+			if calls.Add(1) == 3 {
+				return nil, errWalk
+			}
+			return ApproximateNibble(sub, pr, v, b), nil
+		})
+		if !errors.Is(err, errWalk) || res != nil {
+			t.Fatalf("workers=%d: got (%v, %v), want the walk's error", workers, res, err)
+		}
+		if n := calls.Load(); workers == 1 && n != 3 {
+			t.Fatalf("walk called %d times, want 3: a failure must end the loop", n)
+		}
+	}
 }

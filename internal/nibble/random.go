@@ -1,6 +1,7 @@
 package nibble
 
 import (
+	"context"
 	"sync"
 
 	"dexpander/internal/graph"
@@ -108,7 +109,14 @@ func (sc *overlapScratch) release() {
 // serial loop for every worker count.
 func ParallelNibble(view *graph.Sub, pr Params, r *rng.RNG) *ParallelResult {
 	starts := drawStarts(nil, view, pr, pr.InstanceCount(view), r)
-	return mergeRound(view, pr, runWalks(view, pr, starts, par.Workers(pr.Workers)))
+	walks, _, _ := runWalks(view, pr, starts, par.Workers(pr.Workers), approximateWalk)
+	return mergeRound(view, pr, walks)
+}
+
+// approximateWalk is ApproximateNibble as a PartitionWalk walk; it
+// cannot fail.
+func approximateWalk(view *graph.Sub, pr Params, v, b int) (*Result, error) {
+	return ApproximateNibble(view, pr, v, b), nil
 }
 
 // walkStart is one RandomNibble's (start vertex, scale) pair.
@@ -124,15 +132,29 @@ func drawStarts(dst []walkStart, view *graph.Sub, pr Params, k int, r *rng.RNG) 
 	return dst
 }
 
-// runWalks runs ApproximateNibble from every start on up to workers
-// goroutines, each walk into its own slot. The walks never touch an RNG,
-// so the slots do not depend on the worker count.
-func runWalks(view *graph.Sub, pr Params, starts []walkStart, workers int) []*Result {
+// runWalks runs walk from every start on up to workers goroutines, each
+// walk into its own slot. The walks never touch an RNG, so the slots do
+// not depend on the worker count. A failed walk stops the hand-out, and
+// the walks already handed out finish; since slots are handed out in
+// order, every slot below the lowest failing one holds its result.
+// runWalks returns that slot and its error, or len(starts) and nil.
+func runWalks(view *graph.Sub, pr Params, starts []walkStart, workers int, walk func(sub *graph.Sub, pr Params, v, b int) (*Result, error)) ([]*Result, int, error) {
 	results := make([]*Result, len(starts))
-	par.ForEach(workers, len(starts), func(i int) {
-		results[i] = ApproximateNibble(view, pr, starts[i].v, starts[i].b)
+	errs := make([]error, len(starts))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// ForEachContext's error is the cancel below; errs holds its cause.
+	_ = par.ForEachContext(ctx, workers, len(starts), func(i int) {
+		if results[i], errs[i] = walk(view, pr, starts[i].v, starts[i].b); errs[i] != nil {
+			cancel()
+		}
 	})
-	return results
+	for i, err := range errs {
+		if err != nil {
+			return results, i, err
+		}
+	}
+	return results, len(starts), nil
 }
 
 // mergeRound is ParallelNibble's seed-order merge of one round's walk

@@ -279,6 +279,13 @@ func TestTraceDecomposeEnumerateSpans(t *testing.T) {
 			{"core.cut", "core.phase1.level"}, {"core.cut.task", "core.cut"},
 			{"core.phase2", "decompose"}, {"core.phase2.component", "core.phase2"},
 		}},
+		{"trace-decompose-cmps-001", func() error {
+			_, err := cl.Decompose(ctx, snap.ID, DecomposeParams{Eps: 0.9, Backend: "par-cmps"})
+			return err
+		}, [][2]string{
+			{"query", "http"}, {"compute", "query"}, {"decompose", "compute"},
+			{"core.cmps.round", "decompose"}, {"core.cmps.task", "core.cmps.round"},
+		}},
 		{"trace-enumerate-001", func() error {
 			_, err := cl.Enumerate(ctx, snap.ID, EnumerateParams{})
 			return err
