@@ -284,3 +284,44 @@ func TestDecomposeAuto(t *testing.T) {
 		t.Fatalf("auto bound 0 error %v, want ErrBadEps", err)
 	}
 }
+
+// TestBackendOutputsPinned pins each backend's complete output — the
+// backendDigest of labels, removal split and final mask, plus the
+// recursion depth and Phase 2 loop count — at Workers 1, 3 and 0 against
+// constants measured before the stage fan-out was shared. ε = 0.9
+// makes every case split into several parts, so the stages run more than
+// one task: the path recurses three Phase 1 levels (cs19, det) or seven
+// clustering rounds into 19 parts (par-cmps), and the satellite graph
+// sends its core to Phase 2, which peels both satellite cliques into 38
+// singletons.
+func TestBackendOutputsPinned(t *testing.T) {
+	cases := []struct {
+		backend     string
+		name        string
+		g           *graph.Graph
+		digest      uint64
+		depth, iter int
+	}{
+		{"cs19", "path-200", gen.Path(200), 0x164f1286aa3bec26, 3, 0},
+		{"det", "path-200", gen.Path(200), 0x8aa993dfb429b304, 3, 0},
+		{"par-cmps", "path-200", gen.Path(200), 0x1e04366db32c24df, 7, 0},
+		{"cs19", "satellite-cliques", gen.SatelliteCliques(70, 19, 2, 1), 0xbf37e1b419bbc976, 1, 3},
+	}
+	if testing.Short() {
+		cases = cases[:3]
+	}
+	for _, c := range cases {
+		b, _ := LookupBackend(c.backend)
+		for _, workers := range []int{1, 3, 0} {
+			opt := Options{Eps: 0.9, K: 2, Preset: nibble.Practical, Seed: 1, Workers: workers}
+			dec, _, err := b.Decompose(graph.WholeGraph(c.g), opt)
+			if err != nil {
+				t.Fatalf("%s/%s workers=%d: %v", c.backend, c.name, workers, err)
+			}
+			if d := backendDigest(dec); d != c.digest || dec.Phase1Depth != c.depth || dec.Phase2MaxIterations != c.iter {
+				t.Errorf("%s/%s workers=%d: digest %#016x depth %d phase 2 iterations %d, want %#016x %d %d",
+					c.backend, c.name, workers, d, dec.Phase1Depth, dec.Phase2MaxIterations, c.digest, c.depth, c.iter)
+			}
+		}
+	}
+}
