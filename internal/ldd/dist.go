@@ -2,6 +2,7 @@ package ldd
 
 import (
 	"fmt"
+	"slices"
 
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
@@ -115,23 +116,29 @@ func distBallEdges(topo *congest.Topology, view *graph.Sub, radius, tau int, see
 		}
 		const star = -1
 		for phase := 0; phase < radius; phase++ {
-			// Stream the current set (or the overflow marker) to every
-			// neighbor, one item per round, for tau+1 rounds.
-			items := make([][2]int32, 0, len(known))
-			if !over {
-				for _, e := range known {
-					items = append(items, e)
+			// Stream the set held at the start of the phase (or the
+			// overflow marker) to every neighbor, one item per round, for
+			// tau+1 rounds, in edge-key order. An overflow learned during
+			// the phase is sent from the next one on, so what a neighbor
+			// learns never depends on arrival order.
+			sendOver := over
+			items := make([]edgeKey, 0, len(known))
+			if !sendOver {
+				for k := range known {
+					items = append(items, k)
 				}
+				slices.Sort(items)
 			}
 			for r := 0; r <= tau; r++ {
 				switch {
-				case over && r == 0:
+				case sendOver && r == 0:
 					for p := 0; p < nd.Degree(); p++ {
 						nd.Send(p, star, star)
 					}
-				case !over && r < len(items):
+				case !sendOver && r < len(items):
+					e := known[items[r]]
 					for p := 0; p < nd.Degree(); p++ {
-						nd.Send(p, int64(items[r][0]), int64(items[r][1]))
+						nd.Send(p, int64(e[0]), int64(e[1]))
 					}
 				}
 				for _, msg := range nd.Next() {

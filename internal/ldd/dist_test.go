@@ -192,3 +192,51 @@ func TestDistDecomposeMatchesSequentialShape(t *testing.T) {
 		t.Fatalf("cut fractions %v / %v above bound", seqFrac, distFrac)
 	}
 }
+
+// TestDistDecomposeDeterministic runs DistDecompose twice on the same
+// input and seed: the labels and every congest.Stats field must agree.
+// Ball counting must also be exact: every vertex that does not report an
+// overflow holds |E(N^A(v))|.
+func TestDistDecomposeDeterministic(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		beta float64
+	}{
+		{"torus-12", gen.Torus(12), 0.3},
+		{"path-400", gen.Path(400), 0.9},
+	}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	for _, c := range cases {
+		view := graph.WholeGraph(c.g)
+		pr := NewParams(c.g.N(), c.beta, Practical)
+		first, firstStats, err := DistDecompose(view, pr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, againStats, err := DistDecompose(view, pr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if firstStats != againStats {
+			t.Errorf("%s: stats %+v, then %+v", c.name, firstStats, againStats)
+		}
+		for v := range first.Labels {
+			if first.Labels[v] != again.Labels[v] {
+				t.Fatalf("%s: vertex %d labelled %d, then %d", c.name, v, first.Labels[v], again.Labels[v])
+			}
+		}
+		tau := view.UsableEdgeCount()/(2*pr.B) + 1
+		count, overflow, _, err := distBallEdges(congest.NewTopology(view), view, pr.A, tau, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < c.g.N(); v++ {
+			if want := view.BallEdgeCount(v, pr.A); !overflow[v] && count[v] != want {
+				t.Fatalf("%s: vertex %d counts %d ball edges, want %d", c.name, v, count[v], want)
+			}
+		}
+	}
+}
