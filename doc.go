@@ -44,7 +44,7 @@
 // first recorded beside the retired merge kernel's identical ones,
 // re-prove that on every CI run. Kernels are selectable per request via
 // the service's "kernel" query parameter and trianglebench's -kernel
-// flag, where "merge" remains accepted as an alias of rank.
+// flag.
 //
 // The decomposition stack runs on a sparse local walk engine
 // (internal/spectral's WalkState): the truncated lazy walk at the heart

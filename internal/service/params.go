@@ -249,8 +249,6 @@ type CountParams struct {
 	// currently the rank kernel). rank and auto list the triangle set
 	// and produce bit-identical checksums; 2d counts on the same row
 	// ranges without listing, and its checksum digests the count alone.
-	// "merge" names the retired merge kernel and is now an alias of
-	// rank: it is served as kernel=rank, from rank's cache line.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -258,11 +256,8 @@ type CountParams struct {
 func (p CountParams) Algorithm() string { return "triangle-count" }
 
 func (p CountParams) normalize() Params {
-	switch p.Kernel {
-	case "":
+	if p.Kernel == "" {
 		p.Kernel = "auto"
-	case "merge":
-		p.Kernel = "rank"
 	}
 	return p
 }

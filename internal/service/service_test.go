@@ -246,7 +246,6 @@ func TestCanonStrings(t *testing.T) {
 		{CountParams{}, "kernel=auto"},
 		{CountParams{Kernel: "auto"}, "kernel=auto"},
 		{CountParams{Kernel: "2d"}, "kernel=2d"},
-		{CountParams{Kernel: "merge"}, "kernel=rank"},
 		{EnumerateParams{}, "seed=1 limit=1000"},
 		{EnumerateParams{Seed: 1, Limit: 1000}, "seed=1 limit=1000"},
 		{EnumerateParams{Seed: 9, Limit: 3}, "seed=9 limit=3"},
@@ -261,8 +260,7 @@ func TestCanonStrings(t *testing.T) {
 // TestTriangleCountKernels pins the kernel query parameter: rank and
 // auto must serve the identical full-set checksum (distinct cache keys,
 // same bytes — the serving layer's replay of the kernels' bit-identity
-// contract), merge is an alias of rank served from rank's cache line,
-// 2d must report the same count under its count-only digest, and an
+// contract), 2d must report the same count under its count-only digest, and an
 // unknown kernel is a caller error.
 func TestTriangleCountKernels(t *testing.T) {
 	s := New(Config{Workers: 2})
@@ -283,8 +281,7 @@ func TestTriangleCountKernels(t *testing.T) {
 	if auto.Params != "kernel=auto" {
 		t.Fatalf("default params = %q, want kernel=auto", auto.Params)
 	}
-	for _, kernel := range []string{"merge", "rank", "auto"} {
-		before := s.Stats().Computations
+	for _, kernel := range []string{"rank", "auto"} {
 		res, err := s.Query(bg, "", snap.ID, CountParams{Kernel: kernel})
 		if err != nil {
 			t.Fatalf("kernel %s: %v", kernel, err)
@@ -292,12 +289,6 @@ func TestTriangleCountKernels(t *testing.T) {
 		if res.Checksum != auto.Checksum || res.Triangles != auto.Triangles {
 			t.Fatalf("kernel %s: served %d/%s, auto %d/%s",
 				kernel, res.Triangles, res.Checksum, auto.Triangles, auto.Checksum)
-		}
-		if kernel == "merge" && res.Params != "kernel=rank" {
-			t.Fatalf("merge served as %q, want kernel=rank", res.Params)
-		}
-		if kernel == "rank" && s.Stats().Computations != before {
-			t.Fatal("rank after merge recomputed: merge must share rank's cache line")
 		}
 	}
 	twod, err := s.Query(bg, "", snap.ID, CountParams{Kernel: "2d"})
@@ -310,8 +301,10 @@ func TestTriangleCountKernels(t *testing.T) {
 	if twod.Checksum != checksumString(triangle.HashWords(uint64(twod.Triangles))) {
 		t.Fatalf("2d checksum %s does not digest the count", twod.Checksum)
 	}
-	if _, err := s.Query(bg, "", snap.ID, CountParams{Kernel: "quantum"}); err == nil {
-		t.Fatal("unknown kernel accepted")
+	for _, unknown := range []string{"quantum", "merge"} {
+		if _, err := s.Query(bg, "", snap.ID, CountParams{Kernel: unknown}); err == nil {
+			t.Fatalf("unknown kernel %q accepted", unknown)
+		}
 	}
 }
 

@@ -33,9 +33,6 @@ type Options struct {
 	// sequential reference; inject distributed ones to charge
 	// decomposition rounds too).
 	Subs core.Subroutines
-	// MaxRecursion caps E* recursion depth (default 64; the paper's
-	// O(log n) bound applies when Eps <= 1/2).
-	MaxRecursion int
 	// Workers bounds the host goroutines processing a level's
 	// vertex-disjoint components concurrently (and is forwarded to the
 	// decomposition). 0 means GOMAXPROCS; 1 forces inline serial
@@ -61,11 +58,12 @@ func (o Options) withDefaults() Options {
 		// the way down to the nibble walk pool.
 		o.Subs = core.SeqSubroutines{Preset: o.Preset, Workers: o.Workers}
 	}
-	if o.MaxRecursion == 0 {
-		o.MaxRecursion = 64
-	}
 	return o
 }
+
+// maxRecursion caps E* recursion depth; the paper's O(log n) bound
+// applies when Eps <= 1/2.
+const maxRecursion = 64
 
 // Stats aggregates the cost of one enumeration.
 type Stats struct {
@@ -160,7 +158,7 @@ func EnumerateContext(ctx context.Context, view *graph.Sub, opt Options) (*Set, 
 	}
 	root := rng.New(opt.Seed)
 	sp := obs.SpanFromContext(ctx)
-	for level := 0; level < opt.MaxRecursion && remaining > 0; level++ {
+	for level := 0; level < maxRecursion && remaining > 0; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}

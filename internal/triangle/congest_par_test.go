@@ -151,7 +151,7 @@ func enumerateSerialReimpl(view *graph.Sub, opt Options) (*Set, Stats, error) {
 		mask[e] = view.Usable(e) && !g.IsLoop(e)
 	}
 	root := rng.New(opt.Seed)
-	for level := 0; level < opt.MaxRecursion; level++ {
+	for level := 0; level < maxRecursion; level++ {
 		remaining := 0
 		for _, on := range mask {
 			if on {

@@ -52,14 +52,12 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel parses the CLI/service spelling of a kernel name. "merge"
-// names the retired id-ordered merge kernel, whose output was identical
-// to rank's; it is accepted as an alias of rank.
+// ParseKernel parses the CLI/service spelling of a kernel name.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "", "auto":
 		return KernelAuto, nil
-	case "rank", "merge":
+	case "rank":
 		return KernelRank, nil
 	case "2d":
 		return Kernel2D, nil

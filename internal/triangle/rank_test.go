@@ -205,14 +205,16 @@ func TestKernelParse(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want Kernel
-	}{{"", KernelAuto}, {"auto", KernelAuto}, {"merge", KernelRank}, {"rank", KernelRank}, {"2d", Kernel2D}} {
+	}{{"", KernelAuto}, {"auto", KernelAuto}, {"rank", KernelRank}, {"2d", Kernel2D}} {
 		k, err := ParseKernel(c.in)
 		if err != nil || k != c.want {
 			t.Fatalf("ParseKernel(%q) = %v, %v", c.in, k, err)
 		}
 	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel")
+	for _, unknown := range []string{"quantum", "merge"} {
+		if _, err := ParseKernel(unknown); err == nil {
+			t.Fatalf("ParseKernel accepted unknown kernel %q", unknown)
+		}
 	}
 	for _, k := range []Kernel{KernelAuto, KernelRank, Kernel2D} {
 		back, err := ParseKernel(k.String())
