@@ -80,10 +80,12 @@
 //
 // The decomposition and enumeration pipelines exploit the component
 // parallelism their round accounting models: the vertex-disjoint tasks
-// of a Phase 1 level, the independent Phase 2 components, and a
-// recursion level's component routing all run on a worker pool
-// (Options.Workers in core and triangle; 0 = GOMAXPROCS, 1 = inline
-// serial). Outputs are bit-identical to serial for any worker count via
+// of a Phase 1 level, the independent Phase 2 components, par-cmps's
+// clustering rounds, and a recursion level's component routing all run
+// on a worker pool (Options.Workers in core and triangle; 0 =
+// GOMAXPROCS, 1 = inline serial). In core every backend's stages go
+// through one task fan-out, whose tasks all report one result type.
+// Outputs are bit-identical to serial for any worker count via
 // the seed-prefork / private-effects / ordered-merge discipline — seeds
 // drawn from the shared counter in task order before dispatch, per-task
 // removal logs over pooled private mask copies (respectively per-

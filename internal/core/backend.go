@@ -80,7 +80,9 @@ var backends = map[string]Backend{
 			Description: "repeated low-diameter clustering with boundary-linked recursion (CMPS); seeded, fast host path",
 			CostHint:    10,
 		},
-		run: decomposeCMPS,
+		run: func(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
+			return withStats(decomposeCMPS(ctx, view, opt))
+		},
 	},
 }
 

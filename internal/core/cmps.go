@@ -4,11 +4,9 @@ import (
 	"context"
 	"math"
 
-	"dexpander/internal/congest"
 	"dexpander/internal/graph"
 	"dexpander/internal/ldd"
 	"dexpander/internal/obs"
-	"dexpander/internal/par"
 	"dexpander/internal/rng"
 )
 
@@ -35,108 +33,50 @@ import (
 // removal budget of eps*m refuses any round that would overdraw it
 // (the component stays final instead) — so EpsAchieved <= Eps always,
 // not just in expectation.
-func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
-	if err := opt.validate(); err != nil {
-		return nil, congest.Stats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, congest.Stats{}, err
-	}
-	g := view.Base()
-	m := float64(view.UsableEdgeCount())
-	if m == 0 {
-		labels, count := view.Components()
-		return &Decomposition{Labels: labels, Count: count, FinalMask: make([]bool, g.M())}, congest.Stats{}, nil
+func decomposeCMPS(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, error) {
+	m, done, err := start(ctx, view, opt)
+	if done != nil || err != nil {
+		return done, err
 	}
 	// O(log m) clustering rounds; beta splits the eps/3 budget the same
 	// way Phase 1 does (Theorem 4's w.h.p. bound is 3*beta*|E|).
-	d := int(math.Ceil(math.Log2(m))) + 1
-	if d < 1 {
-		d = 1
-	}
-	if opt.MaxPhase1Depth > 0 && d > opt.MaxPhase1Depth {
-		d = opt.MaxPhase1Depth
-	}
-	beta := (opt.Eps / 3) / float64(d)
+	s := newState(view, opt, int(math.Ceil(math.Log2(m)))+1)
 	budget := int64(opt.Eps * m)
-
-	mask := aliveMask(view)
-	root := rng.New(opt.Seed)
-	workers := par.Workers(opt.Workers)
+	g := view.Base()
 	dec := &Decomposition{}
-	tasks := splitComponents(graph.NewSub(g, view.Members(), mask), view.Members())
-	var removedTotal int64
-	var seq uint64
+	tasks := splitComponents(s.sub(s.mask), view.Members())
 	sp := obs.SpanFromContext(ctx)
-	for depth := 0; depth < d && len(tasks) > 0; depth++ {
-		dec.Phase1Depth = depth + 1
-		rsp := sp.Child("core.cmps.round")
-		rsp.AttrInt("round", depth+1).AttrInt("tasks", len(tasks))
-		// Seeds drawn from the shared counter in task order before
-		// dispatch, private mask copies per task, merge in task order —
-		// the same discipline as Decompose, so the output is bit-identical
-		// for every worker count.
-		seeds := make([]uint64, len(tasks))
-		for i := range tasks {
-			seq++
-			seeds[i] = root.Fork(seq).Uint64()
-		}
-		type clusterOut struct {
-			log     removalLog
-			removed int64
-			comps   []*graph.VSet
-			whole   bool
-		}
-		outs := make([]clusterOut, len(tasks))
-		if err := par.ForEachContext(ctx, workers, len(tasks), func(i int) {
-			defer rsp.Child("core.cmps.task").AttrInt("task", i).End()
-			u := tasks[i]
-			priv := acquireMask(mask)
-			defer releaseMask(priv)
-			sub := graph.NewSub(g, view.Members(), *priv).Restrict(u)
-			pr := ldd.NewParams(u.Len(), beta, lddPreset(opt.Preset))
-			res := ldd.Clustering(sub, pr, rng.New(seeds[i]))
-			if res.Count <= 1 {
-				outs[i].whole = true
-				return
-			}
-			o := &outs[i]
-			o.removed = o.log.removeInterLabel(g, *priv, u, res.Labels)
-			o.comps = splitComponents(graph.NewSub(g, view.Members(), *priv), u)
-		}); err != nil {
-			rsp.End()
-			return nil, congest.Stats{}, err
+	for len(tasks) > 0 && dec.Phase1Depth < s.d {
+		dec.Phase1Depth++
+		seeds := s.drawSeeds(len(tasks))
+		rsp := sp.Child("core.cmps.round").AttrInt("round", dec.Phase1Depth).AttrInt("tasks", len(tasks))
+		outs, err := s.stage(ctx, rsp, "core.cmps.task", tasks,
+			func(i int, view *graph.Sub, mask []bool) (r result, err error) {
+				u := tasks[i]
+				res := ldd.Clustering(view, ldd.NewParams(u.Len(), s.beta, lddPreset(opt.Preset)), rng.New(seeds[i]))
+				if res.Count > 1 {
+					r.removed = r.log.removeInterLabel(g, mask, u, res.Labels)
+					r.comps = splitComponents(s.sub(mask), u)
+				}
+				return r, nil
+			})
+		if err != nil {
+			return nil, err
 		}
 		var next []*graph.VSet
 		for i := range outs {
 			o := &outs[i]
-			if o.whole || o.removed == 0 {
-				continue // single cluster: final
-			}
-			if removedTotal+o.removed > budget {
-				// Hard budget: this split would overdraw eps*m, so the
-				// component is final as-is. Applied in task order, so the
-				// guard is deterministic too.
+			// A component the clustering leaves whole is final. So is one
+			// whose split would overdraw the eps*m budget; the guard runs
+			// in task order, so it is deterministic too.
+			if o.removed == 0 || dec.Removed1+o.removed > budget {
 				continue
 			}
-			o.log.applyTo(mask)
-			removedTotal += o.removed
+			o.log.applyTo(s.mask)
+			dec.Removed1 += o.removed
 			next = append(next, o.comps...)
 		}
 		tasks = next
-		rsp.End()
 	}
-
-	final := graph.NewSub(g, view.Members(), mask)
-	dec.Labels, dec.Count = final.Components()
-	dec.FinalMask = mask
-	dec.Removed1 = removedTotal
-	dec.CutEdges = removedTotal
-	dec.EpsAchieved = float64(removedTotal) / m
-	view.Members().ForEach(func(v int) {
-		if final.AliveDeg(v) == 0 {
-			dec.Singletons++
-		}
-	})
-	return dec, congest.Stats{}, nil
+	return dec.finish(view, s.mask), nil
 }

@@ -56,17 +56,19 @@
 // context.Background. Neither alters an uncanceled output.
 //
 // The host-side execution exploits the same structure the accounting
-// models: the vertex-disjoint tasks of a Phase 1 level (the LDD step, then
-// the sparse-cut step) and the independent Phase 2 components run on
+// models: every backend's work is a sequence of stages, each one task per
+// vertex-disjoint component — a Phase 1 level's LDD stage, then its
+// sparse-cut stage; the Phase 2 components; a par-cmps clustering round —
+// and all of them run through one fan-out, state.stage, on
 // Options.Workers goroutines. Determinism is preserved for any worker
-// count by the seed-prefork / private-log / ordered-merge discipline: every
-// per-task seed is drawn from the shared counter in task order before
-// dispatch (Phase 2 components reserve a seed block sized by their
-// deterministic iteration cap), each task mutates a pooled private copy of
-// the evolving edge mask and records its removals in a removalLog, and the
-// logs, cluster lists, and statistics fold back into the shared state in
-// task order after each stage. Outputs are bit-identical to the
-// single-worker execution (pinned by the parallel oracle tests).
+// count by one discipline: every per-task seed is drawn from the shared
+// counter in task order before dispatch (a Phase 2 component draws a
+// block sized by its deterministic iteration cap), each task works on a
+// pooled private copy of the evolving edge mask and records its removals
+// in a removalLog, and the logs, component lists, and statistics fold
+// back into the shared state in task order after the stage. Outputs are
+// bit-identical to the single-worker execution (pinned by the parallel
+// oracle tests).
 package core
 
 import (
@@ -96,9 +98,6 @@ type Options struct {
 	Preset nibble.Preset
 	// Seed drives all randomness.
 	Seed uint64
-	// MaxPhase1Depth overrides the derived depth cap d when positive
-	// (tests use it to bound runtime).
-	MaxPhase1Depth int
 	// Workers bounds the host goroutines running vertex-disjoint tasks
 	// (Phase 1 subroutine calls, Phase 2 components) concurrently.
 	// 0 means GOMAXPROCS; 1 forces inline serial execution. The output is
@@ -201,70 +200,41 @@ func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, 
 // LDD/sparse-cut sub-spans) and the Phase 2 component fan-out get child
 // spans. An uncanceled run's output is bit-identical either way.
 func DecomposeContext(ctx context.Context, view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g := view.Base()
-	n := g.N()
-	m := float64(view.UsableEdgeCount())
-	if m == 0 {
-		labels, count := view.Components()
-		return &Decomposition{Labels: labels, Count: count, FinalMask: make([]bool, g.M())}, nil
+	m, done, err := start(ctx, view, opt)
+	if done != nil || err != nil {
+		return done, err
 	}
 
 	// Parameter derivation (Section 2).
 	// d: smallest integer with (1 - eps/12)^d * 2*C(n,2) < 1.
-	nf := float64(n)
-	d := int(math.Ceil(math.Log(nf*nf) / -math.Log(1-opt.Eps/12)))
-	if d < 1 {
-		d = 1
-	}
-	if opt.MaxPhase1Depth > 0 && d > opt.MaxPhase1Depth {
-		d = opt.MaxPhase1Depth
-	}
-	beta := (opt.Eps / 3) / float64(d)
+	n := float64(view.Base().N())
+	s := newState(view, opt, int(math.Ceil(math.Log(n*n)/-math.Log(1-opt.Eps/12))))
+	s.subs = subs
 	// phi_0: h(phi_0) = eps / (6 log2 |E|), so Remove-2's charging stays
 	// below (eps/3)|E|.
 	logM := math.Log2(m)
 	if logM < 1 {
 		logM = 1
 	}
-	ladder := make([]float64, opt.K+1)
-	ladder[0] = nibble.TransferHInv(view, opt.Eps/(6*logM), opt.Preset)
+	s.ladder = make([]float64, opt.K+1)
+	s.ladder[0] = nibble.TransferHInv(view, opt.Eps/(6*logM), opt.Preset)
 	for i := 1; i <= opt.K; i++ {
-		ladder[i] = nibble.TransferHInv(view, ladder[i-1], opt.Preset)
+		s.ladder[i] = nibble.TransferHInv(view, s.ladder[i-1], opt.Preset)
 	}
-
-	st := &state{
-		view:    view,
-		opt:     opt,
-		subs:    subs,
-		ladder:  ladder,
-		beta:    beta,
-		d:       d,
-		mask:    aliveMask(view),
-		root:    rng.New(opt.Seed),
-		workers: par.Workers(opt.Workers),
-	}
-	dec := &Decomposition{PhiTarget: ladder[opt.K], PhiLadder: ladder}
+	dec := &Decomposition{PhiTarget: s.ladder[opt.K], PhiLadder: s.ladder}
 
 	// Phase 1, level by level so sibling costs combine as max.
-	tasks := splitComponents(st.current(), view.Members())
-	depth := 0
+	tasks := splitComponents(s.sub(s.mask), view.Members())
 	var phase2 []*graph.VSet
 	sp := obs.SpanFromContext(ctx)
-	for len(tasks) > 0 && depth < d {
+	for len(tasks) > 0 && dec.Phase1Depth < s.d {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		depth++
-		dec.Phase1Depth = depth
+		dec.Phase1Depth++
 		lsp := sp.Child("core.phase1.level")
-		lsp.AttrInt("level", depth).AttrInt("tasks", len(tasks))
-		next, entered, err := st.phase1Level(ctx, tasks, dec, lsp)
+		lsp.AttrInt("level", dec.Phase1Depth).AttrInt("tasks", len(tasks))
+		next, entered, err := s.phase1Level(ctx, tasks, dec, lsp)
 		lsp.End()
 		if err != nil {
 			return nil, err
@@ -272,61 +242,69 @@ func DecomposeContext(ctx context.Context, view *graph.Sub, opt Options, subs Su
 		phase2 = append(phase2, entered...)
 		tasks = next
 	}
-	// Any tasks still alive at the cap enter Phase 2 directly (the cap
-	// is unreachable under the paper's d; this is the safety valve for
-	// overridden depths).
+	// Tasks still alive at the depth cap enter Phase 2 directly (the
+	// paper's d is never reached; practical constants might).
 	phase2 = append(phase2, tasks...)
 
-	// Phase 2 per component; parallel across components, each working on
-	// its own private mask with a seed block reserved in task order.
-	budgets := make([]int, len(phase2))
-	bases := make([]uint64, len(phase2))
+	// Phase 2 per component, each with a seed block drawn in task order
+	// whose length is the component's iteration cap.
+	seeds := make([][]uint64, len(phase2))
 	for i, u := range phase2 {
-		budgets[i] = st.phase2Budget(u)
-		bases[i] = st.reserveSeeds(budgets[i])
+		seeds[i] = s.drawSeeds(s.phase2Budget(u))
 	}
-	outs := make([]phase2Out, len(phase2))
-	psp := sp.Child("core.phase2")
-	psp.AttrInt("components", len(phase2))
-	if err := par.ForEachContext(ctx, st.workers, len(phase2), func(i int) {
-		defer psp.Child("core.phase2.component").AttrInt("task", i).End()
-		outs[i] = st.phase2(ctx, phase2[i], budgets[i], bases[i])
-	}); err != nil {
-		psp.End()
+	iters := make([]int, len(phase2))
+	outs, err := s.stage(ctx, sp.Child("core.phase2").AttrInt("components", len(phase2)), "core.phase2.component", phase2,
+		func(i int, comm *graph.Sub, mask []bool) (r result, err error) {
+			r, iters[i], err = s.phase2(ctx, phase2[i], comm, mask, seeds[i])
+			return r, err
+		})
+	if err != nil {
 		return nil, err
 	}
-	psp.End()
-	var p2Par congest.Stats
-	for i := range outs {
-		o := &outs[i]
-		if o.err != nil {
-			return nil, o.err
-		}
-		if o.iters > dec.Phase2MaxIterations {
-			dec.Phase2MaxIterations = o.iters
-		}
-		o.log.applyTo(st.mask)
-		dec.Removed3 += o.removed
-		p2Par.CombineParallel(o.stats)
+	removed, _, stats := s.merge(outs)
+	dec.Removed3 = removed
+	dec.Stats.Add(stats)
+	for _, it := range iters {
+		dec.Phase2MaxIterations = max(dec.Phase2MaxIterations, it)
 	}
-	dec.Stats.Add(p2Par)
-	dec.Stats.Add(st.stats)
-
-	// Final labeling: connected components of the surviving mask.
-	final := graph.NewSub(g, view.Members(), st.mask)
-	dec.Labels, dec.Count = final.Components()
-	dec.FinalMask = st.mask
-	dec.CutEdges = dec.Removed1 + dec.Removed2 + dec.Removed3
-	dec.EpsAchieved = float64(dec.CutEdges) / m
-	view.Members().ForEach(func(v int) {
-		if final.AliveDeg(v) == 0 {
-			dec.Singletons++
-		}
-	})
-	return dec, nil
+	return dec.finish(view, s.mask), nil
 }
 
-// state carries the evolving edge mask and accounting.
+// start checks opt and ctx before a run over view and returns its usable
+// edge count m. A view without usable edges is decomposed already: start
+// returns it as done, one component per member.
+func start(ctx context.Context, view *graph.Sub, opt Options) (m float64, done *Decomposition, err error) {
+	if err := opt.validate(); err != nil {
+		return 0, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
+	m = float64(view.UsableEdgeCount())
+	if m == 0 {
+		labels, count := view.Components()
+		done = &Decomposition{Labels: labels, Count: count, FinalMask: make([]bool, view.Base().M())}
+	}
+	return m, done, nil
+}
+
+// finish labels the connected components of the surviving mask and
+// derives CutEdges, EpsAchieved and Singletons from the removal split.
+func (d *Decomposition) finish(view *graph.Sub, mask []bool) *Decomposition {
+	final := graph.NewSub(view.Base(), view.Members(), mask)
+	d.Labels, d.Count = final.Components()
+	d.FinalMask = mask
+	d.CutEdges = d.Removed1 + d.Removed2 + d.Removed3
+	d.EpsAchieved = float64(d.CutEdges) / float64(view.UsableEdgeCount())
+	view.Members().ForEach(func(v int) {
+		if final.AliveDeg(v) == 0 {
+			d.Singletons++
+		}
+	})
+	return d
+}
+
+// state carries the evolving edge mask and accounting of one run.
 type state struct {
 	view    *graph.Sub
 	opt     Options
@@ -336,162 +314,159 @@ type state struct {
 	d       int
 	mask    []bool
 	root    *rng.RNG
-	stats   congest.Stats
 	seqNo   uint64
 	workers int
 }
 
-func (s *state) current() *graph.Sub {
-	return graph.NewSub(s.view.Base(), s.view.Members(), s.mask)
+// newState starts a run over view with at most d recursion levels
+// (clamped to 1), which split the eps/3 LDD budget: beta = eps/(3d).
+func newState(view *graph.Sub, opt Options, d int) *state {
+	d = max(d, 1)
+	return &state{
+		view:    view,
+		opt:     opt,
+		beta:    (opt.Eps / 3) / float64(d),
+		d:       d,
+		mask:    aliveMask(view),
+		root:    rng.New(opt.Seed),
+		workers: par.Workers(opt.Workers),
+	}
 }
 
-func (s *state) nextSeed() uint64 {
-	s.seqNo++
-	return s.root.Fork(s.seqNo).Uint64()
+// sub is the view of the run's members under mask.
+func (s *state) sub(mask []bool) *graph.Sub {
+	return graph.NewSub(s.view.Base(), s.view.Members(), mask)
 }
 
-// reserveSeeds claims a block of count consecutive stream ids from the
-// shared counter and returns the first; the caller derives seed j of its
-// block as root.Fork(first + j). Blocks are reserved in task order before
-// dispatch, which keeps the seed schedule independent of worker timing.
-func (s *state) reserveSeeds(count int) uint64 {
-	first := s.seqNo + 1
-	s.seqNo += uint64(count)
-	return first
+// drawSeeds draws the next n seeds from the shared stream counter.
+// Stages draw theirs in task order before dispatch, which keeps the seed
+// schedule independent of worker timing.
+func (s *state) drawSeeds(n int) []uint64 {
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		s.seqNo++
+		seeds[i] = s.root.Fork(s.seqNo).Uint64()
+	}
+	return seeds
+}
+
+// result is what one stage task hands back for the task-ordered merge:
+// its removals, the components they leave, and its CONGEST cost.
+type result struct {
+	log     removalLog
+	removed int64
+	comps   []*graph.VSet
+	stats   congest.Stats
+}
+
+// stage runs task i for every vertex-disjoint component comps[i] on the
+// worker pool, then ends sp, the stage's span. Each task runs under a
+// child span of sp named span (attribute task = i) and is handed a
+// pooled private copy of the shared mask and the view of comps[i] under
+// it; it marks its removals in that copy, and merge replays them onto
+// the shared mask. Results come back in task order. The error is ctx's,
+// else the first task error in task order.
+func (s *state) stage(ctx context.Context, sp *obs.Span, span string, comps []*graph.VSet,
+	task func(i int, view *graph.Sub, mask []bool) (result, error)) ([]result, error) {
+	outs := make([]result, len(comps))
+	errs := make([]error, len(comps))
+	err := par.ForEachContext(ctx, s.workers, len(comps), func(i int) {
+		defer sp.Child(span).AttrInt("task", i).End()
+		priv := acquireMask(s.mask)
+		defer releaseMask(priv)
+		outs[i], errs[i] = task(i, s.sub(*priv).Restrict(comps[i]), *priv)
+	})
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
+// merge folds a stage's results into the shared state in task order: it
+// replays each removal log onto the mask and returns the removal count,
+// the components the tasks left, and the stage's cost (sibling tasks run
+// side by side: max rounds, summed traffic).
+func (s *state) merge(outs []result) (removed int64, comps []*graph.VSet, stats congest.Stats) {
+	for i := range outs {
+		o := &outs[i]
+		o.log.applyTo(s.mask)
+		removed += o.removed
+		comps = append(comps, o.comps...)
+		stats.CombineParallel(o.stats)
+	}
+	return removed, comps, stats
 }
 
 // phase1Level runs one recursion level of Phase 1 over all live tasks:
-// the LDD step, then the sparse-cut step on each resulting component.
+// the LDD stage, then the sparse-cut stage on each resulting component.
 // It returns the tasks for the next level and the components entering
-// Phase 2. Both steps fan their vertex-disjoint tasks across the worker
-// pool; per-task seeds are drawn in task order before dispatch, each task
-// works on a pooled private copy of the stage-start mask, and removal
-// logs, cluster lists, and stats merge back in task order. Sibling costs
-// combine as max-rounds/summed-traffic; the two steps add.
-// lsp is the enclosing level's trace span (nil when tracing is off);
-// the LDD and sparse-cut stages each get a child with per-task spans.
+// Phase 2, and adds the removals and the two stages' costs to dec. lsp
+// is the level's trace span (nil when tracing is off); each stage gets a
+// child of it.
 func (s *state) phase1Level(ctx context.Context, tasks []*graph.VSet, dec *Decomposition, lsp *obs.Span) (next []*graph.VSet, phase2 []*graph.VSet, err error) {
 	g := s.view.Base()
 
-	type lddOut struct {
-		log     removalLog
-		removed int64
-		comps   []*graph.VSet
-		stats   congest.Stats
-		err     error
-	}
-	lddSeeds := make([]uint64, len(tasks))
-	for i := range tasks {
-		lddSeeds[i] = s.nextSeed()
-	}
-	lddOuts := make([]lddOut, len(tasks))
-	lddSpan := lsp.Child("core.ldd")
-	lddSpan.AttrInt("tasks", len(tasks))
-	if err := par.ForEachContext(ctx, s.workers, len(tasks), func(i int) {
-		defer lddSpan.Child("core.ldd.task").AttrInt("task", i).End()
-		o := &lddOuts[i]
-		u := tasks[i]
-		priv := acquireMask(s.mask)
-		defer releaseMask(priv)
-		sub := graph.NewSub(g, s.view.Members(), *priv).Restrict(u)
-		res, stats, err := s.subs.LDD(sub, s.beta, lddSeeds[i])
-		if err != nil {
-			o.err = fmt.Errorf("core: phase 1 LDD: %w", err)
-			return
-		}
-		o.stats = stats
-		// Remove-1: inter-cluster edges.
-		o.removed = o.log.removeInterLabel(g, *priv, u, res.Labels)
-		o.comps = splitComponents(graph.NewSub(g, s.view.Members(), *priv), u)
-	}); err != nil {
-		lddSpan.End()
+	seeds := s.drawSeeds(len(tasks))
+	outs, err := s.stage(ctx, lsp.Child("core.ldd").AttrInt("tasks", len(tasks)), "core.ldd.task", tasks,
+		func(i int, view *graph.Sub, mask []bool) (r result, err error) {
+			res, stats, err := s.subs.LDD(view, s.beta, seeds[i])
+			if err != nil {
+				return r, fmt.Errorf("core: phase 1 LDD: %w", err)
+			}
+			r.stats = stats
+			// Remove-1: inter-cluster edges.
+			r.removed = r.log.removeInterLabel(g, mask, tasks[i], res.Labels)
+			r.comps = splitComponents(s.sub(mask), tasks[i])
+			return r, nil
+		})
+	if err != nil {
 		return nil, nil, err
 	}
-	lddSpan.End()
-	var lddPar congest.Stats
-	var afterLDD []*graph.VSet
-	for i := range lddOuts {
-		o := &lddOuts[i]
-		if o.err != nil {
-			return nil, nil, o.err
-		}
-		lddPar.CombineParallel(o.stats)
-		o.log.applyTo(s.mask)
-		dec.Removed1 += o.removed
-		afterLDD = append(afterLDD, o.comps...)
-	}
+	removed, afterLDD, lddStats := s.merge(outs)
+	dec.Removed1 += removed
 
-	const (
-		cutFinal = iota
-		cutSmall
-		cutRemoved
-	)
-	type cutOut struct {
-		kind    int
-		log     removalLog
-		removed int64
-		comps   []*graph.VSet
-		stats   congest.Stats
-		err     error
-	}
-	cutSeeds := make([]uint64, len(afterLDD))
-	for i := range afterLDD {
-		cutSeeds[i] = s.nextSeed()
-	}
-	cutOuts := make([]cutOut, len(afterLDD))
-	cutSpan := lsp.Child("core.cut")
-	cutSpan.AttrInt("tasks", len(afterLDD))
-	if err := par.ForEachContext(ctx, s.workers, len(afterLDD), func(i int) {
-		defer cutSpan.Child("core.cut.task").AttrInt("task", i).End()
-		o := &cutOuts[i]
-		u := afterLDD[i]
-		priv := acquireMask(s.mask)
-		defer releaseMask(priv)
-		sub := graph.NewSub(g, s.view.Members(), *priv).Restrict(u)
-		cut, stats, err := s.subs.SparseCut(sub, u, s.ladder[0], cutSeeds[i])
-		if err != nil {
-			o.err = fmt.Errorf("core: phase 1 sparse cut: %w", err)
-			return
-		}
-		o.stats = stats
-		switch {
-		case cut.Empty():
-			// Final component: conductance certified at phi_0 >= phi_k.
-			o.kind = cutFinal
-		case float64(g.Vol(cut.C)) <= s.opt.Eps/12*float64(g.Vol(u)):
-			// Small cut: enter Phase 2 WITHOUT removing the cut edges.
-			o.kind = cutSmall
-		default:
-			// Remove-2 and recurse on both sides.
-			o.kind = cutRemoved
-			o.removed = o.log.removeCut(g, *priv, u, cut.C)
-			rest := u.Minus(cut.C)
-			after := graph.NewSub(g, s.view.Members(), *priv)
-			o.comps = append(splitComponents(after, cut.C), splitComponents(after, rest)...)
-		}
-	}); err != nil {
-		cutSpan.End()
+	seeds = s.drawSeeds(len(afterLDD))
+	small := make([]bool, len(afterLDD))
+	outs, err = s.stage(ctx, lsp.Child("core.cut").AttrInt("tasks", len(afterLDD)), "core.cut.task", afterLDD,
+		func(i int, view *graph.Sub, mask []bool) (r result, err error) {
+			u := afterLDD[i]
+			cut, stats, err := s.subs.SparseCut(view, u, s.ladder[0], seeds[i])
+			if err != nil {
+				return r, fmt.Errorf("core: phase 1 sparse cut: %w", err)
+			}
+			r.stats = stats
+			switch {
+			case cut.Empty():
+				// Final component: conductance certified at phi_0 >= phi_k.
+			case float64(g.Vol(cut.C)) <= s.opt.Eps/12*float64(g.Vol(u)):
+				// Small cut: enter Phase 2 WITHOUT removing the cut edges.
+				small[i] = true
+			default:
+				// Remove-2 and recurse on both sides.
+				r.removed = r.log.removeCut(g, mask, u, cut.C)
+				after := s.sub(mask)
+				r.comps = append(splitComponents(after, cut.C), splitComponents(after, u.Minus(cut.C))...)
+			}
+			return r, nil
+		})
+	if err != nil {
 		return nil, nil, err
 	}
-	cutSpan.End()
-	var cutPar congest.Stats
-	for i := range cutOuts {
-		o := &cutOuts[i]
-		if o.err != nil {
-			return nil, nil, o.err
-		}
-		cutPar.CombineParallel(o.stats)
-		switch o.kind {
-		case cutSmall:
-			phase2 = append(phase2, afterLDD[i])
-		case cutRemoved:
-			o.log.applyTo(s.mask)
-			dec.Removed2 += o.removed
-			next = append(next, o.comps...)
+	for i, u := range afterLDD {
+		if small[i] {
+			phase2 = append(phase2, u)
 		}
 	}
-	s.stats.Add(lddPar)
-	s.stats.Add(cutPar)
+	removed, next, cutStats := s.merge(outs)
+	dec.Removed2 += removed
+	dec.Stats.Add(lddStats)
+	dec.Stats.Add(cutStats)
 	return next, phase2, nil
 }
 
@@ -507,77 +482,63 @@ func (s *state) phase2Tau(u *graph.VSet) float64 {
 
 // phase2Budget is the deterministic iteration safety cap of Phase 2 on u:
 // each level survives at most 2*tau productive iterations (Lemma 2) plus
-// level bumps. It doubles as the size of the seed block reserved per
+// level bumps. It doubles as the size of the seed block drawn per
 // component, so the seed schedule never depends on how many iterations a
 // sibling actually used.
 func (s *state) phase2Budget(u *graph.VSet) int {
 	return s.opt.K*(int(2*s.phase2Tau(u))+4) + 8
 }
 
-// phase2Out is what one Phase 2 component task reports back for the
-// task-ordered merge.
-type phase2Out struct {
-	log     removalLog
-	removed int64
-	iters   int
-	stats   congest.Stats
-	err     error
-}
-
-// phase2 runs the level ladder on one component U (the paper's G*) over a
-// private mask copy; iteration seeds come from the component's reserved
-// block. ctx is probed before every iteration.
-func (s *state) phase2(ctx context.Context, u *graph.VSet, maxIters int, seedBase uint64) (out phase2Out) {
+// phase2 runs the level ladder on one component U (the paper's G*) on
+// the task's private mask; iteration j draws seeds[j], and the block's
+// length caps the iterations. ctx is probed before every iteration.
+//
+// The paper lets Phase 2 communicate over all of G*'s edges even when U'
+// shrinks; comm is G{U} under the current mask (alive edges of U), which
+// is a subset only by the Remove-3 edges of already-peeled satellites —
+// their endpoints are isolated singletons that take no further part
+// either way.
+func (s *state) phase2(ctx context.Context, u *graph.VSet, comm *graph.Sub, mask []bool, seeds []uint64) (r result, iters int, err error) {
 	g := s.view.Base()
-	volU := float64(g.Vol(u))
-	k := s.opt.K
 	tau := s.phase2Tau(u)
-	mL := s.opt.Eps / 6 * volU // m_1
+	mL := s.opt.Eps / 6 * float64(g.Vol(u)) // m_1
 	level := 1
 	active := u.Clone()
-	priv := acquireMask(s.mask)
-	defer releaseMask(priv)
-	for out.iters < maxIters {
+	for iters < len(seeds) {
 		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
+			return r, iters, err
 		}
-		seed := s.root.Fork(seedBase + uint64(out.iters)).Uint64()
-		out.iters++
-		// The paper lets Phase 2 communicate over all of G*'s edges even
-		// when U' shrinks; we pass G{U} under the current mask (alive
-		// edges of U), which is a subset only by the Remove-3 edges of
-		// already-peeled satellites — their endpoints are isolated
-		// singletons that take no further part either way.
-		comm := graph.NewSub(g, s.view.Members(), *priv).Restrict(u)
+		seed := seeds[iters]
+		iters++
 		cut, cs, err := s.subs.SparseCut(comm, active, s.ladder[level], seed)
 		if err != nil {
-			out.err = fmt.Errorf("core: phase 2 sparse cut: %w", err)
-			return out
+			return r, iters, fmt.Errorf("core: phase 2 sparse cut: %w", err)
 		}
-		out.stats.Add(cs)
+		r.stats.Add(cs)
 		switch {
 		case cut.Empty():
-			return out
+			return r, iters, nil
 		case float64(g.Vol(cut.C)) <= mL/(2*tau):
-			if level == k {
+			if level == s.opt.K {
 				// m_k/(2 tau) < 1 in the paper, so this cannot recur;
 				// with practical constants guard explicitly.
-				return out
+				return r, iters, nil
 			}
 			level++
 			mL /= tau
 		default:
 			// Remove-3: peel C entirely; its vertices become
 			// singletons.
-			out.removed += out.log.removeIncident(g, *priv, u, cut.C)
+			r.removed += r.log.removeIncident(g, mask, u, cut.C)
 			active.RemoveAll(cut.C)
 			if active.Empty() {
-				return out
+				return r, iters, nil
 			}
+			// A view caches what it derives from the mask: rebuild it.
+			comm = s.sub(mask).Restrict(u)
 		}
 	}
-	return out
+	return r, iters, nil
 }
 
 // removalLog is one task's private record of edge removals. Tasks operate

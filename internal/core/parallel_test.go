@@ -35,9 +35,6 @@ func decomposeSerialReimpl(view *graph.Sub, opt Options, subs Subroutines) (*Dec
 	if d < 1 {
 		d = 1
 	}
-	if opt.MaxPhase1Depth > 0 && d > opt.MaxPhase1Depth {
-		d = opt.MaxPhase1Depth
-	}
 	beta := (opt.Eps / 3) / float64(d)
 	logM := math.Log2(m)
 	if logM < 1 {
