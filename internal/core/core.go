@@ -304,7 +304,8 @@ func (d *Decomposition) finish(view *graph.Sub, mask []bool) *Decomposition {
 	return d
 }
 
-// state carries the evolving edge mask and accounting of one run.
+// state carries one run's parameters, its evolving edge mask and its
+// seed stream.
 type state struct {
 	view    *graph.Sub
 	opt     Options

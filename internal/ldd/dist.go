@@ -2,7 +2,6 @@ package ldd
 
 import (
 	"fmt"
-	"slices"
 
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
@@ -118,16 +117,15 @@ func distBallEdges(topo *congest.Topology, view *graph.Sub, radius, tau int, see
 		for phase := 0; phase < radius; phase++ {
 			// Stream the set held at the start of the phase (or the
 			// overflow marker) to every neighbor, one item per round, for
-			// tau+1 rounds, in edge-key order. An overflow learned during
-			// the phase is sent from the next one on, so what a neighbor
-			// learns never depends on arrival order.
+			// tau+1 rounds. An overflow learned during the phase is sent
+			// from the next phase on, so what a neighbor learns does not
+			// depend on the order messages arrive in.
 			sendOver := over
-			items := make([]edgeKey, 0, len(known))
+			items := make([][2]int32, 0, len(known))
 			if !sendOver {
-				for k := range known {
-					items = append(items, k)
+				for _, e := range known {
+					items = append(items, e)
 				}
-				slices.Sort(items)
 			}
 			for r := 0; r <= tau; r++ {
 				switch {
@@ -136,9 +134,8 @@ func distBallEdges(topo *congest.Topology, view *graph.Sub, radius, tau int, see
 						nd.Send(p, star, star)
 					}
 				case !sendOver && r < len(items):
-					e := known[items[r]]
 					for p := 0; p < nd.Degree(); p++ {
-						nd.Send(p, int64(e[0]), int64(e[1]))
+						nd.Send(p, int64(items[r][0]), int64(items[r][1]))
 					}
 				}
 				for _, msg := range nd.Next() {
