@@ -3,9 +3,10 @@
 // decomposition statistics and quality certificate.
 //
 // The -backend flag selects the decomposition backend from the core
-// registry ("cs19", "det", "par-cmps") or "auto", which serves the
-// cheapest backend whose measured inter-cluster fraction meets the
-// -max-eps bound (default: -eps).
+// registry ("cs19", "det", "par-cmps") or "auto", which probes par-cmps,
+// cs19 and det in that order and serves the first whose measured
+// inter-cluster fraction meets the -max-eps bound (default: -eps). A
+// fixed backend is held to -max-eps too when it is set.
 //
 // Examples:
 //
@@ -15,6 +16,8 @@
 package main
 
 import (
+	"cmp"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +40,7 @@ func run() error {
 	var (
 		eps    = flag.Float64("eps", 0.6, "target inter-cluster edge fraction")
 		k      = flag.Int("k", 2, "Theorem 1 trade-off parameter")
-		maxEps = flag.Float64("max-eps", 0, "inter-cluster fraction bound auto selection verifies against (0 means -eps)")
+		maxEps = flag.Float64("max-eps", 0, "inter-cluster fraction bound the backend's result must meet (0: -eps for auto, unchecked for a fixed backend)")
 		dist   = flag.Bool("dist", false, "run the distributed (CONGEST) subroutines and report rounds (cs19 only)")
 		dot    = flag.String("dot", "", "write the decomposition as Graphviz DOT to this file")
 	)
@@ -48,6 +51,9 @@ func run() error {
 	if *dist && bf.Backend != "cs19" {
 		return fmt.Errorf("-dist implements only the cs19 backend, not %q", bf.Backend)
 	}
+	if *dist && *maxEps != 0 {
+		return fmt.Errorf("-max-eps does not apply to -dist")
+	}
 
 	g, err := gf.Build()
 	if err != nil {
@@ -57,23 +63,13 @@ func run() error {
 	view := graph.WholeGraph(g)
 	opt := core.Options{Eps: *eps, K: *k, Preset: nibble.Practical, Seed: gf.Seed}
 	var dec *core.Decomposition
-	switch {
-	case *dist:
+	if *dist {
 		dec, err = core.Decompose(view, opt, dnibble.DistSubroutines{Preset: nibble.Practical})
-	case bf.Backend == "auto":
-		bound := *maxEps
-		if bound == 0 {
-			bound = *eps
-		}
-		var selected string
-		dec, _, selected, err = core.DecomposeAuto(view, opt, bound)
-		if err == nil {
-			fmt.Printf("backend:         %s (auto, verified inter-fraction <= %v)\n", selected, bound)
-		}
-	default:
-		var b core.Backend
-		if b, err = core.LookupBackend(bf.Backend); err == nil {
-			dec, _, err = b.Decompose(view, opt)
+	} else {
+		var served string
+		dec, served, err = core.RunBackend(context.Background(), view, opt, bf.Backend, *maxEps)
+		if err == nil && bf.Backend == "auto" {
+			fmt.Printf("backend:         %s (auto, verified inter-fraction <= %v)\n", served, cmp.Or(*maxEps, *eps))
 		}
 	}
 	if err != nil {
@@ -82,8 +78,9 @@ func run() error {
 	if err := dec.CheckPartition(view); err != nil {
 		return fmt.Errorf("internal: invalid partition: %w", err)
 	}
+	q := dec.Evaluate(view)
 	fmt.Printf("components:      %d (largest %d, singletons %d)\n",
-		dec.Count, dec.Evaluate(view).LargestComponent, dec.Singletons)
+		dec.Count, q.LargestComponent, dec.Singletons)
 	fmt.Printf("eps achieved:    %.4f (target %.4f)\n", dec.EpsAchieved, *eps)
 	fmt.Printf("phi target:      %.6f (ladder %v)\n", dec.PhiTarget, dec.PhiLadder)
 	fmt.Printf("removed edges:   %d (LDD %d, phase-1 cuts %d, phase-2 peels %d)\n",
@@ -93,7 +90,7 @@ func run() error {
 	if *dist {
 		fmt.Printf("CONGEST rounds:  %d (messages %d)\n", dec.Stats.Rounds, dec.Stats.Messages)
 	}
-	fmt.Println("quality:        ", dec.Evaluate(view))
+	fmt.Println("quality:        ", q)
 	if *dot != "" {
 		f, err := os.Create(*dot)
 		if err != nil {

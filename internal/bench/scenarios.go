@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"dexpander/internal/congest"
@@ -237,69 +238,40 @@ func DecompositionScenarios() []Scenario {
 // to serial on every CI run.
 func DecompositionAlgorithms() []Algorithm {
 	return []Algorithm{
-		{Name: "decompose-seq", Run: decomposeCell(1)},
-		{Name: "decompose-par", Run: decomposeCell(0)},
-		{Name: "decompose-det", Run: decomposeBackendCell("det")},
-		{Name: "decompose-cmps", Run: decomposeBackendCell("par-cmps")},
+		{Name: "decompose-seq", Run: decomposeCell("cs19", 1)},
+		{Name: "decompose-par", Run: decomposeCell("cs19", 0)},
+		{Name: "decompose-det", Run: decomposeCell("det", 0)},
+		{Name: "decompose-cmps", Run: decomposeCell("par-cmps", 0)},
 		{Name: "partition-seq", Run: runPartitionSeq},
 		{Name: "enumerate-seq", Run: enumerateCell(1)},
 		{Name: "enumerate-par", Run: enumerateCell(0)},
 	}
 }
 
-// decomposeCell runs the Theorem 1 pipeline with the given worker count
-// (1 = inline serial, 0 = GOMAXPROCS) and digests its full structural
-// output.
-func decomposeCell(workers int) func(view *graph.Sub, seed uint64) (Result, error) {
+// decomposeCell runs the named registry backend with the given worker
+// count (1 = inline serial, 0 = GOMAXPROCS) and digests its full
+// structural output. The cell errors unless the decomposition is a valid
+// partition whose measured inter-cluster fraction meets eps, the call's
+// bound. The decompose-det cell's checksum is pinned in the baseline (and
+// measure() re-runs every cell), so CI proves the det backend byte-stable
+// run over run AND release over release.
+func decomposeCell(backend string, workers int) func(view *graph.Sub, seed uint64) (Result, error) {
 	return func(view *graph.Sub, seed uint64) (Result, error) {
 		opt := core.Options{Eps: 0.4, K: 2, Preset: nibble.Practical, Seed: seed, Workers: workers}
-		dec, err := core.Decompose(view, opt, core.SeqSubroutines{Preset: nibble.Practical, Workers: workers})
+		dec, _, err := core.RunBackend(context.Background(), view, opt, backend, opt.Eps)
 		if err != nil {
 			return Result{}, err
 		}
-		return decomposeResult(view, dec, opt.Eps)
-	}
-}
-
-// decomposeBackendCell runs the named registry backend and digests its
-// full structural output the same way as decomposeCell, with the quality
-// cross-check: every cell errors unless the decomposition is a valid
-// partition whose measured inter-cluster fraction meets eps. The
-// decompose-det cell's checksum is pinned in the baseline (and measure()
-// re-runs every cell), so CI proves the det backend byte-stable run over
-// run AND release over release.
-func decomposeBackendCell(backend string) func(view *graph.Sub, seed uint64) (Result, error) {
-	return func(view *graph.Sub, seed uint64) (Result, error) {
-		b, err := core.LookupBackend(backend)
-		if err != nil {
-			return Result{}, err
+		if err := dec.CheckPartition(view); err != nil {
+			return Result{}, fmt.Errorf("invalid partition: %w", err)
 		}
-		opt := core.Options{Eps: 0.4, K: 2, Preset: nibble.Practical, Seed: seed}
-		dec, _, err := b.Decompose(view, opt)
-		if err != nil {
-			return Result{}, err
+		words := make([]uint64, 0, len(dec.Labels)+2)
+		words = append(words, uint64(dec.Count), uint64(dec.CutEdges))
+		for _, l := range dec.Labels {
+			words = append(words, uint64(int64(l)))
 		}
-		return decomposeResult(view, dec, opt.Eps)
+		return Result{Checksum: triangle.HashWords(words...)}, nil
 	}
-}
-
-// decomposeResult validates and digests one decomposition cell: the
-// partition must be structurally valid and its independently recomputed
-// inter-cluster fraction within eps, then the checksum digests the full
-// structural output (count, cut edges, labels).
-func decomposeResult(view *graph.Sub, dec *core.Decomposition, eps float64) (Result, error) {
-	if err := dec.CheckPartition(view); err != nil {
-		return Result{}, fmt.Errorf("invalid partition: %w", err)
-	}
-	if q := dec.Evaluate(view); q.InterFraction > eps {
-		return Result{}, fmt.Errorf("inter-cluster fraction %.4f above eps %v", q.InterFraction, eps)
-	}
-	words := make([]uint64, 0, len(dec.Labels)+2)
-	words = append(words, uint64(dec.Count), uint64(dec.CutEdges))
-	for _, l := range dec.Labels {
-		words = append(words, uint64(int64(l)))
-	}
-	return Result{Checksum: triangle.HashWords(words...)}, nil
 }
 
 // enumerateCell runs the Theorem 2 pipeline with the given worker count;

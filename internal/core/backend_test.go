@@ -40,26 +40,21 @@ func TestBackendRegistry(t *testing.T) {
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("BackendNames() = %v, want %v", names, want)
 	}
+	view := graph.WholeGraph(gen.Complete(8))
+	opt := Options{Eps: 0.4, K: 2, Preset: nibble.Practical, Seed: 1}
 	for _, name := range names {
-		b, err := LookupBackend(name)
-		if err != nil {
+		if _, err := LookupBackend(name); err != nil {
 			t.Fatal(err)
 		}
-		if b.Info().Name != name {
-			t.Fatalf("backend registered under %q reports name %q", name, b.Info().Name)
+		if _, served, err := RunBackend(context.Background(), view, opt, name, 0); err != nil || served != name {
+			t.Fatalf("RunBackend(%s) served %q, error %v", name, served, err)
 		}
 	}
 	if _, err := LookupBackend("nope"); err == nil {
 		t.Fatal("LookupBackend(nope) succeeded")
 	}
-	byCost := BackendsByCost()
-	for i := 1; i < len(byCost); i++ {
-		if byCost[i-1].Info().CostHint > byCost[i].Info().CostHint {
-			t.Fatalf("BackendsByCost not ascending: %v", byCost)
-		}
-	}
-	if det, _ := LookupBackend("det"); !det.Info().Deterministic {
-		t.Fatal("det backend not marked Deterministic")
+	if _, _, err := RunBackend(context.Background(), view, opt, "nope", 0); err == nil {
+		t.Fatal("RunBackend(nope) succeeded")
 	}
 }
 
@@ -87,27 +82,28 @@ func TestOptionsValidationTyped(t *testing.T) {
 		if _, err := Decompose(view, tc.opt, SeqSubroutines{Preset: nibble.Practical}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Decompose error %v, want %v", tc.name, err, tc.want)
 		}
-		// Every backend front door rejects the same way, before any work.
-		for _, name := range BackendNames() {
-			b, _ := LookupBackend(name)
-			if _, _, err := b.Decompose(view, tc.opt); !errors.Is(err, tc.want) {
+		// Every backend rejects the same way, before any work, auto
+		// included.
+		for _, name := range append(BackendNames(), "auto") {
+			if _, _, err := RunBackend(context.Background(), view, tc.opt, name, 0); !errors.Is(err, tc.want) {
 				t.Errorf("%s: backend %s error %v, want %v", tc.name, name, err, tc.want)
 			}
 		}
 	}
-	// A valid request under a canceled context is refused with the
-	// context's error at every front door, auto included.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
 	opt := Options{Eps: 0.4, K: 2, Preset: nibble.Practical, Seed: 1}
-	for _, name := range BackendNames() {
-		b, _ := LookupBackend(name)
-		if _, _, err := b.DecomposeContext(canceled, view, opt); !errors.Is(err, context.Canceled) {
-			t.Errorf("pre-canceled: backend %s error %v, want context.Canceled", name, err)
+	for _, bound := range []float64{-0.1, 1, math.NaN()} {
+		if _, _, err := RunBackend(context.Background(), view, opt, "cs19", bound); !errors.Is(err, ErrBadEps) {
+			t.Errorf("bound %v: error %v, want ErrBadEps", bound, err)
 		}
 	}
-	if _, _, _, err := DecomposeAutoContext(canceled, view, opt, 0.4); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled: auto error %v, want context.Canceled", err)
+	// A valid request under a canceled context is refused with the
+	// context's error by every backend, auto included.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range append(BackendNames(), "auto") {
+		if _, _, err := RunBackend(canceled, view, opt, name, 0); !errors.Is(err, context.Canceled) {
+			t.Errorf("pre-canceled: backend %s error %v, want context.Canceled", name, err)
+		}
 	}
 }
 
@@ -163,7 +159,7 @@ func TestBackendQualityContract(t *testing.T) {
 					t.Fatalf("%s/%s seed %d: %v", fam, name, seed, err)
 				}
 				if seed == seeds[0] {
-					withCtx, _, err := b.DecomposeContext(live, view, opt)
+					withCtx, _, err := RunBackend(live, view, opt, name, eps)
 					if err != nil {
 						t.Fatalf("%s/%s under a live context: %v", fam, name, err)
 					}
@@ -257,14 +253,27 @@ func TestDecomposeAuto(t *testing.T) {
 		t.Fatalf("auto-selected %s violates bound: %v", name, q.InterFraction)
 	}
 
-	// A connected expander needs no cuts, so the cheapest backend wins.
+	// A connected expander needs no cuts, so the head of the probe list
+	// serves.
 	exp := graph.WholeGraph(gen.Complete(16))
 	_, _, cheap, err := DecomposeAuto(exp, opt, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := BackendsByCost()[0].Info().Name; cheap != want {
+	if want := backends[0].name; cheap != want {
 		t.Fatalf("auto on an expander selected %s, want cheapest %s", cheap, want)
+	}
+
+	// A bound below eps that par-cmps misses (inter-fraction 0.0905)
+	// falls through to cs19 (0.0101), not to the slower det, which meets
+	// it too.
+	path200 := graph.WholeGraph(gen.Path(200))
+	dec, _, name, err = DecomposeAuto(path200, Options{Eps: 0.9, K: 2, Preset: nibble.Practical, Seed: 1}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := dec.InterFraction(path200); name != "cs19" || f > 0.05 {
+		t.Fatalf("auto on path-200 at bound 0.05 served %s at inter-fraction %v, want cs19 within the bound", name, f)
 	}
 
 	// An unreachable bound must fail with every attempt reported, not

@@ -24,8 +24,8 @@ import (
 // endpoints.
 //
 // No Nibble walks, no conductance ladder — one clustering sweep per
-// round, which is why this is the fast host path (CostHint below both
-// Theorem 1 backends). The quality trade: components are low-diameter
+// round, which is why this is the fast host path and heads auto's probe
+// list. The quality trade: components are low-diameter
 // rather than conductance-certified, so Quality.MinPhiLower is whatever
 // Evaluate measures, not a construction guarantee. The eps side IS
 // guaranteed, deterministically: each round's expected removals are at

@@ -26,11 +26,16 @@
 // combine as the maximum while their traffic sums
 // (congest.Stats.CombineParallel), and successive steps add.
 //
-// One level up, every way of producing a Decomposition is a Backend — a
-// BackendInfo plus the function that runs it — registered in a closed
-// static registry the way gen's family registry works (LookupBackend,
-// BackendNames, BackendsByCost):
+// One level up, every way of producing a Decomposition is a Backend,
+// registered in a closed static list the way gen's family registry works
+// (LookupBackend, BackendNames), and RunBackend is the one way to run
+// them:
 //
+//   - "par-cmps" is the simple near-optimal parallel decomposition of
+//     Chen–Meierhans–Probst Gutenberg–Saranurak (arXiv 2410.13451):
+//     repeated low-diameter clustering with boundary-linked recursion
+//     (the implicit-self-loop machinery below IS the boundary linking)
+//     under a hard edge-removal budget — the fast host path.
 //   - "cs19" is this randomized pipeline with the sequential reference
 //     subroutines — the paper's algorithm, seeded.
 //   - "det" runs the same orchestration with derandomized subroutines
@@ -38,22 +43,19 @@
 //     LDD, a greedy deterministic sweep-cut schedule in place of the
 //     Nibble random walks): zero RNG dependence, so the output is
 //     bit-identical for every Seed, worker count, and process.
-//   - "par-cmps" is the simple near-optimal parallel decomposition of
-//     Chen–Meierhans–Probst Gutenberg–Saranurak (arXiv 2410.13451):
-//     repeated low-diameter clustering with boundary-linked recursion
-//     (the implicit-self-loop machinery below IS the boundary linking)
-//     under a hard edge-removal budget — the fast host path.
 //
-// DecomposeAuto picks the cheapest backend whose independently measured
+// RunBackend with "auto" probes the list in that order, cheapest first as
+// measured, and serves the first backend whose independently measured
 // inter-cluster fraction (Decomposition.InterFraction, recomputed from
-// the final mask) meets a requested bound; the service's backend=auto is
-// exactly this call.
+// the final mask) meets a requested bound; a named backend is held to the
+// same bound when one is given. The service and the expanderdecomp
+// command make exactly this call.
 //
-// Cancellation and tracing ride the context: DecomposeContext,
-// DecomposeAutoContext and Backend.DecomposeContext probe ctx between
-// subroutine calls and hang their phase spans under the span ctx carries
-// (obs.SpanFromContext). The ctx-free names run under
-// context.Background. Neither alters an uncanceled output.
+// Cancellation and tracing ride the context: DecomposeContext and
+// RunBackend probe ctx between subroutine calls and hang their phase
+// spans under the span ctx carries (obs.SpanFromContext). The ctx-free
+// names run under context.Background. Neither alters an uncanceled
+// output.
 //
 // The host-side execution exploits the same structure the accounting
 // models: every backend's work is a sequence of stages, each one task per

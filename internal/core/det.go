@@ -40,9 +40,9 @@ func (d detSubroutines) SparseCut(comm *graph.Sub, active *graph.VSet, phi float
 // decomposeDet runs the "det" backend, the deterministic decomposition
 // variant: identical output for any Seed, worker count, GOMAXPROCS, and
 // process.
-func decomposeDet(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, congest.Stats, error) {
+func decomposeDet(ctx context.Context, view *graph.Sub, opt Options) (*Decomposition, error) {
 	// The subroutines ignore every seed drawn from opt.Seed; pin it so
 	// even the (unobservable) draw schedule is one fixed sequence.
 	opt.Seed = 1
-	return withStats(DecomposeContext(ctx, view, opt, detSubroutines{preset: opt.Preset}))
+	return DecomposeContext(ctx, view, opt, detSubroutines{preset: opt.Preset})
 }

@@ -53,9 +53,6 @@ type Params struct {
 	Gamma float64
 	// EpsBase determines the truncation threshold eps_b = EpsBase / 2^b.
 	EpsBase float64
-	// FPhi is f(phi) = phi^3 / (144 ln^2(|E|e^4)), the conductance any
-	// target cut S must satisfy for the guarantees to kick in.
-	FPhi float64
 	// W is the per-edge participation cap in ParallelNibble
 	// (paper: 10 ceil(ln Vol(V))).
 	W int
@@ -124,7 +121,6 @@ func PaperParams(view *graph.Sub, phi float64) Params {
 		Ell:      max(1, int(math.Ceil(math.Log2(m)))),
 		Gamma:    5 * phi / (7 * 7 * 8 * lnm4),
 		EpsBase:  phi / (7 * 8 * lnm4 * float64(t0)),
-		FPhi:     phi * phi * phi / (144 * lnm4 * lnm4),
 		W:        10 * int(math.Ceil(math.Log(vol))),
 		CCut:     276,
 		FailProb: 1e-9,
@@ -153,7 +149,6 @@ func PracticalParams(view *graph.Sub, phi float64) Params {
 		Ell:       max(1, int(math.Ceil(math.Log2(m)))),
 		Gamma:     5 * phi / (7 * 7 * 8 * lnm4),
 		EpsBase:   phi / (7 * 8 * lnm4 * float64(t0)),
-		FPhi:      phi * phi * phi / (144 * lnm4 * lnm4),
 		W:         max(4, int(math.Ceil(math.Log(vol)))),
 		KCap:      32,
 		SCap:      48,

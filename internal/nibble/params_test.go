@@ -29,8 +29,8 @@ func TestPaperParamsFormulas(t *testing.T) {
 	if want := phi / (56 * lnm4 * float64(pr.T0)); math.Abs(pr.EpsBase-want) > 1e-18 {
 		t.Errorf("EpsBase = %v, want %v", pr.EpsBase, want)
 	}
-	if want := phi * phi * phi / (144 * lnm4 * lnm4); math.Abs(pr.FPhi-want) > 1e-18 {
-		t.Errorf("FPhi = %v, want %v", pr.FPhi, want)
+	if want, got := phi*phi*phi/(144*lnm4*lnm4), F(view, phi); math.Abs(got-want) > 1e-18 {
+		t.Errorf("F = %v, want %v", got, want)
 	}
 	if want := 10 * int(math.Ceil(math.Log(380.0))); pr.W != want {
 		t.Errorf("W = %d, want %d", pr.W, want)

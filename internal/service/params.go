@@ -124,15 +124,16 @@ type DecomposeParams struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Backend names the decomposition backend: one of
 	// core.BackendNames() ("cs19", "det", "par-cmps") or "auto", which
-	// tries backends cheapest-first and serves the first one whose
-	// measured inter-cluster fraction meets the quality bound. Default
-	// "cs19", the pre-registry behavior.
+	// probes par-cmps, cs19 and det in that order (cheapest first, as
+	// measured) and serves the first one whose measured inter-cluster
+	// fraction meets the quality bound. Default "cs19", the
+	// pre-registry behavior.
 	Backend string `json:"backend,omitempty"`
-	// MaxEpsFraction is the quality bound auto selection verifies
-	// against, and a served-result guarantee for the fixed backends: a
-	// result whose measured inter-cluster fraction exceeds it is an
-	// error, never served (or cached). 0 (the default) disables the
-	// check for fixed backends and makes auto verify against Eps.
+	// MaxEpsFraction is the quality bound core.RunBackend verifies every
+	// backend against, auto and fixed alike: a result whose measured
+	// inter-cluster fraction exceeds it is an error, never served (or
+	// cached). 0 (the default) disables the check for fixed backends and
+	// makes auto verify against Eps.
 	MaxEpsFraction float64 `json:"max_eps_fraction,omitempty"`
 }
 
@@ -180,47 +181,20 @@ func (p DecomposeParams) canon() string {
 		p.Backend, p.Eps, p.K, p.MaxEpsFraction, p.Seed)
 }
 
-// run executes the selected decomposition backend. The checksum digests
-// the full structural output exactly like the bench matrix's decompose
-// cells: HashWords(count, cutEdges, labels...). backend=auto dispatches
-// through core.DecomposeAutoContext, so the served result provably
-// satisfies the quality bound (MaxEpsFraction, or Eps when unset); a
-// fixed backend with MaxEpsFraction set gets the same post-verification
-// (Decomposition.InterFraction), as a hard error.
+// run executes the selected decomposition backend through
+// core.RunBackend, so the served result provably satisfies the quality
+// bound (MaxEpsFraction, or Eps for auto when unset). The checksum
+// digests the full structural output exactly like the bench matrix's
+// decompose cells: HashWords(count, cutEdges, labels...).
 func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	sp := obs.SpanFromContext(ctx).Child("decompose")
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	opt := core.Options{Eps: p.Eps, K: p.K, Preset: nibble.Practical, Seed: p.Seed}
 	start := time.Now()
-	var dec *core.Decomposition
-	var served string
-	var err error
-	if p.Backend == "auto" {
-		bound := p.MaxEpsFraction
-		if bound == 0 {
-			bound = p.Eps
-		}
-		dec, _, served, err = core.DecomposeAutoContext(ctx, view, opt, bound)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, lookErr := core.LookupBackend(p.Backend)
-		if lookErr != nil {
-			return nil, lookErr
-		}
-		served = p.Backend
-		dec, _, err = b.DecomposeContext(ctx, view, opt)
-		if err != nil {
-			return nil, err
-		}
-		if p.MaxEpsFraction > 0 {
-			if f := dec.InterFraction(view); f > p.MaxEpsFraction {
-				return nil, fmt.Errorf("service: backend %s inter-cluster fraction %.4f exceeds max_eps_fraction %v",
-					served, f, p.MaxEpsFraction)
-			}
-		}
+	dec, served, err := core.RunBackend(ctx, view, opt, p.Backend, p.MaxEpsFraction)
+	if err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	sp.Attr("backend", served)

@@ -17,16 +17,6 @@ import (
 
 // Options configures the CONGEST enumeration.
 type Options struct {
-	// Eps is the decomposition target (paper: <= 1/6 so that the E*
-	// recursion halves). Defaults to 1/6.
-	Eps float64
-	// K is the decomposition trade-off parameter. Defaults to 2.
-	K int
-	// RouterK is the GKS trade-off parameter for the per-component
-	// routing structure (hub count ~ m^{1/RouterK}). Defaults to 2.
-	RouterK int
-	// Preset selects constants. Defaults to Practical.
-	Preset nibble.Preset
 	// Seed drives all randomness.
 	Seed uint64
 	// Subs overrides the decomposition subroutines (defaults to the
@@ -40,30 +30,31 @@ type Options struct {
 	Workers int
 }
 
+// Enumerate's fixed parameters.
+const (
+	// decompEps is each level's decomposition target (paper: <= 1/6 so
+	// that the E* recursion halves).
+	decompEps = 1.0 / 6.0
+	// decompK is the decomposition's trade-off parameter.
+	decompK = 2
+	// routerK is the GKS trade-off parameter for the per-component
+	// routing structure (hub count ~ m^{1/routerK}).
+	routerK = 2
+	// preset selects the decomposition's constants.
+	preset = nibble.Practical
+	// maxRecursion caps E* recursion depth; the paper's O(log n) bound
+	// applies when the target is at most 1/2.
+	maxRecursion = 64
+)
+
 func (o Options) withDefaults() Options {
-	if o.Eps == 0 {
-		o.Eps = 1.0 / 6.0
-	}
-	if o.K == 0 {
-		o.K = 2
-	}
-	if o.RouterK == 0 {
-		o.RouterK = 2
-	}
-	if o.Preset == 0 {
-		o.Preset = nibble.Practical
-	}
 	if o.Subs == nil {
 		// Forward the worker bound so Workers=1 is genuinely serial all
 		// the way down to the nibble walk pool.
-		o.Subs = core.SeqSubroutines{Preset: o.Preset, Workers: o.Workers}
+		o.Subs = core.SeqSubroutines{Preset: preset, Workers: o.Workers}
 	}
 	return o
 }
-
-// maxRecursion caps E* recursion depth; the paper's O(log n) bound
-// applies when Eps <= 1/2.
-const maxRecursion = 64
 
 // Stats aggregates the cost of one enumeration.
 type Stats struct {
@@ -167,9 +158,9 @@ func EnumerateContext(ctx context.Context, view *graph.Sub, opt Options) (*Set, 
 		lsp.AttrInt("level", level).AttrInt("edges", remaining)
 		cur := graph.NewSub(g, view.Members(), mask)
 		dec, err := core.DecomposeContext(obs.ContextWithSpan(ctx, lsp), cur, core.Options{
-			Eps:     opt.Eps,
-			K:       opt.K,
-			Preset:  opt.Preset,
+			Eps:     decompEps,
+			K:       decompK,
+			Preset:  preset,
 			Seed:    root.Fork(uint64(level)).Uint64(),
 			Workers: opt.Workers,
 		}, opt.Subs)
@@ -278,7 +269,7 @@ func processComponent(cur, final *graph.Sub, comp *graph.VSet, opt Options, seed
 	// every hub tree, which is what keeps the per-instance query cost at
 	// ~(depth + per-vertex load) instead of serializing on one tree edge.
 	rt, err := route.BuildWithOptions(compView, route.Options{
-		Hubs:          route.HubCountForK(compView, opt.RouterK),
+		Hubs:          route.HubCountForK(compView, routerK),
 		MultiRegister: true,
 		Seed:          seed,
 	})

@@ -100,7 +100,7 @@ func TestEnumerateSumsComponentMessages(t *testing.T) {
 	root := rng.New(opt.Seed)
 	cur := graph.NewSub(g, view.Members(), mask)
 	dec, err := core.Decompose(cur, core.Options{
-		Eps: opt.Eps, K: opt.K, Preset: opt.Preset,
+		Eps: decompEps, K: decompK, Preset: preset,
 		Seed: root.Fork(0).Uint64(),
 	}, opt.Subs)
 	if err != nil {
@@ -164,7 +164,7 @@ func enumerateSerialReimpl(view *graph.Sub, opt Options) (*Set, Stats, error) {
 		st.Recursions++
 		cur := graph.NewSub(g, view.Members(), mask)
 		dec, err := core.Decompose(cur, core.Options{
-			Eps: opt.Eps, K: opt.K, Preset: opt.Preset,
+			Eps: decompEps, K: decompK, Preset: preset,
 			Seed:    root.Fork(uint64(level)).Uint64(),
 			Workers: 1,
 		}, opt.Subs)

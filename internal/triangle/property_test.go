@@ -142,19 +142,3 @@ func TestEnumerateStarNoTriangles(t *testing.T) {
 		t.Fatal("no work recorded")
 	}
 }
-
-func TestEnumerateRouterKSweep(t *testing.T) {
-	// Any RouterK must give identical results; only rounds differ.
-	g := gen.GNP(28, 0.4, 9)
-	view := graph.WholeGraph(g)
-	want := BruteForce(view)
-	for _, rk := range []int{1, 2, 4} {
-		got, _, err := Enumerate(view, Options{Seed: 4, RouterK: rk})
-		if err != nil {
-			t.Fatalf("RouterK=%d: %v", rk, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("RouterK=%d: wrong result", rk)
-		}
-	}
-}

@@ -255,7 +255,7 @@ func TestEnumerateOnDecomposableGraph(t *testing.T) {
 	g := b.Graph()
 	view := graph.WholeGraph(g)
 	want := BruteForce(view)
-	got, stats, err := Enumerate(view, Options{Seed: 5, Eps: 0.4})
+	got, stats, err := Enumerate(view, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
