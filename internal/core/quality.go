@@ -24,8 +24,11 @@ type Quality struct {
 	// accounting and the mask disagree.
 	InterFraction float64
 	// MinPhiLower is the minimum, over non-singleton components, of a
-	// certified conductance lower bound (exact for small components,
-	// Cheeger lambda2/2 otherwise).
+	// conductance lower bound: exact for components of at most
+	// graph.MaxBruteVertices, and otherwise spectral.CheegerLower, whose
+	// power-iteration lambda2 can over-estimate (8.11x on
+	// BarbellPath(10, 40)), so above that size it is an estimate, not a
+	// certificate. spectral.Lambda2Above is the proved test.
 	MinPhiLower float64
 	// MinPhiExactKnown reports whether every component was verified
 	// exactly (all small enough for brute force).
@@ -48,7 +51,7 @@ func (q Quality) String() string {
 }
 
 // Evaluate measures the decomposition on its original view. The
-// conductance certificate is with respect to G{Vi}: each component is
+// conductance bound is taken with respect to G{Vi}: each component is
 // assessed with all its surviving internal edges plus implicit loops,
 // matching the paper's Phi(G{Vi}) >= phi condition.
 func (d *Decomposition) Evaluate(view *graph.Sub) Quality {
@@ -94,7 +97,7 @@ func (d *Decomposition) Evaluate(view *graph.Sub) Quality {
 // InterFraction recomputes the inter-cluster edge fraction from the
 // final mask: the view's usable edges no longer alive, over its usable
 // edges (0 for an edgeless view). It is Quality.InterFraction without
-// Evaluate's conductance certificate, and what auto selection and the
+// Evaluate's conductance bounds, and what auto selection and the
 // service's max_eps_fraction check verify.
 func (d *Decomposition) InterFraction(view *graph.Sub) float64 {
 	g := view.Base()

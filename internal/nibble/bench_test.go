@@ -59,25 +59,28 @@ func BenchmarkPartitionDumbbell(b *testing.B) {
 	}
 }
 
-// cs19PhiExpander is the expander-of-cliques view and cs19's phi_0 on it
-// at eps = 0.4: h(phi_0) = eps / (6 log2 m), about 0.00423.
-func cs19PhiExpander() (*graph.Sub, float64) {
-	view := graph.WholeGraph(gen.ExpanderOfCliques(8, 8, 3, 1))
+// cs19PhiRing is a ring of eight 8-cliques and cs19's phi_0 on it at
+// eps = 0.4: h(phi_0) = eps / (6 log2 m), about 0.00424. Its lambda2/2
+// (0.0041) falls just below phi_0, so Partition's certificate does not
+// fire and the walks run, although no cut passes.
+func cs19PhiRing() (*graph.Sub, float64) {
+	view := graph.WholeGraph(gen.RingOfCliques(8, 8, 1))
 	logM := math.Log2(float64(view.UsableEdgeCount()))
 	return view, TransferHInv(view, 0.4/(6*logM), Practical)
 }
 
-// BenchmarkPartitionExpander is the shape of nearly every Partition call
-// in a decompose workload: no cut exists, so all EmptyStop = 12
-// iterations run one T0 = 1500 walk each and come back empty. Those
-// iterations are the ones Partition runs speculatively in parallel, so
-// this benchmark scales with -cpu.
-func BenchmarkPartitionExpander(b *testing.B) {
-	view, phi := cs19PhiExpander()
+// BenchmarkPartitionRing is the shape of every Partition call in a
+// decompose workload that the lambda2 certificate does not skip: no cut
+// exists, so all EmptyStop = 12 iterations run one T0 = 1500 walk each
+// and come back empty. Those iterations are the ones Partition runs
+// speculatively in parallel, so this benchmark scales with -cpu.
+func BenchmarkPartitionRing(b *testing.B) {
+	view, phi := cs19PhiRing()
 	pr := PracticalParams(view, phi)
 	res := Partition(view, pr, rng.New(1))
-	if k := pr.InstanceCount(view); k != 1 || pr.T0 != 1500 || !res.Empty() || res.Iterations != pr.EmptyStop {
-		b.Fatalf("want %d empty iterations of k = 1 walk at T0 = 1500, got %d iterations of k = %d at T0 = %d (cut %v)",
+	if k := pr.InstanceCount(view); k != 1 || pr.T0 != 1500 || !res.Empty() || res.Iterations != pr.EmptyStop ||
+		noSweepPasses(view, pr, pr.acceptTau(view)) {
+		b.Fatalf("want %d empty iterations of k = 1 walk at T0 = 1500 and no certificate, got %d iterations of k = %d at T0 = %d (cut %v)",
 			pr.EmptyStop, res.Iterations, k, pr.T0, res.C.Members())
 	}
 	for b.Loop() {
@@ -86,10 +89,13 @@ func BenchmarkPartitionExpander(b *testing.B) {
 }
 
 // BenchmarkDetSparseCut runs det's probe schedule on the same view and
-// phi: every probe of the one iteration comes back empty, and the probes
-// run on GOMAXPROCS goroutines.
+// phi: the certificate does not fire, every probe of the one iteration
+// comes back empty, and the probes run on GOMAXPROCS goroutines.
 func BenchmarkDetSparseCut(b *testing.B) {
-	view, phi := cs19PhiExpander()
+	view, phi := cs19PhiRing()
+	if noSweepPasses(view, PracticalParams(view, phi), phi) {
+		b.Fatal("the certificate fires: det would run no probe")
+	}
 	for b.Loop() {
 		DetSparseCut(view, phi, Practical)
 	}

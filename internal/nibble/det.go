@@ -32,6 +32,11 @@ const detStarts = 8
 // core.Options.Workers says — and are reduced in schedule order, so
 // callers get bit-identical cuts for every process, worker count, and
 // GOMAXPROCS.
+//
+// Where spectral.Lambda2Above proves that no sweep prefix of the view
+// passes (C.1) (noSweepPasses at Phi), no probe can find a cut, and
+// DetSparseCut returns the empty cut in one iteration without running
+// the probes: what its loop returns after a first empty iteration.
 func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult {
 	phiP := PartitionPhi(view, phi, preset)
 	pr := NewParams(view, phiP, preset)
@@ -42,10 +47,16 @@ func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult 
 	if totalVol == 0 {
 		return res
 	}
+	if noSweepPasses(view, pr, pr.Phi) {
+		// No probe's Nibble can pass (C.1), so the first iteration would
+		// find nothing and end the loop.
+		res.Iterations = 1
+		return res
+	}
 	w := view.Members().Clone()
+	sub := view // the remaining graph, rebuilt only after a peel
 	for i := 1; i <= s; i++ {
 		res.Iterations = i
-		sub := view.Restrict(w)
 		best := detNibble(sub, pr)
 		if best == nil {
 			// Deterministic schedule: re-running it on the same remaining
@@ -64,6 +75,7 @@ func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult 
 		if float64(view.Vol(w)) <= 47.0/48.0*totalVol {
 			break
 		}
+		sub = view.Restrict(w)
 	}
 	if !res.C.Empty() {
 		res.Conductance = view.Conductance(res.C)

@@ -160,3 +160,39 @@ func appendJSequence(dst []int, s *spectral.SweepOrder, phi float64) []int {
 	}
 	return dst
 }
+
+// noSweepPasses reports whether spectral.Lambda2Above proves that every
+// sweep prefix of every walk on the view fails a conductance test
+// phi <= tau. By Cheeger's easy direction Phi(S) >= lambda2/2 for every
+// S with both sides of positive volume, and the prefixes the tests can
+// accept are such sets. A prefix's conductance is one rounded division
+// of two exact integers, so lambda2 > 2 tau (1+1e-12) keeps it above tau.
+// The certificate costs about k³/3 flops on the view's k members, so it
+// is tried only where that is at most one worst-case walk: T0 steps over
+// Vol(view) arcs, each arc update a multiply and an add.
+func noSweepPasses(view *graph.Sub, pr Params, tau float64) bool {
+	k := float64(view.Members().Len())
+	if k*k*k/3 > 2*float64(pr.T0)*float64(view.TotalVol()) {
+		return false
+	}
+	return spectral.Lambda2Above(view, 2*tau*(1+1e-12))
+}
+
+// acceptTau is the largest conductance ApproximateNibble accepts on the
+// view: 12 Phi, through the starred test (C.1*) at a skipped index of the
+// j-sequence, or Phi when no index can be skipped and every index gets
+// the plain test (C.1). appendJSequence skips j_{i-1}+1 only when the
+// next two degrees sum to at most Phi times the prefix volume before
+// them, so Phi Vol(view) < 2 minDeg rules out every skip; the guard
+// term covers the rounding of (1+Phi) Vol(prefix).
+func (p Params) acceptTau(view *graph.Sub) float64 {
+	vol := float64(view.TotalVol())
+	minDeg := math.MaxInt
+	for _, v := range view.MemberList() {
+		minDeg = min(minDeg, view.Deg(v))
+	}
+	if p.Phi*vol+1e-9*(1+p.Phi)*vol < 2*float64(minDeg) {
+		return p.Phi
+	}
+	return 12 * p.Phi
+}

@@ -45,9 +45,27 @@ func (r *PartitionResult) Empty() bool { return r.C == nil || r.C.Empty() }
 // copy. The cut, the iteration count and the caller's RNG state are
 // bit-identical to the one-iteration-at-a-time loop for every worker
 // count.
+//
+// Partition skips every walk on a view where a λ2 certificate proves that
+// no sweep prefix can pass ApproximateNibble's conductance test
+// (noSweepPasses at acceptTau): each walk would return no cut, so no
+// iteration peels and every one is empty. The loop still runs, with a
+// walk that returns no cut in place of ApproximateNibble, so it draws the
+// same starts and stops at the same iteration: the cut, the iteration
+// count and the caller's RNG state are the ones the walks would give.
 func Partition(view *graph.Sub, pr Params, r *rng.RNG) *PartitionResult {
-	res, _ := PartitionWalk(view, pr, r, approximateWalk)
+	walk := approximateWalk
+	if noSweepPasses(view, pr, pr.acceptTau(view)) {
+		walk = noCutWalk
+	}
+	res, _ := PartitionWalk(view, pr, r, walk)
 	return res
+}
+
+// noCutWalk is the walk Partition runs where noSweepPasses proved that
+// ApproximateNibble returns no cut from any start.
+func noCutWalk(_ *graph.Sub, pr Params, _, _ int) (*Result, error) {
+	return &Result{C: graph.NewVSet(0), Steps: pr.T0}, nil
 }
 
 // PartitionWalk is Partition with every ApproximateNibble instance run
@@ -63,11 +81,11 @@ func PartitionWalk(view *graph.Sub, pr Params, r *rng.RNG, walk func(sub *graph.
 	s := pr.Iterations(view)
 	totalVol := float64(view.TotalVol())
 	w := view.Members().Clone()
+	sub := view // the remaining graph G{W_i}, rebuilt only after a peel
 	workers := par.Workers(pr.Workers)
 	emptyStreak := 0
 loop:
 	for res.Iterations < s {
-		sub := view.Restrict(w)
 		k := pr.InstanceCount(sub)
 		batch := min(max(1, workers/k), s-res.Iterations)
 		if pr.EmptyStop > 0 {
@@ -99,13 +117,14 @@ loop:
 			*r = after[j]
 			emptyStreak = 0
 			res.C.AddAll(pn.C)
-			// sub (which aliases w) is dead from here on: the peel must
-			// come after its last use, and the next batch restricts the
-			// view afresh.
+			// After the first peel sub aliases w, so the peel must come
+			// after sub's last use; the next batches run on a view
+			// restricted to what remains.
 			w.RemoveAll(pn.C)
 			if float64(view.Vol(w)) <= 47.0/48.0*totalVol {
 				break loop
 			}
+			sub = view.Restrict(w)
 			break
 		}
 	}

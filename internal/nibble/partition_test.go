@@ -332,3 +332,89 @@ func TestPartitionWalkStopsAtFailure(t *testing.T) {
 		}
 	}
 }
+
+// eps04Phi0 is phi_0 of a Practical decomposition at eps 0.4 whose view
+// has m usable edges: h(phi_0) = eps / (6 log2 m).
+func eps04Phi0(view *graph.Sub, m int) float64 {
+	return TransferHInv(view, 0.4/(6*max(1, math.Log2(float64(m)))), Practical)
+}
+
+// TestCertifiedSkipMatchesWalks pins the certificate skip to the walks it
+// skips. On each view the certificate must fire at the view's phi_0, and
+// there Partition, which runs no walk, must equal the walking serial loop
+// in the cut, the iteration count, (phi, bal) and the caller's next draw
+// at 1 and 3 workers; det's first probe round must come back empty, as
+// DetSparseCut's skip (empty, one iteration) assumes. On two views with a
+// cut below phi_0's reach the certificate must not fire, so a margin that
+// silently disables the skip fails here. Under -race only seed 1 runs,
+// and the grid, whose walks run all T0 steps, only checks the
+// certificate: its walking references take about 7 s there.
+func TestCertifiedSkipMatchesWalks(t *testing.T) {
+	seeds := uint64(3)
+	if raceEnabled {
+		seeds = 1
+	}
+	ring := gen.RingOfCliques(8, 12, 1)
+	clique := graph.NewVSet(ring.N())
+	for v := range 12 {
+		clique.Add(v)
+	}
+	fire := []struct {
+		name string
+		view *graph.Sub
+		m    int // usable edges of the decomposition's view
+	}{
+		{"complete24", graph.WholeGraph(gen.Complete(24)), 0},
+		{"gnp96", graph.WholeGraph(gen.GNP(96, 0.1, 1)), 0},
+		{"grid12x12", graph.WholeGraph(gen.Grid(12, 12)), 0},
+		{"ring8x12/clique0", graph.NewSub(ring, clique, nil), graph.WholeGraph(ring).UsableEdgeCount()},
+	}
+	for _, tc := range fire {
+		m := tc.m
+		if m == 0 {
+			m = tc.view.UsableEdgeCount()
+		}
+		phi := eps04Phi0(tc.view, m)
+		pr := PracticalParams(tc.view, phi)
+		if !noSweepPasses(tc.view, pr, pr.acceptTau(tc.view)) || !noSweepPasses(tc.view, pr, pr.Phi) {
+			t.Fatalf("%s: certificate does not fire at phi_0 = %v", tc.name, phi)
+		}
+		if raceEnabled && tc.name == "grid12x12" {
+			continue
+		}
+		for seed := uint64(1); seed <= seeds; seed++ {
+			wr := rng.New(seed)
+			want := serialPartition(tc.view, pr, wr)
+			wantNext := wr.Uint64()
+			for _, workers := range []int{1, 3} {
+				pw := pr
+				pw.Workers = workers
+				gr := rng.New(seed)
+				got := Partition(tc.view, pw, gr)
+				where := fmt.Sprintf("%s seed=%d workers=%d", tc.name, seed, workers)
+				if !got.C.Equal(want.C) || got.Iterations != want.Iterations ||
+					got.Conductance != want.Conductance || got.Balance != want.Balance {
+					t.Fatalf("%s: %v in %d iterations (phi %v, bal %v), walks %v in %d (phi %v, bal %v)",
+						where, got.C.Members(), got.Iterations, got.Conductance, got.Balance,
+						want.C.Members(), want.Iterations, want.Conductance, want.Balance)
+				}
+				if next := gr.Uint64(); next != wantNext {
+					t.Fatalf("%s: caller's next draw %#x, walks %#x", where, next, wantNext)
+				}
+			}
+		}
+		if best := detNibble(tc.view, pr); best != nil {
+			t.Fatalf("%s: det's probes found %v where the certificate holds", tc.name, best.Members())
+		}
+		if res := DetSparseCut(tc.view, phi, Practical); !res.Empty() || res.Iterations != 1 {
+			t.Fatalf("%s: DetSparseCut gave %v in %d iterations, want empty in 1", tc.name, res.C.Members(), res.Iterations)
+		}
+	}
+	for _, g := range []*graph.Graph{gen.Dumbbell(24, 1, 1), gen.RingOfCliques(8, 8, 1)} {
+		view := graph.WholeGraph(g)
+		pr := PracticalParams(view, eps04Phi0(view, view.UsableEdgeCount()))
+		if noSweepPasses(view, pr, pr.acceptTau(view)) || noSweepPasses(view, pr, pr.Phi) {
+			t.Fatalf("%s: certificate fires at phi_0 = %v", gen.Describe(g), pr.Phi)
+		}
+	}
+}

@@ -48,7 +48,8 @@ func mixed(view *graph.Sub, p Dist, total, eps float64) bool {
 // ConductanceSweepUpper estimates an upper bound on the view's
 // conductance by running a short walk from each given source and taking
 // the best sweep cut seen. It complements CheegerLower: together they
-// bracket Phi.
+// estimate a bracket on Phi (only this side is a bound: the conductance
+// of a real cut).
 func ConductanceSweepUpper(view *graph.Sub, sources []int, steps int) float64 {
 	best := math.Inf(1)
 	total := view.TotalVol()
