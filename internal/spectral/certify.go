@@ -8,8 +8,8 @@ import (
 	"dexpander/internal/graph"
 )
 
-// certPool pools Lambda2Above's dense scratch: the k×k lower triangle it
-// factors in place plus two length-k vectors.
+// certPool pools Lambda2Above's dense scratch: the packed k×k lower
+// triangle it factors in place plus two length-k vectors.
 var certPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Lambda2Above reports whether it can prove that lambda2, the
@@ -41,7 +41,7 @@ var certPool = sync.Pool{New: func() any { return new([]float64) }}
 // RᵀR is positive definite, so lambda_min(M) > -‖ΔA‖₂ - ‖E1‖₂ and
 // lambda2 > sigma + c - ‖ΔA‖₂ - ‖E1‖₂ - 2u >= sigma. c is twice that sum,
 // which also covers the rounding of c itself; it is about 2e-12 at
-// k = 96, so the test is as sharp as lambda2 itself. The scratch (8k²
+// k = 96, so the test is as sharp as lambda2 itself. The scratch (4k²
 // bytes) comes from a pool.
 func Lambda2Above(view *graph.Sub, sigma float64) bool {
 	if !(sigma > 0 && sigma < 2) {
@@ -69,12 +69,13 @@ func Lambda2Above(view *graph.Sub, sigma float64) bool {
 
 	buf := certPool.Get().(*[]float64)
 	defer certPool.Put(buf)
-	if cap(*buf) < k*k+2*k {
-		*buf = make([]float64, k*k+2*k)
+	tri := k * (k + 1) / 2 // row i of the lower triangle starts at i(i+1)/2
+	if cap(*buf) < tri+2*k {
+		*buf = make([]float64, tri+2*k)
 	}
-	a := (*buf)[:k*k]
-	rs := (*buf)[k*k : k*k+k]     // 1/sqrt(d_i)
-	su := (*buf)[k*k+k : k*k+2*k] // u1_i = sqrt(d_i/Vol)
+	a := (*buf)[:tri]
+	rs := (*buf)[tri : tri+k]     // 1/sqrt(d_i)
+	su := (*buf)[tri+k : tri+2*k] // u1_i = sqrt(d_i/Vol)
 	for i, v := range verts {
 		d := float64(g.Deg(v))
 		rs[i] = 1 / math.Sqrt(d)
@@ -82,7 +83,7 @@ func Lambda2Above(view *graph.Sub, sigma float64) bool {
 		// Row i of the lower triangle: the exact multiplicity of each
 		// usable edge to an earlier member first, so a multi-edge's
 		// entry is rounded once, then the entries.
-		row := a[i*k : i*k+i+1]
+		row := a[i*(i+1)/2 : i*(i+1)/2+i+1]
 		clear(row)
 		for _, arc := range view.UsableNeighbors(v) {
 			if j, _ := slices.BinarySearch(verts, arc.To); j < i {
@@ -96,15 +97,15 @@ func Lambda2Above(view *graph.Sub, sigma float64) bool {
 	}
 	// Row-oriented Cholesky of the lower triangle, in place.
 	for i := 0; i < k; i++ {
-		ri := a[i*k : i*k+i+1]
+		ri := a[i*(i+1)/2 : i*(i+1)/2+i+1]
 		for j := 0; j <= i; j++ {
-			rj := a[j*k : j*k+j]
+			rj := a[j*(j+1)/2 : j*(j+1)/2+j]
 			s := ri[j]
 			for p, x := range ri[:len(rj)] {
 				s -= x * rj[p]
 			}
 			if j < i {
-				ri[j] = s / a[j*k+j]
+				ri[j] = s / a[j*(j+1)/2+j]
 				continue
 			}
 			if !(s > 0) {
