@@ -73,14 +73,19 @@
 // bit-identical for any worker count and GOMAXPROCS. Together these make
 // the sequential Theorem 1 pipeline tens of times faster at
 // thousand-vertex scales (see BenchmarkDecomposeSequential). Both sparse
-// cuts also skip every walk on a view where a dense Cholesky
+// cuts also skip every walk on a view where a certificate proves every
+// set's conductance above the largest one a sweep check accepts, so that
+// no prefix can pass and each walk would return no cut. A dense Cholesky
 // factorization with an explicit rounding margin (spectral.Lambda2Above)
-// proves lambda2 above twice the largest conductance a sweep check
-// accepts: by Cheeger's easy direction no prefix can pass, so each walk
-// would return no cut. Partition then runs its loop and draws with a
-// walk that returns no cut, so the cut, the iteration count and the
-// caller's RNG state are unchanged. On the short benchmark matrix this
-// takes the cs19 and det decompose cells from 2.3-367 ms to under 1 ms.
+// proves lambda2 above twice that conductance, which suffices by
+// Cheeger's easy direction; where it fails, a product-demand
+// multicommodity flow routed along BFS DAGs (spectral.ConductanceAbove)
+// proves the conductance itself from the flow's congestion, which closes
+// rings of cliques, whose lambda2/2 falls below their conductance.
+// Partition then runs its loop and draws with a walk that returns no cut,
+// so the cut, the iteration count and the caller's RNG state are
+// unchanged. On the short benchmark matrix the first certificate takes
+// the cs19 and det decompose cells from 2.3-367 ms to under 1 ms.
 // The distributed sparse cut (internal/dnibble) runs the same Partition
 // loop through nibble.PartitionWalk, with one worker and each walk
 // executed in the CONGEST simulator, and its threshold probes apply the

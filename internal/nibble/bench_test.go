@@ -1,7 +1,7 @@
 package nibble
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -59,28 +59,38 @@ func BenchmarkPartitionDumbbell(b *testing.B) {
 	}
 }
 
-// cs19PhiRing is a ring of eight 8-cliques and cs19's phi_0 on it at
-// eps = 0.4: h(phi_0) = eps / (6 log2 m), about 0.00424. Its lambda2/2
-// (0.0041) falls just below phi_0, so Partition's certificate does not
-// fire and the walks run, although no cut passes.
-func cs19PhiRing() (*graph.Sub, float64) {
-	view := graph.WholeGraph(gen.RingOfCliques(8, 8, 1))
-	logM := math.Log2(float64(view.UsableEdgeCount()))
-	return view, TransferHInv(view, 0.4/(6*logM), Practical)
+// cs19PhiCliques is an expander of eight 12-cliques joined by three
+// random matchings and cs19's phi_0 on it at eps = 0.4, about 0.00367. No
+// cut passes there, but neither certificate proves it: lambda2/2 (0.0021)
+// and the flow bound (0.0034) both fall below phi_0, so the walks run.
+func cs19PhiCliques() (*graph.Sub, float64) {
+	view := graph.WholeGraph(gen.ExpanderOfCliques(8, 12, 3, 2))
+	return view, eps04Phi0(view, view.UsableEdgeCount())
 }
 
-// BenchmarkPartitionRing is the shape of every Partition call in a
-// decompose workload that the lambda2 certificate does not skip: no cut
-// exists, so all EmptyStop = 12 iterations run one T0 = 1500 walk each
-// and come back empty. Those iterations are the ones Partition runs
-// speculatively in parallel, so this benchmark scales with -cpu.
-func BenchmarkPartitionRing(b *testing.B) {
-	view, phi := cs19PhiRing()
+// BenchmarkPartitionExpanderOfCliques is the shape of every Partition
+// call in a decompose workload that neither certificate skips: no cut
+// exists, so all EmptyStop = 12 iterations run one T0 = 1500 walk each,
+// with no fixed point, and come back empty. Those iterations are the ones
+// Partition runs speculatively in parallel, so this benchmark scales with
+// -cpu.
+func BenchmarkPartitionExpanderOfCliques(b *testing.B) {
+	view, phi := cs19PhiCliques()
 	pr := PracticalParams(view, phi)
-	res := Partition(view, pr, rng.New(1))
-	if k := pr.InstanceCount(view); k != 1 || pr.T0 != 1500 || !res.Empty() || res.Iterations != pr.EmptyStop ||
-		noSweepPasses(view, pr, pr.acceptTau(view)) {
-		b.Fatalf("want %d empty iterations of k = 1 walk at T0 = 1500 and no certificate, got %d iterations of k = %d at T0 = %d (cut %v)",
+	if noSweepPasses(view, pr, pr.acceptTau(view)) {
+		b.Fatal("a certificate fires: Partition would run no walk")
+	}
+	res, err := PartitionWalk(view, pr, rng.New(1), func(sub *graph.Sub, pr Params, v, bb int) (*Result, error) {
+		if t := fixedPointStep(sub, pr, v, bb); t != 0 {
+			return nil, fmt.Errorf("the walk from (%d, %d) reaches a fixed point at step %d", v, bb, t)
+		}
+		return ApproximateNibble(sub, pr, v, bb), nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if k := pr.InstanceCount(view); k != 1 || pr.T0 != 1500 || !res.Empty() || res.Iterations != pr.EmptyStop {
+		b.Fatalf("want %d empty iterations of k = 1 walk at T0 = 1500, got %d iterations of k = %d at T0 = %d (cut %v)",
 			pr.EmptyStop, res.Iterations, k, pr.T0, res.C.Members())
 	}
 	for b.Loop() {
@@ -89,12 +99,12 @@ func BenchmarkPartitionRing(b *testing.B) {
 }
 
 // BenchmarkDetSparseCut runs det's probe schedule on the same view and
-// phi: the certificate does not fire, every probe of the one iteration
-// comes back empty, and the probes run on GOMAXPROCS goroutines.
+// phi: no certificate fires, every probe of the one iteration comes back
+// empty, and the probes run on GOMAXPROCS goroutines.
 func BenchmarkDetSparseCut(b *testing.B) {
-	view, phi := cs19PhiRing()
+	view, phi := cs19PhiCliques()
 	if noSweepPasses(view, PracticalParams(view, phi), phi) {
-		b.Fatal("the certificate fires: det would run no probe")
+		b.Fatal("a certificate fires: det would run no probe")
 	}
 	for b.Loop() {
 		DetSparseCut(view, phi, Practical)

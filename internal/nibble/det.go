@@ -33,9 +33,10 @@ const detStarts = 8
 // callers get bit-identical cuts for every process, worker count, and
 // GOMAXPROCS.
 //
-// Where spectral.Lambda2Above proves that no sweep prefix of the view
-// passes (C.1) (noSweepPasses at Phi), no probe can find a cut, and
-// DetSparseCut returns the empty cut in one iteration without running
+// Where a certificate proves that no sweep prefix of the view passes
+// (C.1) (noSweepPasses at Phi: spectral.Lambda2Above, or
+// spectral.ConductanceAbove where that fails), no probe can find a cut,
+// and DetSparseCut returns the empty cut in one iteration without running
 // the probes: what its loop returns after a first empty iteration.
 func DetSparseCut(view *graph.Sub, phi float64, preset Preset) *PartitionResult {
 	phiP := PartitionPhi(view, phi, preset)

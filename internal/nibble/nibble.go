@@ -161,21 +161,38 @@ func appendJSequence(dst []int, s *spectral.SweepOrder, phi float64) []int {
 	return dst
 }
 
-// noSweepPasses reports whether spectral.Lambda2Above proves that every
-// sweep prefix of every walk on the view fails a conductance test
-// phi <= tau. By Cheeger's easy direction Phi(S) >= lambda2/2 for every
-// S with both sides of positive volume, and the prefixes the tests can
-// accept are such sets. A prefix's conductance is one rounded division
-// of two exact integers, so lambda2 > 2 tau (1+1e-12) keeps it above tau.
-// The certificate costs about k³/3 flops on the view's k members, so it
-// is tried only where that is at most one worst-case walk: T0 steps over
-// Vol(view) arcs, each arc update a multiply and an add.
+// noSweepPasses reports whether a certificate proves that every sweep
+// prefix of every walk on the view fails a conductance test phi <= tau.
+// The prefixes the tests can accept are sets with both sides of positive
+// volume, and a prefix's conductance is one rounded division of two exact
+// integers, so proving Phi(S) > tau (1+1e-12) for every such S keeps each
+// of them above tau. Two certificates can prove it:
+//
+//   - spectral.Lambda2Above at 2 tau (1+1e-12): by Cheeger's easy
+//     direction Phi(S) >= lambda2/2. It costs about k³/3 flops on the
+//     view's k members, so it is tried only where that is at most one
+//     worst-case walk: T0 steps over Vol(view) arcs, each arc update a
+//     multiply and an add.
+//   - spectral.ConductanceAbove at tau (1+1e-12), where the first fails:
+//     a multicommodity flow whose congestion C gives Phi(S) >= 1/(2C),
+//     sharp on rings of cliques, where lambda2/2 falls below Phi. Its k
+//     BFS passes over the view's arcs cost at most 2 k Vol(view), so it
+//     is tried only where k <= T0, which keeps it within one worst-case
+//     walk too.
+//
+// Neither can prove anything on a disconnected view, where a component is
+// a cut of conductance 0, so neither runs there: one traversal of the
+// view's arcs answers first.
 func noSweepPasses(view *graph.Sub, pr Params, tau float64) bool {
-	k := float64(view.Members().Len())
-	if k*k*k/3 > 2*float64(pr.T0)*float64(view.TotalVol()) {
+	if !view.IsConnected() {
 		return false
 	}
-	return spectral.Lambda2Above(view, 2*tau*(1+1e-12))
+	k := float64(view.Members().Len())
+	if k*k*k/3 <= 2*float64(pr.T0)*float64(view.TotalVol()) &&
+		spectral.Lambda2Above(view, 2*tau*(1+1e-12)) {
+		return true
+	}
+	return k <= float64(pr.T0) && spectral.ConductanceAbove(view, tau*(1+1e-12))
 }
 
 // acceptTau is the largest conductance ApproximateNibble accepts on the

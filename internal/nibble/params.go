@@ -11,17 +11,20 @@
 // functional forms (PracticalParams) are provided. Tests pin the formulas
 // of PaperParams; benchmarks run PracticalParams.
 //
-// Partition and DetSparseCut skip their walks on a view where
-// spectral.Lambda2Above proves lambda2 > 2 tau, for tau the largest
-// conductance a sweep check can accept there (Phi for Nibble's (C.1), and
-// for ApproximateNibble Phi or the starred 12 Phi). By Cheeger's easy
-// direction every set then has conductance above tau, so every walk would
-// return no cut, and the skip changes no output: Partition runs its loop
-// and its RNG draws with a walk that returns no cut, and DetSparseCut
-// returns what its loop returns after a first empty iteration. The
-// certificate is tried only where its k³/3 flops are at most one
-// worst-case walk. Package dnibble always walks, because its CONGEST
-// rounds and messages are outputs.
+// Partition and DetSparseCut skip their walks on a view where a
+// certificate proves that every set has conductance above tau, for tau the
+// largest conductance a sweep check can accept there (Phi for Nibble's
+// (C.1), and for ApproximateNibble Phi or the starred 12 Phi). Two
+// certificates can prove it: spectral.Lambda2Above, lambda2 > 2 tau by
+// Cheeger's easy direction, and where that fails
+// spectral.ConductanceAbove, a multicommodity flow whose congestion C
+// bounds every conductance below by 1/(2C), which closes the rings of
+// cliques whose lambda2/2 falls below tau. Every walk would then return no
+// cut, and the skip changes no output: Partition runs its loop and its RNG
+// draws with a walk that returns no cut, and DetSparseCut returns what its
+// loop returns after a first empty iteration. Each certificate is tried
+// only where its cost is at most one worst-case walk. Package dnibble
+// always walks, because its CONGEST rounds and messages are outputs.
 package nibble
 
 import (

@@ -46,13 +46,15 @@ func (r *PartitionResult) Empty() bool { return r.C == nil || r.C.Empty() }
 // bit-identical to the one-iteration-at-a-time loop for every worker
 // count.
 //
-// Partition skips every walk on a view where a λ2 certificate proves that
-// no sweep prefix can pass ApproximateNibble's conductance test
-// (noSweepPasses at acceptTau): each walk would return no cut, so no
-// iteration peels and every one is empty. The loop still runs, with a
-// walk that returns no cut in place of ApproximateNibble, so it draws the
-// same starts and stops at the same iteration: the cut, the iteration
-// count and the caller's RNG state are the ones the walks would give.
+// Partition skips every walk on a view where a certificate proves that no
+// sweep prefix can pass ApproximateNibble's conductance test
+// (noSweepPasses at acceptTau: spectral.Lambda2Above's λ2 bound, or
+// spectral.ConductanceAbove's flow bound where that fails): each walk
+// would return no cut, so no iteration peels and every one is empty. The
+// loop still runs, with a walk that returns no cut in place of
+// ApproximateNibble, so it draws the same starts and stops at the same
+// iteration: the cut, the iteration count and the caller's RNG state are
+// the ones the walks would give.
 func Partition(view *graph.Sub, pr Params, r *rng.RNG) *PartitionResult {
 	walk := approximateWalk
 	if noSweepPasses(view, pr, pr.acceptTau(view)) {

@@ -10,6 +10,7 @@ import (
 	"dexpander/internal/gen"
 	"dexpander/internal/graph"
 	"dexpander/internal/rng"
+	"dexpander/internal/spectral"
 )
 
 func TestSampleStartDegreeWeighted(t *testing.T) {
@@ -340,15 +341,17 @@ func eps04Phi0(view *graph.Sub, m int) float64 {
 }
 
 // TestCertifiedSkipMatchesWalks pins the certificate skip to the walks it
-// skips. On each view the certificate must fire at the view's phi_0, and
+// skips. On each view a certificate must fire at the view's phi_0, and
 // there Partition, which runs no walk, must equal the walking serial loop
 // in the cut, the iteration count, (phi, bal) and the caller's next draw
 // at 1 and 3 workers; det's first probe round must come back empty, as
-// DetSparseCut's skip (empty, one iteration) assumes. On two views with a
-// cut below phi_0's reach the certificate must not fire, so a margin that
-// silently disables the skip fails here. Under -race only seed 1 runs,
-// and the grid, whose walks run all T0 steps, only checks the
-// certificate: its walking references take about 7 s there.
+// DetSparseCut's skip (empty, one iteration) assumes. The whole rings of
+// cliques are closed only by the flow certificate, since their lambda2/2
+// falls below phi_0. On two views whose walks return a cut at phi_0 no
+// certificate may fire. Under -race only seed 1 runs, and the grid and the
+// whole rings, whose walks run all T0 steps, only check the certificate:
+// their walking references take about 7 s for the grid and 30 s for the
+// two rings there.
 func TestCertifiedSkipMatchesWalks(t *testing.T) {
 	seeds := uint64(3)
 	if raceEnabled {
@@ -362,12 +365,16 @@ func TestCertifiedSkipMatchesWalks(t *testing.T) {
 	fire := []struct {
 		name string
 		view *graph.Sub
-		m    int // usable edges of the decomposition's view
+		m    int  // usable edges of the decomposition's view
+		flow bool // only the flow certificate fires
+		long bool // the walks run all T0 steps
 	}{
-		{"complete24", graph.WholeGraph(gen.Complete(24)), 0},
-		{"gnp96", graph.WholeGraph(gen.GNP(96, 0.1, 1)), 0},
-		{"grid12x12", graph.WholeGraph(gen.Grid(12, 12)), 0},
-		{"ring8x12/clique0", graph.NewSub(ring, clique, nil), graph.WholeGraph(ring).UsableEdgeCount()},
+		{"complete24", graph.WholeGraph(gen.Complete(24)), 0, false, false},
+		{"gnp96", graph.WholeGraph(gen.GNP(96, 0.1, 1)), 0, false, false},
+		{"grid12x12", graph.WholeGraph(gen.Grid(12, 12)), 0, false, true},
+		{"ring8x12/clique0", graph.NewSub(ring, clique, nil), graph.WholeGraph(ring).UsableEdgeCount(), false, false},
+		{"ring8x8", graph.WholeGraph(gen.RingOfCliques(8, 8, 1)), 0, true, true},
+		{"ring8x12", graph.WholeGraph(ring), 0, true, true},
 	}
 	for _, tc := range fire {
 		m := tc.m
@@ -379,7 +386,10 @@ func TestCertifiedSkipMatchesWalks(t *testing.T) {
 		if !noSweepPasses(tc.view, pr, pr.acceptTau(tc.view)) || !noSweepPasses(tc.view, pr, pr.Phi) {
 			t.Fatalf("%s: certificate does not fire at phi_0 = %v", tc.name, phi)
 		}
-		if raceEnabled && tc.name == "grid12x12" {
+		if tc.flow && spectral.Lambda2Above(tc.view, 2*pr.acceptTau(tc.view)) {
+			t.Fatalf("%s: the lambda2 certificate fires; the view no longer pins the flow certificate", tc.name)
+		}
+		if raceEnabled && tc.long {
 			continue
 		}
 		for seed := uint64(1); seed <= seeds; seed++ {
@@ -410,9 +420,12 @@ func TestCertifiedSkipMatchesWalks(t *testing.T) {
 			t.Fatalf("%s: DetSparseCut gave %v in %d iterations, want empty in 1", tc.name, res.C.Members(), res.Iterations)
 		}
 	}
-	for _, g := range []*graph.Graph{gen.Dumbbell(24, 1, 1), gen.RingOfCliques(8, 8, 1)} {
+	for _, g := range []*graph.Graph{gen.Dumbbell(24, 1, 1), gen.BarbellPath(24, 2)} {
 		view := graph.WholeGraph(g)
 		pr := PracticalParams(view, eps04Phi0(view, view.UsableEdgeCount()))
+		if res := serialPartition(view, pr, rng.New(1)); res.Empty() {
+			t.Fatalf("%s: the walks return no cut at phi_0 = %v", gen.Describe(g), pr.Phi)
+		}
 		if noSweepPasses(view, pr, pr.acceptTau(view)) || noSweepPasses(view, pr, pr.Phi) {
 			t.Fatalf("%s: certificate fires at phi_0 = %v", gen.Describe(g), pr.Phi)
 		}

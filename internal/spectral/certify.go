@@ -1,5 +1,15 @@
 package spectral
 
+// This file holds two proofs that a view has no sparse cut, each of which
+// answers true only with a proof behind it. Lambda2Above proves
+// lambda2 > sigma by a dense Cholesky factorization, so that Cheeger's
+// easy direction gives Phi(S) >= lambda2/2 for every S. ConductanceAbove
+// proves Phi(S) > tau directly, by routing a product-demand multicommodity
+// flow along BFS DAGs and measuring its congestion (a Jerrum–Sinclair
+// canonical-path bound); it closes views where lambda2/2 falls below the
+// conductance, as on rings of cliques and cycles, where its bound is
+// exactly Phi. Both carry an explicit floating-point rounding margin.
+
 import (
 	"math"
 	"slices"
@@ -115,4 +125,185 @@ func Lambda2Above(view *graph.Sub, sigma float64) bool {
 		}
 	}
 	return true
+}
+
+// flowScratch is ConductanceAbove's pooled scratch, all sized by the view:
+// a CSR of its usable arcs over local member indices, per-member work
+// arrays, a load per arc, the BFS DAG of one source and the (edge, arc)
+// keys that pair each edge's two arcs.
+type flowScratch struct {
+	off, nbr             []int32 // member i's arcs lead to nbr[off[i]:off[i+1]]
+	dist, order, parents []int32
+	deg, x, load         []float64
+	dag                  []dagArc
+	pairs                []uint64
+}
+
+// dagArc is an arc of a BFS DAG, from parent to child one layer further
+// from the source.
+type dagArc struct{ child, parent, arc int32 }
+
+var flowPool = sync.Pool{New: func() any { return new(flowScratch) }}
+
+// ConductanceAbove reports whether it can prove that every set S of the
+// view's members with positive volume on both sides has conductance
+// Phi(S) = |∂S| / min(vol S, vol S̄) above tau (volumes from base degrees,
+// loops included, as graph.Sub.Conductance takes them). A true answer is a
+// proof; false means only that no proof was found. It answers false for
+// tau <= 0, NaN or infinite, for views with fewer than two members and for
+// disconnected views.
+//
+// The proof is a product-demand multicommodity flow. From every member s
+// it runs a BFS over the usable arcs and routes d(s) d(w) / (2 Vol) from
+// s to every member w back along the BFS DAG: the flow that reaches a
+// vertex is split equally over its arcs to the previous layer (parallel
+// arcs count separately). The flows of all sources add up to a load on
+// each edge. The pairs across any S carry vol(S) vol(S̄) / Vol through ∂S,
+// so for the largest load C
+//
+//	|∂S| >= vol(S) vol(S̄) / (Vol C), and
+//	Phi(S) >= max(vol S, vol S̄) / (Vol C) >= 1/(2C),
+//
+// and the view is certified when C < 1/(2 tau). On a cycle and on a ring of
+// cliques the bound is Phi(G) itself. The loads are kept scaled by 2 Vol,
+// so the test is load < Vol/tau. They accumulate per arc, and an edge's
+// load is the sum of its two arcs' once every source has run.
+//
+// Two checks bound the work wasted on a view with a real cut. The answer
+// is false as soon as one arc's load reaches the limit, and as soon as a
+// BFS has found every layer up to one that, with the layers before it,
+// bounds a set of conductance at most tau: its DAG arcs are that set's cut
+// edges. Neither fires where the flow proves the bound, so neither changes
+// an answer.
+//
+// Each load is a sum of nonnegative terms, and each term passes one
+// product, at most deg(u) additions and one division at each of the at
+// most k vertices u of its path, at most k additions into its arc's load
+// and one into its edge's: fewer than N = Vol + 3k + 2 roundings. So the
+// true load is at most the computed one divided by 1 - γ_N,
+// γ_N = N u / (1 - N u) (Higham, Accuracy and Stability of Numerical
+// Algorithms, Lemma 3.1). The limit is Vol/tau (1 - 2γ_N): γ_N >= 8u, so
+// the doubled margin also covers the roundings of the limit itself. No
+// value underflows, since every vertex routes its own demand of at least
+// 1.
+//
+// It costs k BFS passes over the view's arcs, O(k (k + Vol)) work, and a
+// disconnected view stops after the first. Its scratch, O(k + Vol), comes
+// from a pool.
+func ConductanceAbove(view *graph.Sub, tau float64) bool {
+	if !(tau > 0) || math.IsInf(tau, 1) {
+		return false
+	}
+	verts := view.MemberList()
+	k := len(verts)
+	if k < 2 {
+		return false
+	}
+	sc := flowPool.Get().(*flowScratch)
+	defer flowPool.Put(sc)
+	sc.build(view, verts)
+	vol := float64(view.TotalVol())
+	const u = 0x1p-53 // unit roundoff
+	n := vol + 3*float64(k) + 2
+	gamma := n * u / (1 - n*u)
+	limit := vol / tau * (1 - 2*gamma)
+	off, nbr := sc.off, sc.nbr
+	dist, order, parents := sc.dist, sc.order, sc.parents
+	deg, x, load := sc.deg, sc.x, sc.load
+	for s := range int32(k) {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s], order[0] = 0, s
+		tail := 1
+		dag := sc.dag[:0] // in the order the BFS finds the arcs
+		volS := 0.0       // the volume of order[:head]
+		for head := 0; head < tail; head++ {
+			v := order[head]
+			if head > 0 && dist[v] > dist[order[head-1]] {
+				// v starts a layer, order[head:tail], that is complete;
+				// its DAG arcs are the cut edges of the layers before
+				// it. If they form a set of conductance at most tau
+				// there is no proof: a ring of cliques whose bridges are
+				// sparser than tau stops here, mostly in its first BFS.
+				cut := int32(0)
+				for _, w := range order[head:tail] {
+					cut += parents[w]
+				}
+				if float64(cut) <= tau*min(volS, vol-volS) {
+					return false
+				}
+			}
+			volS += deg[v]
+			for a := off[v]; a < off[v+1]; a++ {
+				switch j := nbr[a]; dist[j] {
+				case -1:
+					dist[j], parents[j] = dist[v]+1, 1
+					order[tail] = j
+					tail++
+				case dist[v] + 1:
+					parents[j]++
+				default:
+					continue
+				}
+				dag = append(dag, dagArc{nbr[a], v, a})
+			}
+		}
+		sc.dag = dag
+		if tail < k {
+			return false // disconnected
+		}
+		for i, d := range deg {
+			x[i] = deg[s] * d
+		}
+		// Backward, every arc out of a vertex comes before the arcs into
+		// it, so each vertex has its demand and all its descendants sent
+		// it when it passes the sum on to its parents in equal shares.
+		for _, d := range slices.Backward(dag) {
+			share := x[d.child] / float64(parents[d.child])
+			load[d.arc] += share
+			if load[d.arc] >= limit {
+				return false
+			}
+			x[d.parent] += share
+		}
+	}
+	// Sorted by base edge id, each edge's two arcs are adjacent.
+	pairs := sc.pairs[:0]
+	for i, v := range verts {
+		for p, a := range view.UsableNeighbors(v) {
+			pairs = append(pairs, uint64(a.Edge)<<32|uint64(off[i]+int32(p)))
+		}
+	}
+	sc.pairs = pairs
+	slices.Sort(pairs)
+	for i := 0; i < len(pairs); i += 2 {
+		if load[uint32(pairs[i])]+load[uint32(pairs[i+1])] >= limit {
+			return false
+		}
+	}
+	return true
+}
+
+// build fills the scratch's arc CSR for the view, whose members are
+// verts, sizes its work arrays to the view and clears the loads.
+func (sc *flowScratch) build(view *graph.Sub, verts []int) {
+	k := len(verts)
+	sc.off = append(sc.off[:0], 0)
+	sc.nbr = sc.nbr[:0]
+	sc.deg = sc.deg[:0]
+	for _, v := range verts {
+		for _, a := range view.UsableNeighbors(v) {
+			j, _ := slices.BinarySearch(verts, a.To)
+			sc.nbr = append(sc.nbr, int32(j))
+		}
+		sc.off = append(sc.off, int32(len(sc.nbr)))
+		sc.deg = append(sc.deg, float64(view.Deg(v)))
+	}
+	sc.load = slices.Grow(sc.load[:0], len(sc.nbr))[:len(sc.nbr)]
+	clear(sc.load)
+	for _, s := range []*[]int32{&sc.dist, &sc.order, &sc.parents} {
+		*s = slices.Grow((*s)[:0], k)[:k]
+	}
+	sc.x = slices.Grow(sc.x[:0], k)[:k]
 }
