@@ -1,162 +1,31 @@
-// Benchmarks regenerating the paper's results: one benchmark per
-// experiment of DESIGN.md's index (E1..E10). Each runs the corresponding
-// harness experiment, reports its headline quantities as custom metrics,
-// and logs the full table (visible in `go test -bench` output), so
-// bench_output.txt doubles as the data behind EXPERIMENTS.md.
+// Benchmarks regenerating the paper's results: one sub-benchmark per
+// entry of harness.Experiments (E1..E11). Each runs the experiment at
+// Default scale, reports the numeric cells of the table's last row as
+// custom metrics under their header names, and logs the full table
+// (visible in `go test -bench` output).
 package dexpander_test
 
 import (
-	"strconv"
 	"testing"
 
 	"dexpander/internal/harness"
 )
 
-// runExperiment drives one harness experiment as a benchmark: the metric
-// extractor pulls headline numbers out of the rendered table.
-func runExperiment(b *testing.B, fn func(harness.Scale, uint64) (*harness.Table, error),
-	metrics func(*harness.Table) map[string]float64) {
-	b.Helper()
-	var tbl *harness.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = fn(harness.Default, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			var tbl *harness.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				tbl, err = e.Run(harness.Default, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + tbl.String())
+			for name, v := range tbl.Metrics() {
+				b.ReportMetric(v, name)
+			}
+		})
 	}
-	b.Log("\n" + tbl.String())
-	if metrics != nil {
-		for name, v := range metrics(tbl) {
-			b.ReportMetric(v, name)
-		}
-	}
-}
-
-// cell parses table cell (r, c) as a float; 0 on failure.
-func cell(t *harness.Table, r, c int) float64 {
-	if r >= len(t.Rows) || c >= len(t.Rows[r]) {
-		return 0
-	}
-	v, err := strconv.ParseFloat(t.Rows[r][c], 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func lastRow(t *harness.Table) int { return len(t.Rows) - 1 }
-
-func BenchmarkExpanderDecomposition(b *testing.B) {
-	runExperiment(b, harness.E1Decomposition, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		return map[string]float64{
-			"rounds":  cell(t, r, 6),
-			"epsEff":  cell(t, r, 3),
-			"parts":   cell(t, r, 2),
-			"minPhi":  cell(t, r, 5),
-			"largest": cell(t, r, 0),
-		}
-	})
-}
-
-func BenchmarkDecompositionK(b *testing.B) {
-	runExperiment(b, harness.E1KTradeoff, func(t *harness.Table) map[string]float64 {
-		return map[string]float64{
-			"phiK1": cell(t, 0, 1),
-			"phiK4": cell(t, 3, 1),
-		}
-	})
-}
-
-func BenchmarkTriangleScaling(b *testing.B) {
-	runExperiment(b, harness.E2TriangleScaling, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		return map[string]float64{
-			"rounds":     cell(t, r, 4),
-			"roundsCbrt": cell(t, r, 5),
-		}
-	})
-}
-
-func BenchmarkSparseCutBalance(b *testing.B) {
-	runExperiment(b, harness.E3SparseCutBalance, func(t *harness.Table) map[string]float64 {
-		return map[string]float64{
-			"balance0": cell(t, 0, 2),
-			"floor0":   cell(t, 0, 1),
-		}
-	})
-}
-
-func BenchmarkSparseCutExpander(b *testing.B) {
-	runExperiment(b, harness.E3ExpanderCase, nil)
-}
-
-func BenchmarkLDD(b *testing.B) {
-	runExperiment(b, harness.E4LDD, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		// Columns: beta, n, parts, maxDiam, diamBound, cutFrac, 3b, ok.
-		return map[string]float64{
-			"maxDiam": cell(t, r, 3),
-			"cutFrac": cell(t, r, 5),
-		}
-	})
-}
-
-func BenchmarkLDDDistributed(b *testing.B) {
-	runExperiment(b, harness.E4Distributed, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		// Columns: beta, n, parts, cutFrac, rounds, messages.
-		return map[string]float64{"rounds": cell(t, r, 4)}
-	})
-}
-
-func BenchmarkClusteringCutProb(b *testing.B) {
-	runExperiment(b, harness.E5ClusteringCutProb, func(t *harness.Table) map[string]float64 {
-		return map[string]float64{"maxFreqBeta0.2": cell(t, 0, 1)}
-	})
-}
-
-func BenchmarkRoutingTradeoff(b *testing.B) {
-	runExperiment(b, harness.E6RoutingTradeoff, func(t *harness.Table) map[string]float64 {
-		return map[string]float64{
-			"queryK1": cell(t, 0, 3),
-			"queryK4": cell(t, 3, 3),
-			"buildK1": cell(t, 0, 2),
-			"buildK4": cell(t, 3, 2),
-		}
-	})
-}
-
-func BenchmarkTriangleVsBaselines(b *testing.B) {
-	runExperiment(b, harness.E7ModelComparison, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		return map[string]float64{
-			"ours":   cell(t, r, 2),
-			"clique": cell(t, r, 3),
-			"naive":  cell(t, r, 4),
-		}
-	})
-}
-
-func BenchmarkMixingVsConductance(b *testing.B) {
-	runExperiment(b, harness.E8Mixing, nil)
-}
-
-func BenchmarkPhaseDepths(b *testing.B) {
-	runExperiment(b, harness.E9PhaseDepths, nil)
-}
-
-func BenchmarkWalkSupport(b *testing.B) {
-	runExperiment(b, harness.E10WalkSupport, nil)
-}
-
-func BenchmarkEngineThroughput(b *testing.B) {
-	runExperiment(b, harness.E11EngineThroughput, func(t *harness.Table) map[string]float64 {
-		r := lastRow(t)
-		return map[string]float64{
-			"rounds/sec10k": cell(t, r, 3),
-			"Mwords/sec10k": cell(t, r, 4),
-		}
-	})
 }

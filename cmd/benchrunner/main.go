@@ -7,7 +7,7 @@
 // Examples:
 //
 //	benchrunner -short                       # CI matrix, BENCH_*.json in .
-//	benchrunner -short -tables               # plus the E2/E7/E11 tables
+//	benchrunner -short -tables               # plus the E2 and E11 tables
 //	benchrunner -out bench-out               # full matrix into bench-out/
 //	benchrunner -short -baseline ci/bench_baseline.json
 //	benchrunner -short -write-baseline ci/bench_baseline.json
@@ -38,7 +38,7 @@ func run() error {
 		baseline  = flag.String("baseline", "", "baseline BENCH json to compare against (exit 1 on regression)")
 		tolerance = flag.Float64("tolerance", 0.20, "allowed relative wall-time growth vs the baseline")
 		writeBase = flag.String("write-baseline", "", "also write the report to this exact path (refreshes a checked-in baseline)")
-		tables    = flag.Bool("tables", false, "embed the E2/E7/E11 harness experiment tables in the report")
+		tables    = flag.Bool("tables", false, "embed the E2 and E11 harness experiment tables in the report")
 		quiet     = flag.Bool("quiet", false, "suppress per-cell progress lines")
 	)
 	flag.Parse()
@@ -83,7 +83,7 @@ func run() error {
 			scale = harness.Small
 		}
 		for _, run := range []func(harness.Scale, uint64) (*harness.Table, error){
-			harness.E2TriangleScaling, harness.E7ModelComparison, harness.E11EngineThroughput,
+			harness.E2TriangleScaling, harness.E11EngineThroughput,
 		} {
 			t, err := run(scale, *seed)
 			if err != nil {

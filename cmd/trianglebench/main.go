@@ -1,8 +1,9 @@
 // Command trianglebench reproduces the paper's triangle enumeration
-// comparison (Theorem 2 and the Section 3 CONGEST vs CONGESTED-CLIQUE
-// discussion): it runs our algorithm, the Dolev–Lenzen–Peled clique
-// baseline, and the naive CONGEST baseline on G(n, 1/2) instances and
-// prints the measured round table plus the scaling fit.
+// comparison, harness experiment E2 (Theorem 2): it runs our algorithm,
+// the Dolev–Lenzen–Peled clique baseline, and the naive CONGEST baseline
+// on G(n, 1/2) instances and prints the measured round table plus the
+// scaling fit. -sizes runs the same comparison at the given sizes, and
+// -all runs every experiment of the harness list.
 //
 // With -json DIR the tables are also emitted through the bench writer as
 // a machine-readable BENCH_*.json report (the same schema the
@@ -59,28 +60,23 @@ func run() error {
 	}
 
 	var tables []*harness.Table
-	switch {
-	case *all:
-		ts, err := harness.All(harness.Default, seed)
-		for _, t := range ts {
-			fmt.Println(t)
-		}
+	if *szs != "" && !*all {
+		sizes, err := parseSizes(*szs)
 		if err != nil {
 			return err
 		}
-		tables = ts
-	case *szs != "":
-		t, err := customSizes(*szs, seed)
+		t, err := harness.TriangleComparison(sizes, seed)
 		if err != nil {
 			return err
 		}
+		fmt.Println(t)
 		tables = append(tables, t)
-	default:
-		for _, run := range []func(harness.Scale, uint64) (*harness.Table, error){
-			harness.E2TriangleScaling,
-			harness.E7ModelComparison,
-		} {
-			t, err := run(harness.Default, seed)
+	} else {
+		for _, e := range harness.Experiments {
+			if !*all && e.Name != "E2" {
+				continue
+			}
+			t, err := e.Run(harness.Default, seed)
 			if err != nil {
 				return err
 			}
@@ -133,7 +129,7 @@ func runKernel(name string, workers int, gf *cli.GraphFlags) error {
 	return nil
 }
 
-func customSizes(csv string, seed uint64) (*harness.Table, error) {
+func parseSizes(csv string) ([]int, error) {
 	var sizes []int
 	for _, part := range strings.Split(csv, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -142,10 +138,5 @@ func customSizes(csv string, seed uint64) (*harness.Table, error) {
 		}
 		sizes = append(sizes, n)
 	}
-	t, err := harness.TriangleCustom(sizes, seed)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println(t)
-	return t, nil
+	return sizes, nil
 }

@@ -24,8 +24,9 @@
 //     calibration loop so baselines survive hardware changes.
 //
 // Determinism contract: for a fixed seed every cell's triangles,
-// checksum, rounds, and messages are identical across runs and machines;
-// only wall time, allocation counts, and the calibration constant vary.
+// checksum, rounds, CONGEST rounds, and messages are identical across
+// runs and machines; only wall time, allocation counts, and the
+// calibration constant vary.
 package bench
 
 import (
@@ -110,8 +111,9 @@ type Report struct {
 	Seed        uint64 `json:"seed"`
 	CalibNS     int64  `json:"calib_ns"`
 	Cells       []Cell `json:"cells"`
-	// Tables are rendered harness experiments, so one BENCH_*.json
-	// carries both the raw matrix cells and the theorem-facing tables.
+	// Tables are harness experiment tables with typed cells, so one
+	// BENCH_*.json carries both the raw matrix cells and the
+	// theorem-facing rows as numbers.
 	Tables []*harness.Table `json:"tables,omitempty"`
 }
 

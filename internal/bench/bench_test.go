@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -92,7 +93,10 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if len(tbl.Notes) == 0 {
 		tbl.AddNote("every encoded key is present")
 	}
-	rep.Tables = append(rep.Tables, tbl)
+	// JSON has no NaN or infinity: Write must still succeed.
+	nonFinite := &harness.Table{Title: "non-finite", Headers: []string{"inf", "nan"}}
+	nonFinite.AddRow(math.Inf(1), math.NaN())
+	rep.Tables = append(rep.Tables, tbl, nonFinite)
 	path, err := rep.Write(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +108,25 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cells) != len(rep.Cells) || len(got.Tables) != 1 {
+	if len(got.Cells) != len(rep.Cells) || len(got.Tables) != 2 {
 		t.Fatalf("round trip lost data: %d cells %d tables", len(got.Cells), len(got.Tables))
 	}
 	if got.Tables[0].Title != tbl.Title || len(got.Tables[0].Rows) != len(tbl.Rows) ||
 		!slices.Equal(got.Tables[0].Notes, tbl.Notes) {
 		t.Fatalf("table round trip mismatch: %+v", got.Tables[0])
+	}
+	// Cells come back typed: ints as JSON numbers, floats, bools and
+	// strings as themselves; a non-finite float as its rendering.
+	for i, c := range tbl.Rows[0] {
+		if v, ok := c.(int); ok {
+			c = float64(v)
+		}
+		if got.Tables[0].Rows[0][i] != c {
+			t.Fatalf("cell %d (%s) = %#v, wrote %#v", i, tbl.Headers[i], got.Tables[0].Rows[0][i], c)
+		}
+	}
+	if row := got.Tables[1].Rows[0]; !slices.Equal(row, harness.Row{"+Inf", "NaN"}) {
+		t.Fatalf("non-finite cells read back as %#v", row)
 	}
 	// The table schema is harness.Table's JSON form: exactly these keys.
 	raw, err := os.ReadFile(path)
@@ -172,6 +189,14 @@ func TestCompareFlagsRegressionsAndMismatches(t *testing.T) {
 		t.Fatalf("want one hard output-mismatch, got %v", ps)
 	}
 	cur.Cells[1].Checksum = base.Cells[1].Checksum
+
+	// Channel-inflated round drift on the same seed: hard failure.
+	cur.Cells[1].CongestRounds = base.Cells[1].CongestRounds + 1
+	ps = Compare(cur, base, CompareOptions{})
+	if len(ps) != 1 || ps[0].Kind != "output-mismatch" || !ps[0].Hard {
+		t.Fatalf("want one hard output-mismatch on congest_rounds, got %v", ps)
+	}
+	cur.Cells[1].CongestRounds = base.Cells[1].CongestRounds
 
 	// Missing cell: hard failure.
 	cur.Cells = cur.Cells[:len(cur.Cells)-1]

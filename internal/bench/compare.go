@@ -44,8 +44,8 @@ func (o CompareOptions) withDefaults() CompareOptions {
 }
 
 // Compare diffs cur against base. Output mismatches (different triangle
-// counts, checksums, rounds, or messages on the same deterministic cell
-// and seed) and errored/missing cells are hard problems; wall-time
+// counts, checksums, rounds, CONGEST rounds, or messages on the same
+// deterministic cell and seed) and errored/missing cells are hard problems; wall-time
 // regressions beyond the tolerance are soft problems. Wall times are
 // normalized by each report's calibration constant, so a baseline
 // recorded on one machine transfers to differently-sized CI hardware.
@@ -98,11 +98,11 @@ func Compare(cur, base *Report, opt CompareOptions) []Problem {
 				})
 				continue
 			}
-			if c.Rounds != b.Rounds || c.Messages != b.Messages {
+			if c.Rounds != b.Rounds || c.CongestRounds != b.CongestRounds || c.Messages != b.Messages {
 				problems = append(problems, Problem{
 					Cell: c.Key(), Kind: "output-mismatch", Hard: true,
-					Detail: fmt.Sprintf("rounds %d->%d messages %d->%d",
-						b.Rounds, c.Rounds, b.Messages, c.Messages),
+					Detail: fmt.Sprintf("rounds %d->%d congest_rounds %d->%d messages %d->%d",
+						b.Rounds, c.Rounds, b.CongestRounds, c.CongestRounds, b.Messages, c.Messages),
 				})
 				continue
 			}

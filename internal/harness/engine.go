@@ -53,11 +53,8 @@ func E11EngineThroughput(scale Scale, seed uint64) (*Table, error) {
 		}
 		st := eng.Stats()
 		secs := elapsed.Seconds()
-		t.AddRow(g.N(), g.M(), st.Rounds,
-			fmt.Sprintf("%.1f", float64(st.Rounds)/secs),
-			fmt.Sprintf("%.2f", float64(st.Words)/secs/1e6),
-			fmt.Sprintf("%.2f", topoBuild.Seconds()*1e3),
-			fmt.Sprintf("%.2f", setup.Seconds()*1e3))
+		t.AddRow(g.N(), g.M(), st.Rounds, float64(st.Rounds)/secs,
+			float64(st.Words)/secs/1e6, topoBuild.Seconds()*1e3, setup.Seconds()*1e3)
 	}
 	t.AddNote("Topology is built once and reusable; Engine is the cheap per-run object")
 	t.AddNote("delivery order is deterministic (sender index, then staging order): same seed => same Stats and traces for any worker count")

@@ -30,6 +30,7 @@ const (
 // ring-of-cliques instances: measured CONGEST rounds, achieved eps,
 // certified component conductance.
 func E1Decomposition(scale Scale, seed uint64) (*Table, error) {
+	const eps = 0.6
 	sizes := []int{3, 4, 6}
 	cliqueSize := 12
 	if scale == Small {
@@ -38,14 +39,14 @@ func E1Decomposition(scale Scale, seed uint64) (*Table, error) {
 	}
 	t := &Table{
 		Title:   "E1 (Theorem 1): (eps,phi)-expander decomposition, distributed subroutines",
-		Headers: []string{"n", "m", "parts", "epsAchieved", "phiTarget", "minPhi(cert)", "rounds", "messages"},
+		Headers: []string{"n", "m", "parts", "epsAchieved", "phiTarget", "minPhi(cert)", "rounds", "messages", "ok"},
 	}
 	var ns, rounds []float64
 	for _, k := range sizes {
 		g := gen.RingOfCliques(k, cliqueSize, seed)
 		view := graph.WholeGraph(g)
 		dec, err := core.Decompose(view, core.Options{
-			Eps: 0.6, K: 2, Preset: nibble.Practical, Seed: seed + uint64(k),
+			Eps: eps, K: 2, Preset: nibble.Practical, Seed: seed + uint64(k),
 		}, dnibble.DistSubroutines{Preset: nibble.Practical})
 		if err != nil {
 			return nil, fmt.Errorf("E1 k=%d: %w", k, err)
@@ -55,7 +56,8 @@ func E1Decomposition(scale Scale, seed uint64) (*Table, error) {
 		}
 		q := dec.Evaluate(view)
 		t.AddRow(g.N(), g.M(), dec.Count, dec.EpsAchieved, dec.PhiTarget,
-			q.MinPhiLower, dec.Stats.Rounds, dec.Stats.Messages)
+			q.MinPhiLower, dec.Stats.Rounds, int(dec.Stats.Messages),
+			dec.EpsAchieved <= eps && q.MinPhiLower >= dec.PhiTarget)
 		ns = append(ns, float64(g.N()))
 		rounds = append(rounds, float64(dec.Stats.Rounds))
 	}
@@ -100,33 +102,52 @@ func E1KTradeoff(scale Scale, seed uint64) (*Table, error) {
 }
 
 // E2 (Theorem 2): triangle enumeration rounds vs n on the lower-bound
-// family G(n, 1/2), with correctness verified against brute force.
+// family G(n, 1/2), against both baselines and brute force.
 func E2TriangleScaling(scale Scale, seed uint64) (*Table, error) {
 	sizes := []int{24, 48, 96}
 	if scale == Small {
 		sizes = []int{16, 24}
 	}
+	return TriangleComparison(sizes, seed)
+}
+
+// TriangleComparison runs our CONGEST enumeration, the Dolev–Lenzen–Peled
+// CONGESTED-CLIQUE baseline and the naive CONGEST baseline on G(n, 1/2)
+// for each n in sizes. A row's ok column holds when all three outputs
+// equal BruteForce's.
+func TriangleComparison(sizes []int, seed uint64) (*Table, error) {
 	t := &Table{
-		Title:   "E2 (Theorem 2): CONGEST triangle enumeration on G(n, 1/2)",
-		Headers: []string{"n", "m", "triangles", "verified", "rounds", "rounds/groups", "recursions"},
+		Title: "E2 (Theorem 2): CONGEST triangle enumeration on G(n, 1/2) vs CONGESTED-CLIQUE (DLP) and naive CONGEST",
+		Headers: []string{"n", "m", "triangles", "oursRounds", "cliqueRounds", "naiveRounds",
+			"rounds/groups", "recursions", "ok"},
 	}
 	var ns, rounds []float64
 	for _, n := range sizes {
 		g := gen.GNP(n, 0.5, seed+uint64(n))
 		view := graph.WholeGraph(g)
 		want := triangle.BruteForce(view)
-		got, stats, err := triangle.Enumerate(view, triangle.Options{Seed: seed})
+		ours, st, err := triangle.Enumerate(view, triangle.Options{Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("E2 n=%d: %w", n, err)
 		}
-		t.AddRow(n, g.M(), got.Len(), got.Equal(want),
-			stats.Rounds, float64(stats.Rounds)/float64(triangle.GroupCount(n)), stats.Recursions)
+		clique, cs, err := triangle.CliqueDLP(view, seed)
+		if err != nil {
+			return nil, fmt.Errorf("E2 n=%d clique: %w", n, err)
+		}
+		naive, nvs, err := triangle.Naive(view, seed)
+		if err != nil {
+			return nil, fmt.Errorf("E2 n=%d naive: %w", n, err)
+		}
+		t.AddRow(n, g.M(), want.Len(), st.Rounds, cs.Rounds, nvs.Rounds,
+			float64(st.Rounds)/float64(triangle.GroupCount(n)), st.Recursions,
+			ours.Equal(want) && clique.Equal(want) && naive.Equal(want))
 		ns = append(ns, float64(n))
-		rounds = append(rounds, float64(stats.Rounds))
+		rounds = append(rounds, float64(st.Rounds))
 	}
 	if e, r2 := FitPowerLaw(ns, rounds); r2 > 0 {
-		t.AddNote("rounds ~ n^%.2f (R^2=%.2f); paper: ~O(n^{1/3}), lower bound Omega(n^{1/3}/log n)", e, r2)
+		t.AddNote("oursRounds ~ n^%.2f (R^2=%.2f); paper: ~O(n^{1/3}), lower bound Omega(n^{1/3}/log n)", e, r2)
 	}
+	t.AddNote("paper: CONGEST matches CONGESTED-CLIQUE up to polylog; naive CONGEST is Theta(maxdeg)")
 	return t, nil
 }
 
@@ -267,7 +288,7 @@ func E4Distributed(scale Scale, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E4b beta=%v: %w", beta, err)
 		}
-		t.AddRow(beta, n, res.Count, res.CutFraction(view), stats.Rounds, stats.Messages)
+		t.AddRow(beta, n, res.Count, res.CutFraction(view), stats.Rounds, int(stats.Messages))
 	}
 	t.AddNote("rounds are poly(log n, 1/beta): no diameter term despite the path topology")
 	return t, nil
@@ -319,71 +340,9 @@ func E6RoutingTradeoff(scale Scale, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E6 k=%d: %w", k, err)
 		}
-		t.AddRow(k, hubs, rt.BuildStats.Rounds, qs.Rounds, qs.Messages)
+		t.AddRow(k, hubs, rt.BuildStats.Rounds, qs.Rounds, int(qs.Messages))
 	}
 	t.AddNote("more hubs (smaller k): preprocessing up, query congestion down — GKS Lemmas 3.2-3.4 shape")
-	return t, nil
-}
-
-// E7 (Section 3): triangle enumeration across models on one instance
-// family: ours (CONGEST) vs DLP (CONGESTED-CLIQUE) vs naive (CONGEST).
-func E7ModelComparison(scale Scale, seed uint64) (*Table, error) {
-	sizes := []int{24, 48, 96}
-	if scale == Small {
-		sizes = []int{16, 32}
-	}
-	t := &Table{
-		Title:   "E7: triangle enumeration, CONGEST (ours) vs CONGESTED-CLIQUE (DLP) vs naive CONGEST",
-		Headers: []string{"n", "triangles", "oursRounds", "cliqueRounds", "naiveRounds", "allCorrect"},
-	}
-	for _, n := range sizes {
-		g := gen.GNP(n, 0.5, seed+uint64(n))
-		view := graph.WholeGraph(g)
-		want := triangle.BruteForce(view)
-		ours, os, err := triangle.Enumerate(view, triangle.Options{Seed: seed})
-		if err != nil {
-			return nil, fmt.Errorf("E7 n=%d: %w", n, err)
-		}
-		clique, cs, err := triangle.CliqueDLP(view, seed)
-		if err != nil {
-			return nil, fmt.Errorf("E7 n=%d clique: %w", n, err)
-		}
-		naive, nvs, err := triangle.Naive(view, seed)
-		if err != nil {
-			return nil, fmt.Errorf("E7 n=%d naive: %w", n, err)
-		}
-		correct := ours.Equal(want) && clique.Equal(want) && naive.Equal(want)
-		t.AddRow(n, want.Len(), os.Rounds, cs.Rounds, nvs.Rounds, correct)
-	}
-	t.AddNote("paper: CONGEST matches CONGESTED-CLIQUE up to polylog; naive CONGEST is Theta(maxdeg)")
-	return t, nil
-}
-
-// TriangleCustom runs the E2/E7 triangle comparison on caller-supplied
-// sizes (the trianglebench CLI's -sizes flag).
-func TriangleCustom(sizes []int, seed uint64) (*Table, error) {
-	t := &Table{
-		Title:   "Triangle enumeration on G(n, 1/2), custom sizes",
-		Headers: []string{"n", "m", "triangles", "verified", "oursRounds", "cliqueRounds", "naiveRounds"},
-	}
-	for _, n := range sizes {
-		g := gen.GNP(n, 0.5, seed+uint64(n))
-		view := graph.WholeGraph(g)
-		want := triangle.BruteForce(view)
-		ours, os, err := triangle.Enumerate(view, triangle.Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		_, cs, err := triangle.CliqueDLP(view, seed)
-		if err != nil {
-			return nil, err
-		}
-		_, ns, err := triangle.Naive(view, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n, g.M(), want.Len(), ours.Equal(want), os.Rounds, cs.Rounds, ns.Rounds)
-	}
 	return t, nil
 }
 
@@ -453,7 +412,7 @@ func E9PhaseDepths(scale Scale, seed uint64) (*Table, error) {
 				dec.Phase1Depth <= d)
 		}
 	}
-	t.AddNote("Lemma 1: recursion depth <= d; Lemma 2: each Phase-2 level survives <= 2 tau productive iterations")
+	t.AddNote("ok checks Lemma 1: recursion depth <= d; phase2Iters is reported, not checked against Lemma 2's 2 tau bound")
 	t.AddNote("the satellite workload exercises Phase 2 (low-balance cuts below the eps/12 gate)")
 	return t, nil
 }
@@ -482,22 +441,28 @@ func E10WalkSupport(scale Scale, seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment and returns the rendered tables; the first
-// error aborts.
-func All(scale Scale, seed uint64) ([]*Table, error) {
-	runs := []func(Scale, uint64) (*Table, error){
-		E1Decomposition, E1KTradeoff, E2TriangleScaling, E3SparseCutBalance,
-		E3ExpanderCase, E4LDD, E4Distributed, E5ClusteringCutProb,
-		E6RoutingTradeoff, E7ModelComparison, E8Mixing, E9PhaseDepths,
-		E10WalkSupport, E11EngineThroughput,
-	}
-	var out []*Table
-	for _, run := range runs {
-		tbl, err := run(scale, seed)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
+// Experiment is one entry of the experiment list.
+type Experiment struct {
+	// Name is the experiment's id, e.g. "E3b".
+	Name string
+	// Run builds the table at the given scale and seed.
+	Run func(Scale, uint64) (*Table, error)
+}
+
+// Experiments lists every experiment in table order. The trianglebench
+// command, the contract test and the root benchmarks all iterate it.
+var Experiments = []Experiment{
+	{"E1", E1Decomposition},
+	{"E1b", E1KTradeoff},
+	{"E2", E2TriangleScaling},
+	{"E3", E3SparseCutBalance},
+	{"E3b", E3ExpanderCase},
+	{"E4", E4LDD},
+	{"E4b", E4Distributed},
+	{"E5", E5ClusteringCutProb},
+	{"E6", E6RoutingTradeoff},
+	{"E8", E8Mixing},
+	{"E9", E9PhaseDepths},
+	{"E10", E10WalkSupport},
+	{"E11", E11EngineThroughput},
 }

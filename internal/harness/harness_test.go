@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,10 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, s)
 		}
+	}
+	// Metrics keys the last row's numeric cells by header.
+	if got := tbl.Metrics(); len(got) != 1 || got["longheader"] != 0.00001 {
+		t.Errorf("metrics = %v, want map[longheader:1e-05]", got)
 	}
 }
 
@@ -48,189 +53,83 @@ func TestFitPowerLawDegenerate(t *testing.T) {
 	}
 }
 
-// The experiment smoke tests run each table at Small scale and require
-// every verification column to read true.
-func checkAllOK(t *testing.T, tbl *Table, okCol int) {
+// experimentContracts gives, for each listed experiment, the rows it
+// yields at Small scale, whether its table states a contract (and so
+// carries an ok column), and whether it is too heavy for -short.
+var experimentContracts = map[string]struct {
+	rows            int
+	contract, heavy bool
+}{
+	"E1":  {rows: 2, contract: true, heavy: true},
+	"E1b": {rows: 4, heavy: true},
+	"E2":  {rows: 2, contract: true},
+	"E3":  {rows: 2, contract: true},
+	"E3b": {rows: 3, contract: true},
+	"E4":  {rows: 2, contract: true},
+	"E4b": {rows: 1, heavy: true},
+	"E5":  {rows: 3, contract: true},
+	"E6":  {rows: 4},
+	"E8":  {rows: 2, contract: true},
+	"E9":  {rows: 4, contract: true, heavy: true},
+	"E10": {rows: 3, contract: true},
+	"E11": {rows: 2},
+}
+
+// checkExperiment is the contract test: it runs the listed experiment
+// once at Small scale and requires its expected row count, an ok column
+// exactly when the table states a contract, and every ok cell true.
+func checkExperiment(t *testing.T, name string) {
 	t.Helper()
-	for _, row := range tbl.Rows {
-		if okCol < len(row) && row[okCol] == "false" {
-			t.Errorf("experiment row failed its bound:\n%s", tbl)
+	w := experimentContracts[name]
+	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == name })
+	if i < 0 || w.rows == 0 {
+		t.Fatalf("experiment %s is not listed or has no contract entry", name)
+	}
+	if w.heavy && testing.Short() {
+		t.Skip("distributed or phase-structure experiment")
+	}
+	tbl, err := Experiments[i].Run(Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Title == "" || len(tbl.Rows) != w.rows {
+		t.Fatalf("title %q, %d rows, want %d", tbl.Title, len(tbl.Rows), w.rows)
+	}
+	col := slices.Index(tbl.Headers, "ok")
+	if (col >= 0) != w.contract {
+		t.Fatalf("ok column at %d, want one: %v", col, w.contract)
+	}
+	for r, row := range tbl.Rows {
+		if col >= 0 && row[col] != true {
+			t.Fatalf("row %d failed its contract:\n%s", r, tbl)
 		}
 	}
 }
 
-func TestE1Small(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distributed-subroutine experiment")
-	}
-	tbl, err := E1Decomposition(Small, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-}
-
-func TestE1KSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("k-tradeoff sweep")
-	}
-	tbl, err := E1KTradeoff(Small, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-}
-
-func TestE2Small(t *testing.T) {
-	tbl, err := E2TriangleScaling(Small, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// verified column (index 3) must be true everywhere.
-	for _, row := range tbl.Rows {
-		if row[3] != "true" {
-			t.Fatalf("unverified triangle row:\n%s", tbl)
+// TestExperimentList keeps Experiments and experimentContracts in step.
+// Each listed experiment also has a one-line test below; the per-name
+// tests keep the suite's test IDs stable across changes to the list.
+func TestExperimentList(t *testing.T) {
+	for _, e := range Experiments {
+		if _, ok := experimentContracts[e.Name]; !ok {
+			t.Errorf("experiment %s has no contract entry", e.Name)
 		}
 	}
-}
-
-func TestE3Small(t *testing.T) {
-	tbl, err := E3SparseCutBalance(Small, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 5)
-}
-
-func TestE3bSmall(t *testing.T) {
-	tbl, err := E3ExpanderCase(Small, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 5)
-}
-
-func TestE4Small(t *testing.T) {
-	tbl, err := E4LDD(Small, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 6)
-}
-
-func TestE4bSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Theorem 4 pipeline experiment")
-	}
-	tbl, err := E4Distributed(Small, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1 at Small scale", len(tbl.Rows))
+	if len(Experiments) != len(experimentContracts) {
+		t.Errorf("%d experiments listed, %d contract entries", len(Experiments), len(experimentContracts))
 	}
 }
 
-func TestE5Small(t *testing.T) {
-	tbl, err := E5ClusteringCutProb(Small, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 4)
-}
-
-func TestE6Small(t *testing.T) {
-	tbl, err := E6RoutingTradeoff(Small, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-}
-
-func TestE7Small(t *testing.T) {
-	tbl, err := E7ModelComparison(Small, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tbl.Rows {
-		if row[5] != "true" {
-			t.Fatalf("model disagreement:\n%s", tbl)
-		}
-	}
-}
-
-func TestE8Small(t *testing.T) {
-	tbl, err := E8Mixing(Small, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 6)
-}
-
-func TestE9Small(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixing-time experiment")
-	}
-	tbl, err := E9PhaseDepths(Small, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 4)
-}
-
-func TestTriangleCustom(t *testing.T) {
-	tbl, err := TriangleCustom([]int{12, 18}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[3] != "true" {
-			t.Fatalf("custom run unverified:\n%s", tbl)
-		}
-	}
-}
-
-func TestAllSmallScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep")
-	}
-	tables, err := All(Small, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 14 {
-		t.Fatalf("got %d tables, want 14", len(tables))
-	}
-	for _, tbl := range tables {
-		if tbl.Title == "" || len(tbl.Rows) == 0 {
-			t.Fatalf("empty table: %+v", tbl)
-		}
-	}
-}
-
-func TestE10Small(t *testing.T) {
-	tbl, err := E10WalkSupport(Small, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllOK(t, tbl, 4)
-}
-
-func TestE11Small(t *testing.T) {
-	tbl, err := E11EngineThroughput(Small, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-}
+func TestE1Small(t *testing.T)  { checkExperiment(t, "E1") }
+func TestE1KSmall(t *testing.T) { checkExperiment(t, "E1b") }
+func TestE2Small(t *testing.T)  { checkExperiment(t, "E2") }
+func TestE3Small(t *testing.T)  { checkExperiment(t, "E3") }
+func TestE3bSmall(t *testing.T) { checkExperiment(t, "E3b") }
+func TestE4Small(t *testing.T)  { checkExperiment(t, "E4") }
+func TestE4bSmall(t *testing.T) { checkExperiment(t, "E4b") }
+func TestE5Small(t *testing.T)  { checkExperiment(t, "E5") }
+func TestE6Small(t *testing.T)  { checkExperiment(t, "E6") }
+func TestE8Small(t *testing.T)  { checkExperiment(t, "E8") }
+func TestE9Small(t *testing.T)  { checkExperiment(t, "E9") }
+func TestE10Small(t *testing.T) { checkExperiment(t, "E10") }
+func TestE11Small(t *testing.T) { checkExperiment(t, "E11") }

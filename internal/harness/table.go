@@ -1,61 +1,96 @@
 // Package harness regenerates the paper's results: every theorem and key
-// lemma has an experiment function that runs the relevant algorithms on
-// the workloads of DESIGN.md's experiment index and renders a table of
-// measured quantities next to the claimed bounds. The cmd binaries and
-// the root-level benchmarks are thin wrappers over these functions.
+// lemma has an experiment, listed once in Experiments, that runs the
+// relevant algorithms and returns a table of measured quantities next to
+// the claimed bounds. A table that states a contract carries it as one
+// bool column named "ok". The cmd binaries and the root-level benchmarks
+// are thin wrappers over these functions.
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 )
 
-// Table is a rendered experiment result. Its JSON form is the table
-// schema of a BENCH_*.json report (internal/bench Report.Tables).
+// Table is an experiment result. Its JSON form is the table schema of a
+// BENCH_*.json report (internal/bench Report.Tables).
 type Table struct {
 	// Title names the experiment (e.g. "E3 (Theorem 3) ...").
 	Title string `json:"title"`
 	// Headers are the column names.
 	Headers []string `json:"headers"`
-	// Rows hold the formatted cells.
-	Rows [][]string `json:"rows"`
+	// Rows hold the cells as given: int, float64, bool or string.
+	Rows []Row `json:"rows"`
 	// Notes are appended below the table (bound statements, fits).
 	Notes []string `json:"notes,omitempty"`
 }
 
-// AddRow appends a row, formatting each cell with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = formatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
+// Row is one table row.
+type Row []any
+
+// MarshalJSON writes the cells as JSON numbers, bools and strings. JSON
+// has no NaN or infinity, so a non-finite float is written as its
+// rendering ("NaN", "+Inf" or "-Inf") instead of failing the report.
+func (r Row) MarshalJSON() ([]byte, error) {
+	cells := make([]any, len(r))
+	for i, c := range r {
+		if v, ok := c.(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			c = formatFloat(v)
 		}
+		cells[i] = c
 	}
-	t.Rows = append(t.Rows, row)
+	return json.Marshal(cells)
+}
+
+// AddRow appends a row of cells.
+func (t *Table) AddRow(cells ...any) {
+	t.Rows = append(t.Rows, cells)
 }
 
 // AddNote appends a note line.
-func (t *Table) AddNote(format string, args ...interface{}) {
+func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// String renders the table with aligned columns.
+// Metrics returns the int and float64 cells of the last row keyed by
+// header name.
+func (t *Table) Metrics() map[string]float64 {
+	out := map[string]float64{}
+	if len(t.Rows) == 0 {
+		return out
+	}
+	for i, c := range t.Rows[len(t.Rows)-1] {
+		switch v := c.(type) {
+		case int:
+			out[t.Headers[i]] = float64(v)
+		case float64:
+			out[t.Headers[i]] = v
+		}
+	}
+	return out
+}
+
+// String renders the table with aligned columns: floats through
+// formatFloat, every other cell with %v.
 func (t *Table) String() string {
 	var sb strings.Builder
 	sb.WriteString(t.Title)
 	sb.WriteByte('\n')
+	rows := make([][]string, len(t.Rows))
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
+	for r, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			s := fmt.Sprint(c)
+			if v, ok := c.(float64); ok {
+				s = formatFloat(v)
+			}
+			rows[r] = append(rows[r], s)
+			if i < len(widths) && len(s) > widths[i] {
+				widths[i] = len(s)
 			}
 		}
 	}
@@ -78,7 +113,7 @@ func (t *Table) String() string {
 	}
 	sb.WriteString(strings.Repeat("-", total))
 	sb.WriteByte('\n')
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	for _, n := range t.Notes {
