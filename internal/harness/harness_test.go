@@ -133,3 +133,31 @@ func TestE8Small(t *testing.T)  { checkExperiment(t, "E8") }
 func TestE9Small(t *testing.T)  { checkExperiment(t, "E9") }
 func TestE10Small(t *testing.T) { checkExperiment(t, "E10") }
 func TestE11Small(t *testing.T) { checkExperiment(t, "E11") }
+
+// checkTriangleComparison runs TriangleComparison on sizes and requires
+// one row per size and every row's ok cell true: ours, DLP and naive
+// all equal BruteForce.
+func checkTriangleComparison(t *testing.T, sizes []int, seed uint64) {
+	t.Helper()
+	tbl, err := TriangleComparison(sizes, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(tbl.Headers, "ok")
+	if col < 0 || len(tbl.Rows) != len(sizes) {
+		t.Fatalf("ok column at %d, %d rows, want %d:\n%s", col, len(tbl.Rows), len(sizes), tbl)
+	}
+	for r, row := range tbl.Rows {
+		if row[col] != true {
+			t.Fatalf("row %d: enumerations disagree with BruteForce:\n%s", r, tbl)
+		}
+	}
+}
+
+// TestE7Small checks the three-model agreement on the sizes and seed the
+// former standalone model-comparison table used; E2 now carries it.
+func TestE7Small(t *testing.T) { checkTriangleComparison(t, []int{16, 32}, 14) }
+
+// TestTriangleCustom checks the caller-sized comparison behind
+// trianglebench -sizes.
+func TestTriangleCustom(t *testing.T) { checkTriangleComparison(t, []int{12, 18}, 3) }
