@@ -10,13 +10,19 @@
 //
 // The simulator (internal/congest) is built for scale: a reusable
 // Topology shared across protocol stages, a zero-allocation message
-// path, and one round barrier whose releasing goroutine delivers every
-// message in sender order. A 10,000-node torus exchanging 40k messages
-// per round runs at about 140 simulated rounds per second
-// (BenchmarkRoundThroughput10k, median of 5 runs at -cpu 2 on a 2-vCPU
-// x86-64 host); see the internal/congest package comment for the
-// substrate's contracts and harness experiment E11 for the throughput
-// table. The shared-memory triangle kernel is the skew-proof rank
+// path, and one serial delivery per round that moves every message in
+// sender order. It has two drivers with identical Stats and inboxes:
+// RunSteps calls every node's step function once per round on the
+// caller's goroutine, and serves the busy protocols (the router's tree
+// build and store-and-forward phases, the naive and CONGESTED-CLIQUE
+// triangle baselines); Run gives every node a goroutine and a round
+// barrier, and serves protocols composed from Next-calling helpers. A
+// 10,000-node torus exchanging 40k messages per round runs at about 190
+// simulated rounds per second under Run and 700 under RunSteps
+// (BenchmarkRoundThroughput10k and BenchmarkRoundThroughputSteps, -cpu 2
+// on a 2-vCPU x86-64 host); see the internal/congest package comment for
+// the substrate's contracts and harness experiment E11 for the
+// throughput table. The shared-memory triangle kernel is the skew-proof rank
 // kernel: it reorders vertices by descending degree and keeps only each
 // vertex's higher-rank neighbors (triangle.Forward), so forward lists
 // are O(sqrt(m)) long and a hub's O(deg^2) wedge term disappears even on

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -12,20 +13,14 @@ func torusView(k int) *graph.Sub {
 	return graph.WholeGraph(gen.Torus(k))
 }
 
-// benchRounds drives a round-heavy all-ports workload on the view and
-// reports rounds/sec and words/sec.
-func benchRounds(b *testing.B, view *graph.Sub) {
+// benchRounds drives a round-heavy all-ports workload on the view under
+// the given driver and reports rounds/sec and words/sec.
+func benchRounds(b *testing.B, view *graph.Sub, d driver) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
-	rounds := b.N
 	e := New(view, Config{})
-	err := e.Run(func(nd *Node) {
-		for r := 0; r < rounds; r++ {
-			nd.SendToAll(int64(r))
-			nd.Next()
-		}
-	})
+	err := d.run(e, loop(fixed(b.N), func(nd *Node, r int, _ []Incoming) { nd.SendToAll(int64(r)) }))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,13 +33,22 @@ func benchRounds(b *testing.B, view *graph.Sub) {
 }
 
 // BenchmarkRoundThroughput measures the engine's cost per simulated
-// round: 400 nodes on a grid exchanging one message per edge per round.
-func BenchmarkRoundThroughput(b *testing.B) { benchRounds(b, torusView(20)) }
+// round under Run: 400 nodes on a grid exchanging one message per edge
+// per round.
+func BenchmarkRoundThroughput(b *testing.B) { benchRounds(b, torusView(20), drivers[0]) }
 
 // BenchmarkRoundThroughput10k is the headline engine microbenchmark: a
 // 10,000-node torus exchanging one message per edge direction per round
-// (40k messages/round).
-func BenchmarkRoundThroughput10k(b *testing.B) { benchRounds(b, torusView(100)) }
+// (40k messages/round), under Run.
+func BenchmarkRoundThroughput10k(b *testing.B) { benchRounds(b, torusView(100), drivers[0]) }
+
+// BenchmarkRoundThroughputSteps is BenchmarkRoundThroughput's and
+// BenchmarkRoundThroughput10k's workload under RunSteps.
+func BenchmarkRoundThroughputSteps(b *testing.B) {
+	for _, k := range []int{20, 100} {
+		b.Run(fmt.Sprintf("n=%d", k*k), func(b *testing.B) { benchRounds(b, torusView(k), drivers[1]) })
+	}
+}
 
 func BenchmarkBFSTreeProtocol(b *testing.B) {
 	gb := graph.NewBuilder(256)

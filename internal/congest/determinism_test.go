@@ -3,21 +3,23 @@ package congest
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"dexpander/internal/graph"
 )
 
-// traceRun executes a randomized multi-round workload on the view and
-// returns the run's Stats plus a full per-node message trace (for every
-// delivered message: round, port, channel, payload, in inbox order).
-func traceRun(t *testing.T, topo *Topology, seed uint64, rounds int) (Stats, [][]string) {
+// traceRun executes a randomized multi-round workload on the topology
+// under both drivers (which must agree) and returns the run's Stats plus
+// every node's inboxes (for every delivered message: round, port,
+// channel, payload, in inbox order).
+func traceRun(t *testing.T, topo *Topology, seed uint64, rounds int) (Stats, [][]received) {
 	t.Helper()
-	e := NewEngine(topo, Config{Seed: seed, Channels: 2, MaxWords: 3})
-	traces := make([][]string, e.NumNodes())
-	err := e.Run(func(nd *Node) {
-		r := nd.Rand()
-		for i := 0; i < rounds; i++ {
+	o := onBothDrivers(t,
+		func() *Engine { return NewEngine(topo, Config{Seed: seed, Channels: 2, MaxWords: 3}) },
+		loop(fixed(rounds), func(nd *Node, _ int, _ []Incoming) {
+			r := nd.Rand()
 			for p := 0; p < nd.Degree(); p++ {
 				if r.Bool() {
 					nd.Send(p, r.Int63()%1000, int64(nd.V()))
@@ -26,27 +28,17 @@ func traceRun(t *testing.T, topo *Topology, seed uint64, rounds int) (Stats, [][
 					nd.SendOn(1, p, r.Int63()%7)
 				}
 			}
-			for _, m := range nd.Next() {
-				traces[nd.V()] = append(traces[nd.V()],
-					fmt.Sprintf("r%d p%d c%d %v", i, m.Port, m.Ch, m.Words))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}))
+	if o.err != "" {
+		t.Fatal(o.err)
 	}
-	return e.Stats(), traces
+	return o.stats, o.trace
 }
 
-func sameTraces(a, b [][]string) (int, bool) {
+func sameTraces[T comparable](a, b [][]T) (int, bool) {
 	for v := range a {
-		if len(a[v]) != len(b[v]) {
+		if !slices.Equal(a[v], b[v]) {
 			return v, false
-		}
-		for i := range a[v] {
-			if a[v][i] != b[v][i] {
-				return v, false
-			}
 		}
 	}
 	return -1, true
@@ -145,32 +137,26 @@ func TestInboxSenderOrder(t *testing.T) {
 	for v := 6; v >= 1; v-- { // edge insertion order reverses port order
 		b.AddEdge(0, v)
 	}
-	e := New(graph.WholeGraph(b.Graph()), Config{Channels: 2})
-	var got []int64
-	err := e.Run(func(nd *Node) {
-		if nd.V() != 0 {
-			nd.SendOn(0, 0, int64(nd.V()))
-			nd.SendOn(1, 0, int64(nd.V())*10)
-		}
-		for _, m := range nd.Next() {
-			if nd.V() == 0 {
-				got = append(got, m.Words[0])
+	view := graph.WholeGraph(b.Graph())
+	o := onBothDrivers(t, func() *Engine { return New(view, Config{Channels: 2}) },
+		loop(fixed(1), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() != 0 {
+				nd.SendOn(0, 0, int64(nd.V()))
+				nd.SendOn(1, 0, int64(nd.V())*10)
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}))
+	if o.err != "" {
+		t.Fatal(o.err)
+	}
+	var got []string
+	for _, m := range o.trace[0] {
+		got = append(got, m.words)
 	}
 	// Senders are nodes 1..6 in dense index order; each staged its ch-0
 	// word before its ch-1 word.
-	want := []int64{1, 10, 2, 20, 3, 30, 4, 40, 5, 50, 6, 60}
-	if len(got) != len(want) {
-		t.Fatalf("hub received %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hub inbox order %v, want %v", got, want)
-		}
+	want := []string{"[1]", "[10]", "[2]", "[20]", "[3]", "[30]", "[4]", "[40]", "[5]", "[50]", "[6]", "[60]"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hub inbox order %v, want %v", got, want)
 	}
 }
 
@@ -234,45 +220,35 @@ func TestCliquePortNumberingInvariant(t *testing.T) {
 // messages are dropped and stats stop accumulating (the failing round is
 // counted, its traffic is not).
 func TestMaxRoundsDropsStagedTraffic(t *testing.T) {
-	e := New(pathSub(2), Config{MaxRounds: 3})
-	err := e.Run(func(nd *Node) {
-		for {
-			nd.SendToAll(int64(nd.Round()))
-			nd.Next()
-		}
-	})
-	if err == nil {
-		t.Fatal("expected MaxRounds failure")
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{MaxRounds: 3}) },
+		loop(forever, func(nd *Node, _ int, _ []Incoming) { nd.SendToAll(int64(nd.Round())) }))
+	if !strings.Contains(o.err, "MaxRounds") {
+		t.Fatalf("expected MaxRounds failure, got %q", o.err)
 	}
-	st := e.Stats()
-	if st.Rounds != 4 {
-		t.Errorf("Rounds = %d, want 4 (3 allowed + the failing one)", st.Rounds)
+	if o.stats.Rounds != 4 {
+		t.Errorf("Rounds = %d, want 4 (3 allowed + the failing one)", o.stats.Rounds)
 	}
-	if st.Messages != 6 || st.Words != 6 {
+	if o.stats.Messages != 6 || o.stats.Words != 6 {
 		t.Errorf("Messages/Words = %d/%d, want 6/6: the aborted round's staged traffic must be dropped",
-			st.Messages, st.Words)
+			o.stats.Messages, o.stats.Words)
 	}
 }
 
 // TestArenaRecycling: a payload received in round r must stay intact
-// while the receiver holds it (until its next Next), even as the sender
-// keeps staging new rounds into its arenas.
+// while the receiver holds it (until its round r+1 ends), even as the
+// sender keeps staging new rounds into its arenas and the receiver
+// stages its own sends.
 func TestArenaRecycling(t *testing.T) {
-	e := New(pathSub(2), Config{MaxWords: 1})
-	err := e.Run(func(nd *Node) {
-		var held []int64
-		for r := 0; r < 50; r++ {
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{MaxWords: 1}) },
+		loop(fixed(50), func(nd *Node, r int, in []Incoming) {
 			nd.Send(0, int64(100+r))
-			if held != nil && held[0] != int64(100+r-1) {
-				t.Errorf("round %d: held payload mutated to %d", r, held[0])
+			for _, m := range in {
+				if m.Words[0] != int64(100+r-1) {
+					t.Errorf("round %d: held payload mutated to %d", r, m.Words[0])
+				}
 			}
-			held = nil
-			for _, m := range nd.Next() {
-				held = m.Words // hold across the rest of the round
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}))
+	if o.err != "" {
+		t.Fatal(o.err)
 	}
 }

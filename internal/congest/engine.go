@@ -2,13 +2,35 @@
 // computing on top of a graph view.
 //
 // Each member vertex of the communication graph runs the same program
-// (SPMD) in its own goroutine. Time advances in rounds: a node stages
-// messages with Send and then calls Next, which blocks at a global barrier
-// until every live node has finished the round; the engine then delivers
-// all staged messages and releases the nodes into the next round. This
-// mirrors the model exactly: per round, each edge carries at most one
-// message of at most MaxWords machine words per logical channel, in each
-// direction, and violations are programming errors that abort the run.
+// (SPMD). Time advances in rounds: a node stages messages with Send, and
+// once every live node has finished the round the engine delivers all
+// staged messages and starts the next one. This mirrors the model
+// exactly: per round, each edge carries at most one message of at most
+// MaxWords machine words per logical channel, in each direction, and
+// violations are programming errors that abort the run.
+//
+// # Two drivers
+//
+// An engine runs a program in one of two forms; both share delivery,
+// arenas, Stats, MaxRounds and failure reporting, so a protocol's output
+// does not depend on the form it is written in.
+//
+//   - RunSteps takes a program as a step function per node and runs every
+//     node on the caller's goroutine. start runs a node's code up to the
+//     end of its first round and returns the node's Step (nil if the node
+//     is already done); each later round the engine calls every live
+//     node's step once, in node-index order, with the inbox delivered at
+//     the end of the previous round. The inbox is valid until the step
+//     returns, and a step never calls Next: it returns to end its round.
+//     Busy loop-shaped protocols (the router's tree build and
+//     store-and-forward phases, the naive and CONGESTED-CLIQUE triangle
+//     baselines) run this way, with no goroutine switch per node-round.
+//   - Run takes a straight-line program that calls Next to end each round,
+//     and runs every node in its own goroutine; Next blocks at a round
+//     barrier until every live node has called Next (or returned). It
+//     serves the protocols composed from Next-calling helpers (BFSTree,
+//     the convergecasts, the distributed walk and LDD), at the cost of two
+//     goroutine switches per node-round.
 //
 // # Topology and Engine
 //
@@ -19,25 +41,25 @@
 // protocols (the router's build/register/query phases, the sparse-cut
 // partition loop) pay construction once instead of per stage. An Engine
 // (NewEngine) is the cheap per-run object holding round state, staged
-// traffic, and Stats; it is single-use: construct, Run once, read Stats.
+// traffic, and Stats; it is single-use: construct, run once, read Stats.
 // New and NewClique remain as one-shot conveniences that build both.
 //
 // # Delivery order and arena lifetime
 //
-// Delivery at the barrier is deterministic: the goroutine that completes
-// a round moves every staged message into its receiver's inbox, walking
-// senders in node-index order, so each inbox holds messages ordered by
-// sender node index first and, per sender, by the order the sender staged
-// them. The order — and Stats — are identical across runs and independent
-// of goroutine scheduling and of how many processors the run has, so
-// seeded executions reproduce bit-identically.
+// Delivery is deterministic: at the end of each round one goroutine moves
+// every staged message into its receiver's inbox, walking senders in
+// node-index order, so each inbox holds messages ordered by sender node
+// index first and, per sender, by the order the sender staged them. The
+// order — and Stats — are identical across runs and drivers and
+// independent of goroutine scheduling and of how many processors the run
+// has, so seeded executions reproduce bit-identically.
 //
 // Message payloads live in per-node word arenas that the engine recycles
 // every other round (double buffering), so the steady-state message path
 // allocates nothing. The contract is the one Incoming documents: a
-// received Words slice is valid until the receiving node's next call to
-// Next, after which its backing storage may be reused; copy it to keep
-// it longer.
+// received Words slice is valid until the receiving node's round ends
+// (its next Next, or the return of the step it was passed to), after
+// which its backing storage may be reused; copy it to keep it longer.
 //
 // Logical channels model the paper's multiplexed executions (e.g. up to w
 // simultaneous ApproximateNibble instances share edges, Lemma 10): running
@@ -88,7 +110,7 @@ func (c Config) withDefaults() Config {
 
 // Stats summarizes the cost of a run.
 type Stats struct {
-	// Rounds is the number of synchronous rounds (barrier generations).
+	// Rounds is the number of synchronous rounds (deliveries).
 	Rounds int
 	// CongestRounds is Rounds multiplied by the channel width: the cost
 	// in the unmultiplexed CONGEST model.
@@ -125,11 +147,12 @@ func (s *Stats) CombineParallel(other Stats) {
 }
 
 // outMsg is a staged outgoing message, already resolved to its receiver.
+// It holds no pointer, so staging one costs no GC write barrier.
 type outMsg struct {
 	peerNode int32
 	peerPort int32
 	ch       int32
-	words    []int64 // slice into the sender's arena
+	off, n   int32 // the payload: n words at off in the sender's arena
 }
 
 // Incoming is a delivered message as seen by the receiving node.
@@ -138,21 +161,24 @@ type Incoming struct {
 	Port int
 	// Ch is the logical channel.
 	Ch int
-	// Words is the payload; valid until the node's next call to Next.
+	// Words is the payload; valid until the node's round ends (its next
+	// Next, or the return of the step it was passed to).
 	Words []int64
 }
 
 // Engine simulates one run of a node program over a Topology.
-// An Engine is single-use: construct, Run once, read Stats.
+// An Engine is single-use: construct, Run or RunSteps once, read Stats.
 type Engine struct {
-	cfg    Config
-	topo   *Topology
-	nodes  []Node
-	bar    barrier
-	stats  Stats
-	failMu sync.Mutex
-	fail   error
-	failed atomic.Bool
+	cfg   Config
+	topo  *Topology
+	nodes []Node
+	bar   barrier // Run only
+	// stepping is set for a RunSteps run, where Next is an error.
+	stepping bool
+	stats    Stats
+	failMu   sync.Mutex
+	fail     error
+	failed   atomic.Bool
 }
 
 // NewEngine builds a fresh single-run engine over the topology. This is
@@ -187,7 +213,6 @@ func NewEngine(t *Topology, cfg Config) *Engine {
 		nd.arenaRound = -1
 		off += deg * cfg.Channels
 	}
-	e.bar.init(n, e.deliver)
 	return e
 }
 
@@ -209,10 +234,12 @@ func NewClique(n int, cfg Config) *Engine {
 // Topology returns the topology the engine runs over.
 func (e *Engine) Topology() *Topology { return e.topo }
 
-// Run executes prog on every node and blocks until all nodes return.
-// It returns the first failure (bandwidth violation, round-limit breach, or
-// a panic inside prog) if any; the simulation state is then unspecified.
+// Run executes prog on every node, each in its own goroutine, and blocks
+// until all nodes return. It returns the first failure (bandwidth
+// violation, round-limit breach, or a panic inside prog) if any; the
+// simulation state is then unspecified.
 func (e *Engine) Run(prog func(*Node)) error {
+	e.bar.init(len(e.nodes), e.deliver)
 	var wg sync.WaitGroup
 	wg.Add(len(e.nodes))
 	for i := range e.nodes {
@@ -229,9 +256,66 @@ func (e *Engine) Run(prog func(*Node)) error {
 		}()
 	}
 	wg.Wait()
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.fail
+	return e.failure()
+}
+
+// Step is a node's program for one round under RunSteps: it receives the
+// messages delivered at the end of the previous round, stages this
+// round's sends, and reports whether the node is done. in is valid until
+// the step returns. A step must not call Next: returning ends its round.
+type Step func(in []Incoming) (done bool)
+
+// RunSteps executes a step program on every node, on the caller's
+// goroutine, and returns when every node is done. start runs a node's
+// code up to the end of its first round and returns its Step, or nil if
+// the node is already done. Then, once per round, the engine delivers,
+// and calls every live node's step once, in node-index order.
+//
+// Delivery, arenas, Stats, MaxRounds and failures are Run's: a round is
+// delivered and counted only while some node is still live after its
+// step, so traffic staged in a round where every node finishes is dropped
+// uncounted; messages to finished nodes are counted; and the first
+// failure (bandwidth violation, round-limit breach, a panic inside start
+// or a step, or a call to Next) stops the run with Stats fixed.
+func (e *Engine) RunSteps(start func(*Node) Step) (err error) {
+	e.stepping = true
+	steps := make([]Step, len(e.nodes))
+	live := make([]int32, 0, len(e.nodes))
+	cur := -1 // node whose code is running, for panic attribution
+	defer func() {
+		if r := recover(); r != nil {
+			if cur < 0 {
+				panic(r)
+			}
+			e.setFail(fmt.Errorf("congest: node %d panicked: %v", e.nodes[cur].v, r))
+		}
+		err = e.failure()
+	}()
+	for i := range e.nodes {
+		cur = i
+		if steps[i] = start(&e.nodes[i]); steps[i] != nil {
+			live = append(live, int32(i))
+		}
+	}
+	for len(live) > 0 {
+		cur = -1
+		e.deliver()
+		if e.failed.Load() {
+			return
+		}
+		k := 0
+		for _, i := range live {
+			cur = int(i)
+			nd := &e.nodes[i]
+			nd.round++
+			if !steps[i](nd.in) {
+				live[k] = i
+				k++
+			}
+		}
+		live = live[:k]
+	}
+	return
 }
 
 // Stats returns the accumulated cost of the run.
@@ -239,6 +323,13 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // NumNodes returns the number of participating nodes.
 func (e *Engine) NumNodes() int { return len(e.nodes) }
+
+// failure returns the run's first failure, nil if none.
+func (e *Engine) failure() error {
+	e.failMu.Lock()
+	defer e.failMu.Unlock()
+	return e.fail
+}
 
 func (e *Engine) setFail(err error) {
 	e.failMu.Lock()
@@ -249,9 +340,11 @@ func (e *Engine) setFail(err error) {
 	e.failed.Store(true)
 }
 
-// deliver is called by the barrier, with all live nodes parked, once per
-// round. It moves staged messages into receivers' inboxes in the
-// deterministic order: sender node index, then staging order.
+// deliver is called once per round, after every live node has finished
+// it: by the barrier with all live nodes parked under Run, between two
+// sweeps of the steps under RunSteps. It moves staged messages into
+// receivers' inboxes in the deterministic order: sender node index, then
+// staging order.
 func (e *Engine) deliver() {
 	if e.failed.Load() {
 		// The run is already doomed: drop staged traffic and stop
@@ -277,8 +370,8 @@ func (e *Engine) deliver() {
 		sender := &e.nodes[i]
 		for _, m := range sender.out {
 			recv := &e.nodes[m.peerNode]
-			recv.in = append(recv.in, Incoming{Port: int(m.peerPort), Ch: int(m.ch), Words: m.words})
-			e.stats.Words += int64(len(m.words))
+			recv.in = append(recv.in, Incoming{Port: int(m.peerPort), Ch: int(m.ch), Words: sender.staged(m)})
+			e.stats.Words += int64(m.n)
 		}
 		e.stats.Messages += int64(len(sender.out))
 		sender.out = sender.out[:0]

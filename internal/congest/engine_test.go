@@ -70,29 +70,27 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestBandwidthViolationWordCount(t *testing.T) {
-	e := New(pathSub(2), Config{MaxWords: 2})
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 0 {
-			nd.Send(0, 1, 2, 3)
-		}
-		nd.Next()
-	})
-	if err == nil || !strings.Contains(err.Error(), "bandwidth") {
-		t.Fatalf("expected bandwidth violation, got %v", err)
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{MaxWords: 2}) },
+		loop(fixed(1), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() == 0 {
+				nd.Send(0, 1, 2, 3)
+			}
+		}))
+	if !strings.Contains(o.err, "bandwidth") {
+		t.Fatalf("expected bandwidth violation, got %q", o.err)
 	}
 }
 
 func TestBandwidthViolationDoubleSend(t *testing.T) {
-	e := New(pathSub(2), Config{})
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 0 {
-			nd.Send(0, 1)
-			nd.Send(0, 2)
-		}
-		nd.Next()
-	})
-	if err == nil || !strings.Contains(err.Error(), "double send") {
-		t.Fatalf("expected double-send violation, got %v", err)
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{}) },
+		loop(fixed(1), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() == 0 {
+				nd.Send(0, 1)
+				nd.Send(0, 2)
+			}
+		}))
+	if !strings.Contains(o.err, "double send") {
+		t.Fatalf("expected double-send violation, got %q", o.err)
 	}
 }
 
@@ -134,16 +132,17 @@ func TestMaxRoundsAborts(t *testing.T) {
 }
 
 func TestNodePanicPropagates(t *testing.T) {
-	e := New(pathSub(3), Config{})
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 1 {
-			panic("boom")
-		}
-		nd.Next()
-		nd.Next()
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("expected node panic, got %v", err)
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(3), Config{}) },
+		loop(fixed(2), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() == 1 {
+				panic("boom")
+			}
+		}))
+	if want := "congest: node 1 panicked: boom"; o.err != want {
+		t.Fatalf("err = %q, want %q", o.err, want)
+	}
+	if o.stats != (Stats{}) {
+		t.Fatalf("Stats = %+v: the failing round must not be counted", o.stats)
 	}
 }
 
@@ -296,8 +295,12 @@ func TestStatsAdd(t *testing.T) {
 
 func TestZeroNodeRun(t *testing.T) {
 	g := graph.NewBuilder(3).Graph()
-	e := New(graph.NewSub(g, graph.NewVSet(3), nil), Config{})
-	if err := e.Run(func(nd *Node) { t.Error("program ran with no members") }); err != nil {
-		t.Fatal(err)
+	o := onBothDrivers(t, func() *Engine { return New(graph.NewSub(g, graph.NewVSet(3), nil), Config{}) },
+		func(*Node) Step {
+			t.Error("program ran with no members")
+			return nil
+		})
+	if o.err != "" || o.stats != (Stats{}) {
+		t.Fatalf("err %q, Stats %+v", o.err, o.stats)
 	}
 }

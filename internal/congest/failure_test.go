@@ -27,42 +27,44 @@ func TestExactWordLimitAccepted(t *testing.T) {
 }
 
 func TestBadChannelRejected(t *testing.T) {
-	e := New(pathSub(2), Config{Channels: 2})
-	err := e.Run(func(nd *Node) {
-		nd.SendOn(2, 0, 1)
-		nd.Next()
-	})
-	if err == nil || !strings.Contains(err.Error(), "channel") {
-		t.Fatalf("bad channel accepted: %v", err)
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{Channels: 2}) },
+		loop(fixed(1), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() == 0 {
+				nd.SendOn(2, 0, 1)
+			}
+		}))
+	if !strings.Contains(o.err, "channel") {
+		t.Fatalf("bad channel accepted: %q", o.err)
 	}
 }
 
 func TestBadPortRejected(t *testing.T) {
-	e := New(pathSub(2), Config{})
-	err := e.Run(func(nd *Node) {
-		nd.Send(7, 1)
-		nd.Next()
-	})
-	if err == nil || !strings.Contains(err.Error(), "port") {
-		t.Fatalf("bad port accepted: %v", err)
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{}) },
+		loop(fixed(1), func(nd *Node, _ int, _ []Incoming) {
+			if nd.V() == 0 {
+				nd.Send(7, 1)
+			}
+		}))
+	if !strings.Contains(o.err, "port") {
+		t.Fatalf("bad port accepted: %q", o.err)
 	}
 }
 
 func TestPanicDuringBarrierDoesNotDeadlock(t *testing.T) {
-	// One node panics while others are parked at the barrier: the run
-	// must still terminate with the panic as its error.
-	e := New(pathSub(4), Config{})
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 2 {
-			nd.Next() // join one round so others arrive at gen 2
-			panic("mid-protocol crash")
-		}
-		for i := 0; i < 3; i++ {
-			nd.Next()
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "mid-protocol crash") {
-		t.Fatalf("err = %v", err)
+	// One node panics in round 2 while the others have finished it: the
+	// run must still terminate with the panic as its error, and only
+	// round 1 counted.
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(4), Config{}) },
+		loop(fixed(3), func(nd *Node, i int, _ []Incoming) {
+			if nd.V() == 2 && i == 1 {
+				panic("mid-protocol crash")
+			}
+		}))
+	if !strings.Contains(o.err, "mid-protocol crash") {
+		t.Fatalf("err = %q", o.err)
+	}
+	if o.stats.Rounds != 1 {
+		t.Fatalf("Rounds = %d, want 1", o.stats.Rounds)
 	}
 }
 
@@ -70,43 +72,30 @@ func TestHalfHaltHalfContinue(t *testing.T) {
 	// Half the nodes stop after one round; the rest keep exchanging.
 	// Messages to departed nodes are dropped harmlessly.
 	const n = 8
-	e := New(pathSub(n), Config{})
-	err := e.Run(func(nd *Node) {
-		rounds := 1
-		if nd.V()%2 == 0 {
-			rounds = 6
-		}
-		for i := 0; i < rounds; i++ {
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(n), Config{}) },
+		loop(func(nd *Node) int { return 1 + 5*(1-nd.V()%2) }, func(nd *Node, i int, _ []Incoming) {
 			nd.SendToAll(int64(i))
-			nd.Next()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}))
+	if o.err != "" {
+		t.Fatal(o.err)
 	}
-	if e.Stats().Rounds != 6 {
-		t.Fatalf("rounds = %d, want 6", e.Stats().Rounds)
+	if o.stats.Rounds != 6 {
+		t.Fatalf("rounds = %d, want 6", o.stats.Rounds)
 	}
 }
 
 func TestMessagesToDepartedNodes(t *testing.T) {
-	// Node 1 leaves immediately; node 0 keeps sending to it. No crash,
-	// no delivery.
-	e := New(pathSub(2), Config{})
-	err := e.Run(func(nd *Node) {
-		if nd.V() == 1 {
-			return
-		}
-		for i := 0; i < 5; i++ {
+	// Node 1 leaves immediately; node 0 keeps sending to it. No crash;
+	// every message is counted.
+	o := onBothDrivers(t, func() *Engine { return New(pathSub(2), Config{}) },
+		loop(func(nd *Node) int { return 5 * (1 - nd.V()) }, func(nd *Node, i int, _ []Incoming) {
 			nd.Send(0, int64(i))
-			nd.Next()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}))
+	if o.err != "" {
+		t.Fatal(o.err)
 	}
-	if e.Stats().Messages != 5 {
-		t.Fatalf("messages = %d", e.Stats().Messages)
+	if o.stats.Messages != 5 {
+		t.Fatalf("messages = %d", o.stats.Messages)
 	}
 }
 

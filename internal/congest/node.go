@@ -5,7 +5,8 @@ import "fmt"
 import "dexpander/internal/rng"
 
 // Node is one vertex's handle onto the simulation. All methods must be
-// called only from the goroutine running the node's program.
+// called only from the node's own program: its goroutine under Run, its
+// start and steps under RunSteps.
 type Node struct {
 	eng  *Engine
 	topo *Topology
@@ -21,9 +22,12 @@ type Node struct {
 	// arena double-buffers this node's outgoing payload words: words
 	// staged in round r live in arena[r&1], which is recycled when the
 	// node first sends in round r+2 — by then every receiver's claim
-	// (valid until its next Next) has expired.
+	// (valid until its round r+1 ends) has expired. arenaUsed words of
+	// arena[arenaRound&1] are staged; the slices only grow, so staging
+	// writes no slice header (and no pointer) on its fast path.
 	arena      [2][]int64
 	arenaRound int
+	arenaUsed  int
 }
 
 // V returns the node's global vertex id.
@@ -79,13 +83,14 @@ func (n *Node) SendOn(ch, port int, words ...int64) {
 			port, ch, n.round))
 	}
 	n.sentStamp[slot] = int32(n.round)
-	payload := n.stage(words)
+	off := n.stage(words)
 	pt := n.topo.portAt(n.idx, port)
 	n.out = append(n.out, outMsg{
 		peerNode: int32(pt.peerNode),
 		peerPort: int32(pt.peerPort),
 		ch:       int32(ch),
-		words:    payload,
+		off:      off,
+		n:        int32(len(words)),
 	})
 }
 
@@ -110,32 +115,50 @@ func (n *Node) SendToAll(words ...int64) {
 		}
 		n.sentStamp[p] = round
 	}
-	payload := n.stage(words)
+	off := n.stage(words)
 	for p := 0; p < deg; p++ {
 		pt := n.topo.portAt(n.idx, p)
-		n.out = append(n.out, outMsg{peerNode: int32(pt.peerNode), peerPort: int32(pt.peerPort), words: payload})
+		n.out = append(n.out, outMsg{peerNode: int32(pt.peerNode), peerPort: int32(pt.peerPort), off: off, n: int32(len(words))})
 	}
 }
 
-// stage copies words into the round's arena buffer and returns the
-// staged payload. The arena double-buffers by round parity: the buffer
+// stage copies words into the round's arena buffer and returns their
+// offset there. The arena double-buffers by round parity: the buffer
 // recycled here was last written two rounds ago, so every receiver's
-// claim on it (valid until its next Next) has already expired.
-func (n *Node) stage(words []int64) []int64 {
+// claim on it (valid until its next round ended) has already expired.
+func (n *Node) stage(words []int64) int32 {
 	a := &n.arena[n.round&1]
 	if n.arenaRound != n.round {
-		*a = (*a)[:0]
-		n.arenaRound = n.round
+		n.arenaRound, n.arenaUsed = n.round, 0
 	}
-	off := len(*a)
-	*a = append(*a, words...)
-	return (*a)[off:len(*a):len(*a)]
+	off := n.arenaUsed
+	if end := off + len(words); end > len(*a) {
+		// Grow, keeping this round's words: staged messages refer to
+		// them by offset.
+		grown := make([]int64, max(2*len(*a), end, 8))
+		copy(grown, (*a)[:off])
+		*a = grown
+	}
+	n.arenaUsed += copy((*a)[off:], words)
+	return int32(off)
 }
 
-// Next completes the current round: it blocks until every live node has
-// called Next (or returned), then returns the messages delivered to this
-// node. The returned slice is valid until the following call to Next.
+// staged returns the payload of a message this node staged in the
+// current round.
+func (n *Node) staged(m outMsg) []int64 {
+	end := m.off + m.n
+	return n.arena[n.round&1][m.off:end:end]
+}
+
+// Next completes the current round under Run: it blocks until every live
+// node has called Next (or returned), then returns the messages delivered
+// to this node. The returned slice is valid until the following call to
+// Next. Under RunSteps a step ends its round by returning, and calling
+// Next fails the run.
 func (n *Node) Next() []Incoming {
+	if n.eng.stepping {
+		panic("congest: Next called under RunSteps (a step ends its round by returning)")
+	}
 	n.checkFail()
 	n.bumpRound()
 	return n.in

@@ -25,6 +25,9 @@ type Sub struct {
 
 	cacheOnce sync.Once
 	cache     *viewCache
+
+	volOnce sync.Once
+	vol     int64 // TotalVol, memoized apart from the cache
 }
 
 // NewSub returns a view of g restricted to members with the given alive
@@ -93,10 +96,11 @@ func (s *Sub) Vol(x *VSet) int64 { return s.g.Vol(x) }
 
 // TotalVol returns the volume of the whole member set; this is Vol(V) of
 // the view's graph G{S}, which equals the base volume of S because degrees
-// are preserved. O(1) from the view cache.
+// are preserved. The first call sums the member degrees, without building
+// the view cache; later calls are O(1).
 func (s *Sub) TotalVol() int64 {
-	c := s.cacheData()
-	return c.cumVol[len(c.cumVol)-1]
+	s.volOnce.Do(func() { s.vol = s.g.Vol(s.members) })
+	return s.vol
 }
 
 // UsableEdgeCount returns the number of usable edges in the view, from

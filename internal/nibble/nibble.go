@@ -205,9 +205,7 @@ func noSweepPasses(view *graph.Sub, pr Params, tau float64) bool {
 func (p Params) acceptTau(view *graph.Sub) float64 {
 	vol := float64(view.TotalVol())
 	minDeg := math.MaxInt
-	for _, v := range view.MemberList() {
-		minDeg = min(minDeg, view.Deg(v))
-	}
+	view.Members().ForEach(func(v int) { minDeg = min(minDeg, view.Deg(v)) })
 	if p.Phi*vol+1e-9*(1+p.Phi)*vol < 2*float64(minDeg) {
 		return p.Phi
 	}

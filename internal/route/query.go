@@ -2,17 +2,16 @@ package route
 
 import (
 	"fmt"
-	"sync"
 
 	"dexpander/internal/congest"
 	"dexpander/internal/rng"
 )
 
-// Route delivers all requests and returns the deliveries (in arrival
-// order per destination, deterministic for a fixed seed) plus the
-// measured CONGEST cost of the query phase. Every request must have
-// member endpoints; delivery is verified exactly-once and any shortfall
-// is an error.
+// Route delivers all requests and returns the deliveries in arrival
+// order — by round, then by destination node index, then inbox order:
+// one fixed order for a fixed seed — plus the measured CONGEST cost of
+// the query phase. Every request must have member endpoints; delivery is
+// verified exactly-once and any shortfall is an error.
 func (rt *Router) Route(reqs []Request) ([]Delivery, congest.Stats, error) {
 	n := rt.view.Base().N()
 	for i, rq := range reqs {
@@ -21,9 +20,9 @@ func (rt *Router) Route(reqs []Request) ([]Delivery, congest.Stats, error) {
 			return nil, congest.Stats{}, fmt.Errorf("route: request %d endpoints (%d,%d) not members", i, rq.Src, rq.Dst)
 		}
 	}
-	perSrc := make(map[int][]packet)
-	expected := make(map[int]int)
-	seq := make(map[int]int) // per-destination round-robin over trees
+	perSrc := make([][]packet, n)
+	expected := make([]int, n)
+	seq := make([]int, n) // per-destination round-robin over trees
 	for _, rq := range reqs {
 		hub := rt.HomeHub(rq.Dst)
 		if rt.multi {
@@ -39,8 +38,7 @@ func (rt *Router) Route(reqs []Request) ([]Delivery, congest.Stats, error) {
 		})
 		expected[rq.Dst]++
 	}
-	var mu sync.Mutex
-	var out []Delivery
+	out := make([]Delivery, 0, len(reqs))
 	initial := func(v int) []packet { return perSrc[v] }
 	handle := func(v int, pk packet, arrival int) (int, bool) {
 		if pk.dst == v {
@@ -54,16 +52,14 @@ func (rt *Router) Route(reqs []Request) ([]Delivery, congest.Stats, error) {
 		return rt.parent[pk.hub][v], false
 	}
 	deliver := func(v int, pk packet) {
-		mu.Lock()
 		out = append(out, Delivery{Dst: v, Payload: pk.payload})
-		mu.Unlock()
 	}
 	stats, err := rt.runPhase(initial, handle, deliver, len(reqs))
 	if err != nil {
 		return nil, stats, err
 	}
 	// Exactly-once verification.
-	got := make(map[int]int)
+	got := make([]int, n)
 	for _, d := range out {
 		got[d.Dst]++
 	}

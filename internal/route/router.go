@@ -198,9 +198,9 @@ func (rt *Router) buildTrees() error {
 			rt.dist[h][v] = -1
 		}
 	}
-	budget := p + 2*rt.maxDepth + 8
+	budget := p + 2*rt.maxDepth + 8 // at least 1
 	eng := congest.NewEngine(rt.topo, congest.Config{Seed: rt.seed, MaxWords: 2})
-	err := eng.Run(func(nd *congest.Node) {
+	err := eng.RunSteps(func(nd *congest.Node) congest.Step {
 		known := make([]int, p)    // best dist per hub, -1 unknown
 		parentOf := make([]int, p) // port toward hub, -1 root/unknown
 		for h := range known {
@@ -212,13 +212,17 @@ func (rt *Router) buildTrees() error {
 			known[h] = 0
 			pending = append(pending, h)
 		}
-		for r := 0; r < budget; r++ {
+		announce := func() {
 			if len(pending) > 0 {
 				h := pending[0]
 				pending = pending[1:]
 				nd.SendToAll(int64(h), int64(known[h]))
 			}
-			for _, m := range nd.Next() {
+		}
+		announce()
+		r := 0
+		return func(in []congest.Incoming) bool {
+			for _, m := range in {
 				h, d := int(m.Words[0]), int(m.Words[1])+1
 				if known[h] == -1 || d < known[h] {
 					known[h] = d
@@ -226,10 +230,15 @@ func (rt *Router) buildTrees() error {
 					pending = append(pending, h)
 				}
 			}
-		}
-		for h := 0; h < p; h++ {
-			rt.parent[h][nd.V()] = parentOf[h]
-			rt.dist[h][nd.V()] = known[h]
+			if r++; r < budget {
+				announce()
+				return false
+			}
+			for h := 0; h < p; h++ {
+				rt.parent[h][nd.V()] = parentOf[h]
+				rt.dist[h][nd.V()] = known[h]
+			}
+			return true
 		}
 	})
 	if err != nil {

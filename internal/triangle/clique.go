@@ -2,7 +2,6 @@ package triangle
 
 import (
 	"sort"
-	"sync"
 
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
@@ -98,57 +97,61 @@ func CliqueWithGroups(view *graph.Sub, groups int, seed uint64) (*Set, congest.S
 			perSender[owner] = append(perSender[owner], outMsg{to: h, u: u, v: v})
 		}
 	}
-	var mu sync.Mutex
 	received := make([][][2]int, n) // per handler: edges
 	eng := congest.NewClique(n, congest.Config{Seed: seed, MaxWords: 2, Channels: 2})
-	err := eng.Run(func(nd *congest.Node) {
+	err := eng.RunSteps(func(nd *congest.Node) congest.Step {
 		me := nd.V() // dense index in clique engine
-		queues := make([][]outMsg, nd.Degree())
+		deg := nd.Degree()
+		queues := make([][]outMsg, deg)
 		for _, m := range perSender[members[me]] {
 			if m.to == me {
-				mu.Lock()
 				received[me] = append(received[me], [2]int{m.u, m.v})
-				mu.Unlock()
 				continue
 			}
 			p := nd.PortOf(m.to)
 			queues[p] = append(queues[p], m)
 		}
-		busy := true
-		quietNeighbors := 0
-		for busy || quietNeighbors < nd.Degree() {
-			anyQueued := false
+		busy := false
+		// send stages a round: each port's queue head on channel 0, and
+		// the busy flag (whether anything is still queued) to everyone on
+		// channel 1.
+		send := func() {
+			busy = false
 			for p := range queues {
 				if len(queues[p]) > 0 {
 					m := queues[p][0]
 					queues[p] = queues[p][1:]
 					nd.SendOn(0, p, int64(m.u), int64(m.v))
-					anyQueued = anyQueued || len(queues[p]) > 0
+					busy = busy || len(queues[p]) > 0
 				}
 			}
-			busyNow := anyQueued
-			// Busy-flag exchange on channel 1 (one bit to everyone).
 			flag := int64(0)
-			if busyNow {
+			if busy {
 				flag = 1
 			}
-			for p := 0; p < nd.Degree(); p++ {
+			for p := 0; p < deg; p++ {
 				nd.SendOn(1, p, flag)
 			}
-			quietNeighbors = 0
-			for _, m := range nd.Next() {
+		}
+		send()
+		// The node runs until it and every neighbor report quiet.
+		return func(in []congest.Incoming) bool {
+			quietNeighbors := 0
+			for _, m := range in {
 				switch m.Ch {
 				case 0:
-					mu.Lock()
 					received[me] = append(received[me], [2]int{int(m.Words[0]), int(m.Words[1])})
-					mu.Unlock()
 				case 1:
 					if m.Words[0] == 0 {
 						quietNeighbors++
 					}
 				}
 			}
-			busy = busyNow
+			if busy || quietNeighbors < deg {
+				send()
+				return false
+			}
+			return true
 		}
 	})
 	if err != nil {

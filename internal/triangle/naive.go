@@ -1,8 +1,6 @@
 package triangle
 
 import (
-	"sync"
-
 	"dexpander/internal/congest"
 	"dexpander/internal/graph"
 )
@@ -15,7 +13,6 @@ import (
 // algorithm beats.
 func Naive(view *graph.Sub, seed uint64) (*Set, congest.Stats, error) {
 	out := NewSet()
-	var mu sync.Mutex
 	// Precompute the number of pipeline rounds: max alive degree.
 	maxDeg := 0
 	view.Members().ForEach(func(v int) {
@@ -24,7 +21,10 @@ func Naive(view *graph.Sub, seed uint64) (*Set, congest.Stats, error) {
 		}
 	})
 	eng := congest.New(view, congest.Config{Seed: seed, MaxWords: 1})
-	err := eng.Run(func(nd *congest.Node) {
+	err := eng.RunSteps(func(nd *congest.Node) congest.Step {
+		if maxDeg == 0 {
+			return nil // no edges, no triangles
+		}
 		v := nd.V()
 		mine := make([]int, nd.Degree())
 		for p := range mine {
@@ -34,32 +34,40 @@ func Naive(view *graph.Sub, seed uint64) (*Set, congest.Stats, error) {
 		for _, u := range mine {
 			known[u] = make(map[int]bool)
 		}
-		for r := 0; r < maxDeg; r++ {
+		r := 0
+		// stream sends the node's r-th neighbor id to every neighbor.
+		stream := func() {
 			if r < len(mine) {
 				for p := 0; p < nd.Degree(); p++ {
 					nd.Send(p, int64(mine[r]))
 				}
 			}
-			// Messages staged in round r are delivered by this Next.
-			for _, m := range nd.Next() {
+		}
+		stream()
+		return func(in []congest.Incoming) bool {
+			// Messages staged in round r arrive here.
+			for _, m := range in {
 				known[nd.NeighborID(m.Port)][int(m.Words[0])] = true
 			}
-		}
-		mu.Lock()
-		for _, u := range mine {
-			if u <= v {
-				continue
+			if r++; r < maxDeg {
+				stream()
+				return false
 			}
-			for _, w := range mine {
-				if w <= u {
+			for _, u := range mine {
+				if u <= v {
 					continue
 				}
-				if known[u][w] {
-					out.Add(Triangle{A: v, B: u, C: w})
+				for _, w := range mine {
+					if w <= u {
+						continue
+					}
+					if known[u][w] {
+						out.Add(Triangle{A: v, B: u, C: w})
+					}
 				}
 			}
+			return true
 		}
-		mu.Unlock()
 	})
 	if err != nil {
 		return nil, eng.Stats(), err
